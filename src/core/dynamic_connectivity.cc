@@ -211,6 +211,29 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
   for (std::uint32_t i = 0; i < fragments.size(); ++i)
     frag_index[fragments[i]] = i;
 
+  // Zero-sum classes: the fragments of one pre-cut tree, rejoined through
+  // its cut edges (class id = first appearance of the DSU root in fragment
+  // order).  Each such tree spanned a whole component before the batch's
+  // deletes (the header's INVARIANT), and deletes only split components,
+  // so every class covers whole components of the sketched graph and its
+  // groups' sketches sum to zero — the precondition of the class-aware
+  // sample_boundaries.
+  {
+    Dsu trees(fragments.size());
+    for (const Edge& e : cuts) {
+      trees.unite(frag_index.at(forest_.tour_of(e.u)),
+                  frag_index.at(forest_.tour_of(e.v)));
+    }
+    constexpr std::uint32_t kNone = ~0u;
+    fragment_class_.assign(fragments.size(), kNone);
+    std::uint32_t classes = 0;
+    for (std::uint32_t i = 0; i < fragments.size(); ++i) {
+      std::uint32_t& root_class = fragment_class_[trees.find(i)];
+      if (root_class == kNone) root_class = classes++;
+      fragment_class_[i] = root_class;
+    }
+  }
+
   // Merge per-fragment sketches (fan-in-s trees, O(1/phi) rounds) and
   // gather them all on one machine (Lemma 6.5).
   const std::uint64_t banks = sketches_.banks();
@@ -243,9 +266,15 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
           return std::span<const VertexId>(members.data(), members.size());
         });
     if (group_csr_.groups() <= 1) break;
+    // A group never leaves its class (replacement edges stay inside the
+    // pre-cut tree's component), so any member fragment names its class.
+    group_class_.resize(group_csr_.groups());
+    const auto item_groups = group_csr_.item_groups();
+    for (std::size_t i = 0; i < fragments.size(); ++i)
+      group_class_[item_groups[i]] = fragment_class_[i];
     sketches_.sample_boundaries(bank, group_csr_.members(),
-                                group_csr_.offsets(), group_scratch_,
-                                group_samples_);
+                                group_csr_.offsets(), group_class_,
+                                group_scratch_, group_samples_);
 
     bool any_edge = false;
     bool any_union = false;

@@ -18,7 +18,19 @@
 //   bank, merge the member sketches (O(1/phi) rounds) and gather them on
 //   one machine (Lemma 6.5); run AGM/Boruvka locally — level i queries
 //   bank i for a replacement edge out of each current group — and
-//   batch-join the accepted replacement edges.
+//   batch-join the accepted replacement edges.  The groups carved out of
+//   one pre-cut tree sum to the zero sketch (Remark 3.2), so per tree the
+//   largest group's sketch is taken as minus the sum of the others and
+//   its members are never read (the class-aware
+//   VertexSketches::sample_boundaries); on the churn workload that group
+//   is most of the giant component.
+//
+// INVARIANT: every forest tree spans exactly one connected component of
+// the sketched graph.  The replacement search relies on it twice: a
+// sampled edge must land in the fragment set (checked), and each pre-cut
+// tree's fragments must sum to zero (the complement above is exact only
+// then).  It holds w.h.p.; a sampler failure that leaves a component split
+// into two trees breaks it for later batches.
 //
 // Correctness is with high probability against an oblivious adversary for
 // poly(n)-length streams (§1.1); failures are observable as over-counted
@@ -196,6 +208,8 @@ class DynamicConnectivity {
   mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
   // Reused buffers for the level-at-a-time Boruvka queries.
   GroupCsr group_csr_;
+  std::vector<std::uint32_t> fragment_class_;  // [fragment] -> zero-sum class
+  std::vector<std::uint32_t> group_class_;     // [group] -> zero-sum class
   std::vector<L0Sampler> group_scratch_;
   std::vector<std::optional<Edge>> group_samples_;
   // Serve-heavy query cache: tree edges accepted since the last published

@@ -199,16 +199,20 @@ void BankArena::merge_into(const L0Params& params,
 void BankArena::merge_groups(const L0Params& params,
                              std::span<const VertexId> members,
                              std::span<const std::uint32_t> offsets,
-                             std::span<L0Sampler> outs) const {
+                             std::span<L0Sampler> outs,
+                             std::span<const std::uint8_t> skip) const {
   const std::size_t groups = outs.size();
   SMPC_CHECK(offsets.size() == groups + 1);
   SMPC_CHECK(offsets[groups] == members.size());
+  SMPC_CHECK(skip.empty() || skip.size() == groups);
+  const auto skipped = [&](std::size_t g) { return !skip.empty() && skip[g]; };
   for (L0Sampler& out : outs) out.reset(params);
   // Hot store first (it mirrors levels 0..hot-1), then each overflow level:
   // level-major order means every store is walked exactly once for all
   // groups, and the active-level watermarks rise monotonically.
   if (!hot_.page_of.empty()) {
     for (std::size_t g = 0; g < groups; ++g) {
+      if (skipped(g)) continue;
       OneSparseCell* dst = outs[g].mutable_cells(params).data();
       bool touched = false;
       for (std::uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
@@ -230,6 +234,7 @@ void BankArena::merge_groups(const L0Params& params,
     const Store& store = overflow_[j - hot_levels_];
     if (store.page_of.empty()) continue;
     for (std::size_t g = 0; g < groups; ++g) {
+      if (skipped(g)) continue;
       OneSparseCell* dst =
           outs[g].mutable_cells(params).data() + j * cells_per_level_;
       bool touched = false;

@@ -158,10 +158,14 @@ class BankArena {
   // vertex lists; `offsets` is the CSR boundary array (offsets.size() ==
   // outs.size() + 1, offsets.back() == members.size()).  Each outs[g] is
   // reset first and its buffer reused.  Cell sums commute, so the result
-  // equals merge_into per group exactly.
+  // equals merge_into per group exactly.  A non-empty `skip` mask (one
+  // entry per group) leaves every group g with skip[g] != 0 unwalked: its
+  // outs[g] stays the zero sampler (the zero-sum complement of
+  // VertexSketches::sample_boundaries fills it afterwards).
   void merge_groups(const L0Params& params, std::span<const VertexId> members,
                     std::span<const std::uint32_t> offsets,
-                    std::span<L0Sampler> outs) const;
+                    std::span<L0Sampler> outs,
+                    std::span<const std::uint8_t> skip = {}) const;
 
   // Copy of one vertex's sampler (zero sampler if the vertex is untouched).
   L0Sampler extract(const L0Params& params, VertexId v) const;

@@ -493,17 +493,46 @@ std::optional<Edge> VertexSketches::sample_boundary(
 
 void VertexSketches::sample_boundaries(
     unsigned bank, std::span<const VertexId> members,
-    std::span<const std::uint32_t> offsets, std::vector<L0Sampler>& scratch,
+    std::span<const std::uint32_t> offsets,
+    std::span<const std::uint32_t> classes, std::vector<L0Sampler>& scratch,
     std::vector<std::optional<Edge>>& out) const {
   SMPC_CHECK(bank < banks());
   SMPC_CHECK(!offsets.empty());
   const std::size_t groups = offsets.size() - 1;
+  SMPC_CHECK(classes.empty() || classes.size() == groups);
   if (scratch.size() < groups) scratch.resize(groups);
   out.resize(groups);
-  arenas_[bank].merge_groups(params_[bank], members, offsets,
-                             std::span<L0Sampler>(scratch.data(), groups));
+  const std::span<L0Sampler> samplers(scratch.data(), groups);
+  // Per class, the complement group: most members, ties to the lowest g.
+  // Thread-local so the const query stays reentrant without allocating.
+  constexpr std::uint32_t kNone = ~0u;
+  thread_local std::vector<std::uint32_t> complement;  // [class] -> group
+  thread_local std::vector<std::uint8_t> skip;         // [group]
+  skip.assign(classes.empty() ? 0 : groups, 0);
+  if (!classes.empty()) {
+    complement.assign(*std::max_element(classes.begin(), classes.end()) + 1,
+                      kNone);
+    const auto size_of = [&](std::uint32_t g) {
+      return offsets[g + 1] - offsets[g];
+    };
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      std::uint32_t& best = complement[classes[g]];
+      if (best == kNone || size_of(g) > size_of(best)) best = g;
+    }
+    for (const std::uint32_t g : complement) {
+      if (g != kNone) skip[g] = 1;
+    }
+  }
+  arenas_[bank].merge_groups(params_[bank], members, offsets, samplers, skip);
+  if (!classes.empty()) {
+    // The class sums to zero, so its complement is minus everyone else.
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      if (!skip[g])
+        samplers[complement[classes[g]]].subtract(params_[bank], samplers[g]);
+    }
+  }
   for (std::size_t g = 0; g < groups; ++g)
-    out[g] = decode_sample(bank, scratch[g]);
+    out[g] = decode_sample(bank, samplers[g]);
 }
 
 std::uint64_t VertexSketches::allocated_words() const {

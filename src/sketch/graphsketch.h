@@ -300,6 +300,25 @@ class VertexSketches {
   void sample_boundaries(unsigned bank, std::span<const VertexId> members,
                          std::span<const std::uint32_t> offsets,
                          std::vector<L0Sampler>& scratch,
+                         std::vector<std::optional<Edge>>& out) const {
+    sample_boundaries(bank, members, offsets, {}, scratch, out);
+  }
+
+  // Zero-sum complement variant.  `classes[g]` is group g's class id (keep
+  // ids dense: a table is sized by the largest).  PRECONDITION: the groups
+  // of one class together cover whole connected components of the
+  // sketched graph, so by linearity (Remark 3.2) their sketches sum to
+  // exactly the zero sketch.  Per class, the group with the most members
+  // (ties to the lowest g) is therefore never walked: its sampler is
+  // filled as the cell-wise negated sum of its class-mates, and a class of
+  // one group stays the zero sampler.  Under the precondition every
+  // sampler's cells — hence every sample — equal the class-free call's;
+  // only active_levels() may differ, above cells that are zero either way.
+  // An empty `classes` is the class-free call.
+  void sample_boundaries(unsigned bank, std::span<const VertexId> members,
+                         std::span<const std::uint32_t> offsets,
+                         std::span<const std::uint32_t> classes,
+                         std::vector<L0Sampler>& scratch,
                          std::vector<std::optional<Edge>>& out) const;
 
   // Decodes a sampler's output into an edge.
@@ -400,11 +419,11 @@ class GroupCsr {
   template <typename KeyOf, typename MembersOf>
   void build(std::size_t items, const KeyOf& key_of,
              const MembersOf& members_of) {
-    std::unordered_map<VertexId, std::uint32_t> index;
+    index_.clear();  // keeps its buckets: no rehash once warm
     counts_.clear();
     item_group_.resize(items);
     for (std::size_t i = 0; i < items; ++i) {
-      const auto [it, fresh] = index.try_emplace(
+      const auto [it, fresh] = index_.try_emplace(
           key_of(i), static_cast<std::uint32_t>(counts_.size()));
       if (fresh) counts_.push_back(0);
       item_group_[i] = it->second;
@@ -428,8 +447,11 @@ class GroupCsr {
   }
   std::span<const VertexId> members() const { return members_; }
   std::span<const std::uint32_t> offsets() const { return offsets_; }
+  // [item] -> the item's group id.
+  std::span<const std::uint32_t> item_groups() const { return item_group_; }
 
  private:
+  std::unordered_map<VertexId, std::uint32_t> index_;  // key -> group id
   std::vector<VertexId> members_;
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> item_group_;

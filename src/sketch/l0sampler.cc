@@ -123,6 +123,16 @@ void L0Sampler::merge(const L0Params& params, const L0Sampler& other) {
     active_levels_ = other.active_levels_;
 }
 
+void L0Sampler::subtract(const L0Params& params, const L0Sampler& other) {
+  if (!other.allocated() || other.active_levels_ == 0) return;
+  ensure_levels(params, other.active_levels_);
+  const std::size_t limit = other.active_levels_ * cells_per_level_;
+  SMPC_CHECK(limit <= cells_.size() && limit <= other.cells_.size());
+  for (std::size_t i = 0; i < limit; ++i) cells_[i].subtract(other.cells_[i]);
+  if (other.active_levels_ > active_levels_)
+    active_levels_ = other.active_levels_;
+}
+
 std::optional<OneSparseResult> L0Sampler::sample(const L0Params& params) const {
   if (!allocated()) return std::nullopt;
   // Scan from the sparsest (active) level down; the first level with a

@@ -96,6 +96,9 @@ class L0Sampler {
 
   void update(const L0Params& params, Coord c, std::int64_t delta);
   void merge(const L0Params& params, const L0Sampler& other);
+  // Cell-wise this -= other (OneSparseCell::subtract); the watermark rises
+  // to other's, exactly like merge().
+  void subtract(const L0Params& params, const L0Sampler& other);
 
   // Zeroes the sampler while keeping (and, on first use, allocating) its
   // cell buffer — the scratch-reuse hook for repeated merged() queries.

@@ -52,8 +52,17 @@ class OneSparseCell {
   }
 
   void merge(const OneSparseCell& other);
+  // Inverse of merge(): w and s subtract as integers, fp through
+  // Mersenne61::sub, so x.merge(y) followed by x.subtract(y) restores x
+  // exactly and x - x is the canonical zero cell.
+  void subtract(const OneSparseCell& other) {
+    w_ -= other.w_;
+    s_ -= other.s_;
+    fp_ = Mersenne61::sub(fp_, other.fp_);
+  }
 
   bool is_zero() const { return w_ == 0 && s_ == 0 && fp_ == 0; }
+  bool operator==(const OneSparseCell&) const = default;
 
   // Decodes if the cell state is consistent with an exactly-1-sparse
   // vector; returns nullopt for zero or multi-element states.

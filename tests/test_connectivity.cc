@@ -19,6 +19,7 @@ namespace streammpc {
 namespace {
 
 using test::expect_matches_reference;
+using test::make_cluster;
 
 ConnectivityConfig test_config(std::uint64_t seed, unsigned banks = 12) {
   ConnectivityConfig c;
@@ -301,6 +302,110 @@ TEST(Connectivity, ClusterLedgerWithinCapacity) {
   const auto batches = gen::churn_stream(opt, rng);
   for (const auto& b : batches) dc.apply_batch(b);
   EXPECT_TRUE(cluster.ok()) << cluster.report();
+}
+
+// ---------------- byte-identity pin --------------------------------------------
+
+// FNV-1a over 64-bit words.
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Digest of the observable state after one batch: every Stats field plus
+// the sorted spanning forest.
+std::uint64_t batch_digest(const DynamicConnectivity& dc) {
+  const auto& s = dc.stats();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t x :
+       {s.batches, s.inserts, s.deletes, s.tree_inserts, s.tree_deletes,
+        s.replacements_found, s.boruvka_levels, s.max_banks_used,
+        s.empty_levels}) {
+    h = fold(h, x);
+  }
+  for (const Edge& e : dc.spanning_forest())
+    h = fold(h, (static_cast<std::uint64_t>(e.u) << 32) | e.v);
+  return h;
+}
+
+TEST(Connectivity, ChurnStreamPinnedAcrossExecModes) {
+  // Pins the per-batch Stats and spanning forest of a seeded churn stream
+  // (G(2^10, 2n) warm-up, then 30 batches at 50% deletes) to values
+  // recorded before the Boruvka merge learned the zero-sum complement, so
+  // any optimization of the replacement search must leave every sample —
+  // hence every count and every forest — byte-identical.  Checked under
+  // flat ingest, the simulated cluster, and the simulated cluster behind
+  // the async gutter.
+  const VertexId n = 1024;
+  Rng rng(20241);
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.initial_edges = 2 * n;
+  opt.num_batches = 30;
+  opt.batch_size = 128;
+  opt.delete_fraction = 0.5;
+  const auto batches = gen::churn_stream(opt, rng);
+  ASSERT_EQ(batches.size(), 46u);
+
+  const std::vector<std::uint64_t> expected = {
+      0x8b1028d98cbf24ccULL, 0x614fdfe6359e4771ULL, 0xbce243c850e4fc35ULL,
+      0xdc9de61632733f24ULL, 0xc92ebafee2a671b8ULL, 0x862fc2eb5368e279ULL,
+      0x332b3c821c7a0dcfULL, 0xae5bbf7fbe25389fULL, 0xc82c28c4cbf923b2ULL,
+      0xca88e23e278fd334ULL, 0x3e6e53115dc322f7ULL, 0x88201bdd135f602fULL,
+      0x8679dfc0d6aa5107ULL, 0x3bd24e778f1fd689ULL, 0x91bec9f9e447b384ULL,
+      0x84e370901016fc2bULL, 0x0cb651c0a9445217ULL, 0x5ce9c9ee952adfd0ULL,
+      0x3969aeebe40bbadaULL, 0xb7521767454f0996ULL, 0x9f0a535c0af78e4bULL,
+      0x81552f1f81128d24ULL, 0x647875b209a14611ULL, 0x2bbf03b3fd5a031bULL,
+      0x1376a99f61b6fefeULL, 0xf248dc704c760e41ULL, 0x4e6b179eaabfdeecULL,
+      0x1518def44f3d94eaULL, 0xe4916365cacde1b2ULL, 0x038d28078f0d6ffdULL,
+      0xe0b9309bb390b789ULL, 0x31c7e25d3155429eULL, 0x75880418e08cc6d2ULL,
+      0x41956f28156401b1ULL, 0x3cc3e40bfcba8f58ULL, 0x6c1b3084ee538550ULL,
+      0xd6b57771c87f310bULL, 0x2fc85e5aeb4055a4ULL, 0xd8280a48029cad7eULL,
+      0xb493746a39182410ULL, 0x9bb4f26cf5c6f6f4ULL, 0x7424273451a395ecULL,
+      0x67b4aa01d1344700ULL, 0x81720c1a086f2f94ULL, 0x13b11605d7e67155ULL,
+      0x5bdb1deb40c74c79ULL,
+  };
+  const DynamicConnectivity::Stats expected_final{
+      46, 3973, 1873, 1062, 934, 873, 107, 4, 54};
+
+  struct Mode {
+    const char* name;
+    mpc::ExecMode exec_mode;
+    bool attach_cluster;
+    bool async_ingest;
+  };
+  for (const Mode& mode :
+       {Mode{"flat", mpc::ExecMode::kFlat, false, false},
+        Mode{"simulated", mpc::ExecMode::kSimulated, true, false},
+        Mode{"simulated+async", mpc::ExecMode::kSimulated, true, true}}) {
+    SCOPED_TRACE(mode.name);
+    mpc::Cluster cluster = make_cluster(n, 8);
+    ConnectivityConfig cfg = test_config(20242);
+    cfg.exec_mode = mode.exec_mode;
+    cfg.async_ingest = mode.async_ingest;
+    DynamicConnectivity dc(n, cfg, mode.attach_cluster ? &cluster : nullptr);
+    std::vector<std::uint64_t> got;
+    for (const Batch& b : batches) {
+      dc.apply_batch(b);
+      got.push_back(batch_digest(dc));
+    }
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], expected[i]) << "batch " << i;
+    const auto& s = dc.stats();
+    EXPECT_EQ(s.batches, expected_final.batches);
+    EXPECT_EQ(s.inserts, expected_final.inserts);
+    EXPECT_EQ(s.deletes, expected_final.deletes);
+    EXPECT_EQ(s.tree_inserts, expected_final.tree_inserts);
+    EXPECT_EQ(s.tree_deletes, expected_final.tree_deletes);
+    EXPECT_EQ(s.replacements_found, expected_final.replacements_found);
+    EXPECT_EQ(s.boruvka_levels, expected_final.boruvka_levels);
+    EXPECT_EQ(s.max_banks_used, expected_final.max_banks_used);
+    EXPECT_EQ(s.empty_levels, expected_final.empty_levels);
+  }
 }
 
 TEST(Connectivity, StatsAreCoherent) {

@@ -7,11 +7,13 @@
 //   * the closed-form depth_of matches the seed's linear scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <optional>
 #include <vector>
 
+#include "common/field.h"
 #include "common/random.h"
 #include "core/agm_static.h"
 #include "core/dynamic_connectivity.h"
@@ -24,6 +26,7 @@
 #include "sketch/coord.h"
 #include "sketch/graphsketch.h"
 #include "sketch/l0sampler.h"
+#include "sketch/onesparse.h"
 #include "test_support.h"
 
 namespace streammpc {
@@ -233,6 +236,127 @@ TEST(GroupQueries, SampleBoundariesMatchesPerGroupQueries) {
           << "bank " << bank << " group " << g;
     }
   }
+}
+
+TEST(GroupQueries, ZeroSumComplementMatchesClassFree) {
+  // The class-aware call skips each class's largest group and rebuilds its
+  // sampler as the negated sum of its class-mates; when every class covers
+  // whole components it must agree cell for cell with the full merge.
+  for (std::uint64_t trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(trial);
+    Rng rng(9100 + trial);
+    const VertexId n = 160;
+    // Random components; the last two vertices are isolated singletons.
+    const std::uint32_t comps = 3 + static_cast<std::uint32_t>(rng.below(4));
+    std::vector<std::vector<VertexId>> comp_vertices(comps + 2);
+    for (VertexId v = 0; v + 2 < n; ++v)
+      comp_vertices[rng.below(comps)].push_back(v);
+    comp_vertices[comps].push_back(n - 2);
+    comp_vertices[comps + 1].push_back(n - 1);
+    if (comp_vertices[0].size() % 2 != 0) {  // component 0 splits evenly
+      comp_vertices[1].push_back(comp_vertices[0].back());
+      comp_vertices[0].pop_back();
+    }
+
+    // Edges only inside components, with deletes mixed in.
+    std::vector<EdgeDelta> deltas;
+    std::vector<Edge> live;
+    while (deltas.size() < 700) {
+      if (!live.empty() && rng.chance(0.3)) {
+        const std::size_t i = rng.below(live.size());
+        deltas.push_back(EdgeDelta{live[i], -1});
+        live[i] = live.back();
+        live.pop_back();
+        continue;
+      }
+      const auto& cv = comp_vertices[rng.below(comps)];
+      if (cv.size() < 2) continue;
+      const VertexId a = cv[rng.below(cv.size())];
+      const VertexId b = cv[rng.below(cv.size())];
+      if (a == b) continue;
+      deltas.push_back(EdgeDelta{make_edge(a, b), +1});
+      live.push_back(make_edge(a, b));
+    }
+    GraphSketchConfig cfg;
+    cfg.banks = 6;
+    cfg.seed = 9200 + trial;
+    VertexSketches vs(n, cfg);
+    vs.update_edges(deltas);
+
+    // Fragment groups: component 0 in two equal halves (a size tie),
+    // component 1 whole (a one-group class with edges), the singletons
+    // whole, every other component in 1..4 random groups.
+    struct Group {
+      std::uint32_t cls;
+      std::vector<VertexId> members;
+    };
+    std::vector<Group> groups;
+    for (std::uint32_t c = 0; c < comp_vertices.size(); ++c) {
+      const auto& cv = comp_vertices[c];
+      if (cv.empty()) continue;
+      std::size_t parts = c == 0 ? 2 : 1;
+      if (c >= 2 && c < comps) parts = 1 + rng.below(4);
+      std::vector<Group> split(parts, Group{c, {}});
+      for (std::size_t i = 0; i < cv.size(); ++i) {
+        split[c == 0 ? 2 * i / cv.size() : rng.below(parts)].members.push_back(
+            cv[i]);
+      }
+      for (Group& g : split)
+        if (!g.members.empty()) groups.push_back(std::move(g));
+    }
+    shuffle(groups, rng);
+    std::vector<VertexId> members;
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> classes;
+    for (const Group& g : groups) {
+      members.insert(members.end(), g.members.begin(), g.members.end());
+      offsets.push_back(static_cast<std::uint32_t>(members.size()));
+      classes.push_back(g.cls);
+    }
+
+    std::vector<L0Sampler> full_scratch, zs_scratch;
+    std::vector<std::optional<Edge>> full, zs;
+    for (unsigned bank = 0; bank < cfg.banks; ++bank) {
+      vs.sample_boundaries(bank, members, offsets, full_scratch, full);
+      vs.sample_boundaries(bank, members, offsets, classes, zs_scratch, zs);
+      ASSERT_EQ(zs.size(), groups.size());
+      EXPECT_EQ(zs, full) << "bank " << bank;
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        const auto a = full_scratch[g].cells();
+        const auto b = zs_scratch[g].cells();
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+            << "bank " << bank << " group " << g;
+      }
+    }
+  }
+}
+
+TEST(GroupQueries, OneSparseSubtractIsExactInverse) {
+  EXPECT_EQ(Mersenne61::sub(0, 0), 0u);
+  const std::uint64_t z = 0x1234567;
+  OneSparseCell x;
+  x.update(17, 3, z);
+  x.update(40, -5, z);
+  OneSparseCell y;
+  y.update(9, 2, z);
+
+  OneSparseCell neg;  // 0 - x
+  neg.subtract(x);
+  OneSparseCell sum = neg;
+  sum.merge(x);  // x + (-x) is the canonical zero cell
+  EXPECT_TRUE(sum.is_zero());
+  EXPECT_EQ(sum, OneSparseCell{});
+  OneSparseCell self = x;
+  self.subtract(x);
+  EXPECT_EQ(self, OneSparseCell{});
+  OneSparseCell round_trip = x;
+  round_trip.merge(y);
+  round_trip.subtract(y);
+  EXPECT_EQ(round_trip, x);
+  OneSparseCell zero;  // 0 - 0 stays 0 (fp never becomes p)
+  zero.subtract(OneSparseCell{});
+  EXPECT_EQ(zero, OneSparseCell{});
 }
 
 TEST(StreamingIngest, RoutedStreamMatchesUnrouted) {
