@@ -1,35 +1,25 @@
-// E17 — hot-cell worst case: the 3-D (machine x bank x shard) grid vs the
-// 2-D grid on adversarially skewed streams.
+// E17 — hot-cell worst case for the (machine x bank) ingest grid.
 //
-// The 2-D executor's parallelism is one task per (machine, bank) cell, so
-// a stream that concentrates its load on one machine — a star hub, a
-// power-law degree sequence, or a single-block collision — serializes on
-// that machine's `banks` cells no matter how many workers the pool has.
-// Per-cell vertex sharding (GraphSketchConfig::shards / SMPC_SHARDS) cuts
-// each cell's CSR slice into item stripes applied into per-(bank, shard)
-// scratch arenas and merged back cell-wise (linearity), turning the hot
-// cell into shards-way parallel work with byte-identical results.
+// The executor's parallelism is one task per (machine, bank) cell, so a
+// stream that concentrates its load on one machine — a star hub, a
+// power-law degree sequence, or a single-block collision — leaves only
+// that machine's `banks` cells to spread across the pool.  This bench
+// replays the three named hot streams (src/graph/generators.h) through
+// mpc::Simulator at 1 grid thread and at hardware_concurrency threads,
+// charts updates/second for each, and asserts inline that the thread
+// count is unobservable: identical allocated sketch words, boundary
+// samples, and CommLedger words and rounds.
 //
-// This bench replays three named hot streams through mpc::Simulator at a
-// fixed thread count across shard counts {1, 2, 4, 8}, charts
-// updates/second and the speedup over the unsharded grid, and asserts the
-// tentpole contract inline: every shard count must leave byte-identically
-// allocated sketches, identical boundary samples, and an identical
-// CommLedger (sharding is intra-machine only — it never moves a word or a
-// round).
-//
-// On a single-core runner the speedup column records ~1.0x — the value of
-// running it in CI is the regression trail and the invariance cross-check,
-// not the scaling numbers (see ROADMAP's multi-core-runner item).
+// These rows are the baseline any intra-cell parallelism must beat (the
+// revival bar in DESIGN.md, "Rejected: per-cell sharding").
 //
 // Emits the table on stdout and BENCH_hot_cell.json.  `--quick` shrinks
 // the workload for CI smoke runs.
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,54 +39,12 @@ namespace {
 
 struct HotCellConfig {
   VertexId n = 4096;
-  unsigned banks = 4;       // few banks: the regime where the 2-D grid
-                            // starves a wide pool on a skewed stream
-  unsigned threads = 8;     // fixed; the shard axis is the variable
+  unsigned banks = 4;  // few banks: the fewest cells per hot machine
   std::size_t batch_size = 1024;
-  std::size_t star_cycles = 6;     // full insert+delete passes over the star
+  std::size_t star_cycles = 6;       // full insert+delete passes over the star
   std::size_t skew_updates = 32768;  // power-law / hot-block stream length
-  int repeats = 3;  // best-of wall clock per shard count
+  int repeats = 3;  // best-of wall clock per thread count
 };
-
-constexpr unsigned kShardCounts[] = {1, 2, 4, 8};
-
-// Local copies of the hot-stream generators (tests/test_support.h carries
-// the gtest-side originals; the streams must stay in sync by seed).
-VertexId zipf_vertex(Rng& rng, VertexId n) {
-  const double r = std::exp(rng.uniform01() * std::log(static_cast<double>(n)));
-  const auto v = static_cast<VertexId>(r) - 1;
-  return v >= n ? n - 1 : v;
-}
-
-std::vector<EdgeDelta> power_law_deltas(VertexId n, std::size_t count,
-                                        std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<EdgeDelta> deltas;
-  deltas.reserve(count);
-  while (deltas.size() < count) {
-    const VertexId u = zipf_vertex(rng, n);
-    const VertexId v = zipf_vertex(rng, n);
-    if (u == v) continue;
-    deltas.push_back(EdgeDelta{make_edge(u, v), +1});
-  }
-  return deltas;
-}
-
-std::vector<EdgeDelta> hot_block_deltas(VertexId n, VertexId block,
-                                        std::size_t count,
-                                        std::uint64_t seed) {
-  Rng rng(seed);
-  const VertexId lim = block < 2 ? 2 : (block > n ? n : block);
-  std::vector<EdgeDelta> deltas;
-  deltas.reserve(count);
-  while (deltas.size() < count) {
-    const VertexId u = static_cast<VertexId>(rng.below(lim));
-    const VertexId v = static_cast<VertexId>(rng.below(lim));
-    if (u == v) continue;
-    deltas.push_back(EdgeDelta{make_edge(u, v), +1});
-  }
-  return deltas;
-}
 
 struct Workload {
   std::string name;
@@ -104,28 +52,69 @@ struct Workload {
   std::vector<EdgeDelta> deltas;
 };
 
-std::string key(const std::string& workload, unsigned shards,
-                const std::string& metric) {
-  std::ostringstream os;
-  os << workload << ".shards" << shards << "." << metric;
-  return os.str();
+// What one thread count left behind: its timing plus everything the
+// identity check compares.
+struct Outcome {
+  double seconds = 0.0;
+  std::uint64_t allocated = 0;
+  std::uint64_t ledger_words = 0;
+  std::uint64_t ledger_rounds = 0;
+  std::vector<std::optional<Edge>> samples;
+};
+
+Outcome replay(const HotCellConfig& cfg, const Workload& w, unsigned threads,
+               const std::vector<std::vector<VertexId>>& sets) {
+  Outcome out;
+  for (int rep = 0; rep < cfg.repeats; ++rep) {
+    mpc::MpcConfig mc;
+    mc.n = cfg.n;
+    mc.machines = w.machines;
+    mc.strict = false;
+    mpc::Cluster cluster(mc);
+    mpc::Simulator sim(cluster, 0, threads);
+    GraphSketchConfig sketch;
+    sketch.banks = cfg.banks;
+    sketch.seed = 17003;
+    sketch.ingest_threads = 1;  // the Simulator's grid pool does the work
+    VertexSketches sketches(cfg.n, sketch);
+    mpc::RoutedBatch routed;
+    const std::span<const EdgeDelta> all(w.deltas);
+    bench::Timer timer;
+    for (std::size_t start = 0; start < all.size(); start += cfg.batch_size) {
+      const std::size_t len = std::min(cfg.batch_size, all.size() - start);
+      cluster.route_batch(all.subspan(start, len), cfg.n, routed);
+      sim.execute(routed, "hot-cell", sketches);
+    }
+    const double seconds = timer.seconds();
+    if (rep == 0 || seconds < out.seconds) out.seconds = seconds;
+    out.allocated = sketches.allocated_words();
+    out.ledger_words = cluster.comm_ledger().total_words();
+    out.ledger_rounds = cluster.comm_ledger().rounds();
+    out.samples.clear();
+    for (unsigned bank = 0; bank < cfg.banks; ++bank) {
+      for (const auto& set : sets)
+        out.samples.push_back(sketches.sample_boundary(bank, set));
+    }
+  }
+  return out;
 }
 
 void run(const HotCellConfig& cfg) {
   bench::BenchJson json("hot_cell");
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<unsigned> thread_counts{1};
+  if (hw > 1) thread_counts.push_back(hw);
   json.set("config.hardware_concurrency", static_cast<std::uint64_t>(hw));
   json.set("config.n", static_cast<std::uint64_t>(cfg.n));
   json.set("config.banks", static_cast<std::uint64_t>(cfg.banks));
-  json.set("config.threads", static_cast<std::uint64_t>(cfg.threads));
   json.set("config.batch_size", static_cast<std::uint64_t>(cfg.batch_size));
 
   bench::section(
-      "E17: hot-cell sharded ingest (n = " + std::to_string(cfg.n) +
-          ", banks = " + std::to_string(cfg.banks) + ", threads = " +
-          std::to_string(cfg.threads) + ")",
-      "skewed streams serialize the 2-D grid on one machine's cells; the "
-      "shard axis re-parallelizes them with byte-identical results");
+      "E17: hot-cell streams on the ingest grid (n = " +
+          std::to_string(cfg.n) + ", banks = " + std::to_string(cfg.banks) +
+          ", threads 1 and " + std::to_string(hw) + ")",
+      "skewed streams leave one machine's cells to the pool; the thread "
+      "count must not change a byte or a ledger charge");
 
   // The three adversaries.  The star replays full insert+delete cycles so
   // every delta keeps hammering the hub vertex; with machines = 1 the
@@ -142,11 +131,14 @@ void run(const HotCellConfig& cfg) {
     }
     workloads.push_back(std::move(star));
   }
+  Rng hot_rng(17001);
   workloads.push_back(Workload{
       "hot-block", 8,
-      hot_block_deltas(cfg.n, cfg.n / 8, cfg.skew_updates, 17001)});
+      gen::hot_block_deltas(cfg.n, cfg.n / 8, cfg.skew_updates, hot_rng)});
+  Rng power_rng(17002);
   workloads.push_back(Workload{
-      "power-law", 8, power_law_deltas(cfg.n, cfg.skew_updates, 17002)});
+      "power-law", 8,
+      gen::power_law_deltas(cfg.n, cfg.skew_updates, power_rng)});
 
   // Probe sets for the in-harness boundary-sample identity check.
   std::vector<std::vector<VertexId>> sets;
@@ -158,142 +150,53 @@ void run(const HotCellConfig& cfg) {
     sets.push_back(std::move(half));
   }
 
-  Table table({"workload", "shards", "seconds (best)", "updates/s", "speedup",
-               "ledger words"});
-  bool all_identical = true;
-  double worst_widest_speedup = -1.0;
-
+  Table table({"workload", "threads", "seconds (best)", "updates/s",
+               "vs 1 thread", "ledger words"});
   for (const Workload& w : workloads) {
     json.set(w.name + ".config.machines", w.machines);
     json.set(w.name + ".config.updates",
              static_cast<std::uint64_t>(w.deltas.size()));
-
-    double unsharded_seconds = 0.0;
-    std::uint64_t ref_words = 0;
-    std::uint64_t ref_ledger = 0;
-    std::uint64_t ref_rounds = 0;
-    using Sample = decltype(std::declval<VertexSketches&>().sample_boundary(
-        0u, std::span<const VertexId>{}));
-    std::vector<Sample> ref_samples;
-
-    for (const unsigned shards : kShardCounts) {
-      double best = 0.0;
-      std::uint64_t allocated = 0;
-      std::uint64_t ledger_words = 0;
-      std::uint64_t ledger_rounds = 0;
-      std::vector<Sample> samples;
-      for (int rep = 0; rep < cfg.repeats; ++rep) {
-        mpc::MpcConfig mc;
-        mc.n = cfg.n;
-        mc.machines = w.machines;
-        mc.strict = false;
-        mpc::Cluster cluster(mc);
-        mpc::Simulator sim(cluster, 0, cfg.threads);
-        GraphSketchConfig sketch;
-        sketch.banks = cfg.banks;
-        sketch.seed = 17003;
-        sketch.ingest_threads = 1;  // the grid, not the bank axis
-        sketch.shards = shards;
-        VertexSketches sketches(cfg.n, sketch);
-        mpc::RoutedBatch routed;
-        const std::span<const EdgeDelta> all(w.deltas);
-        bench::Timer timer;
-        for (std::size_t start = 0; start < all.size();
-             start += cfg.batch_size) {
-          const std::size_t len =
-              std::min(cfg.batch_size, all.size() - start);
-          cluster.route_batch(all.subspan(start, len), cfg.n, routed);
-          sim.execute(routed, "hot-cell", sketches);
-        }
-        const double seconds = timer.seconds();
-        if (rep == 0 || seconds < best) best = seconds;
-        allocated = sketches.allocated_words();
-        ledger_words = cluster.comm_ledger().total_words();
-        ledger_rounds = cluster.comm_ledger().rounds();
-        samples.clear();
-        for (unsigned bank = 0; bank < cfg.banks; ++bank) {
-          for (const auto& set : sets) {
-            samples.push_back(sketches.sample_boundary(
-                bank, std::span<const VertexId>(set.data(), set.size())));
-          }
-        }
-      }
-
-      // The tentpole contract, asserted while measuring: sharding must be
-      // unobservable in the bytes AND in the accounting.
-      if (shards == kShardCounts[0]) {
-        unsharded_seconds = best;
-        ref_words = allocated;
-        ref_ledger = ledger_words;
-        ref_rounds = ledger_rounds;
-        ref_samples = samples;
+    Outcome serial;
+    for (const unsigned threads : thread_counts) {
+      const Outcome o = replay(cfg, w, threads, sets);
+      if (threads == 1) {
+        serial = o;
       } else {
-        SMPC_CHECK_MSG(allocated == ref_words,
-                       "shard count changed the allocated sketch state");
-        SMPC_CHECK_MSG(samples == ref_samples,
-                       "shard count changed a boundary sample");
-        SMPC_CHECK_MSG(ledger_words == ref_ledger && ledger_rounds == ref_rounds,
-                       "shard count changed the communication ledger");
+        // The grid contract, asserted while measuring: the schedule must
+        // be unobservable in the bytes AND in the accounting.
+        SMPC_CHECK_MSG(o.allocated == serial.allocated,
+                       "thread count changed the allocated sketch state");
+        SMPC_CHECK_MSG(o.samples == serial.samples,
+                       "thread count changed a boundary sample");
+        SMPC_CHECK_MSG(o.ledger_words == serial.ledger_words &&
+                           o.ledger_rounds == serial.ledger_rounds,
+                       "thread count changed the communication ledger");
       }
-
       const double ups =
-          best == 0.0 ? 0.0 : static_cast<double>(w.deltas.size()) / best;
-      const double speedup = best == 0.0 ? 0.0 : unsharded_seconds / best;
+          o.seconds == 0.0 ? 0.0
+                           : static_cast<double>(w.deltas.size()) / o.seconds;
+      const double vs_serial =
+          o.seconds == 0.0 ? 0.0 : serial.seconds / o.seconds;
       table.add_row()
           .cell(w.name)
-          .cell(static_cast<std::int64_t>(shards))
-          .cell(best, 4)
+          .cell(static_cast<std::int64_t>(threads))
+          .cell(o.seconds, 4)
           .cell(ups, 0)
-          .cell(speedup, 2)
-          .cell(static_cast<std::int64_t>(ledger_words));
-      json.set(key(w.name, shards, "seconds_best"), best);
-      json.set(key(w.name, shards, "updates_per_second"), ups);
-      json.set(key(w.name, shards, "speedup_vs_unsharded"), speedup);
-      json.set(key(w.name, shards, "allocated_words"), allocated);
-      json.set(key(w.name, shards, "ledger_words"), ledger_words);
-
-      const unsigned widest = kShardCounts[std::size(kShardCounts) - 1];
-      if (shards == widest &&
-          (worst_widest_speedup < 0.0 || speedup < worst_widest_speedup)) {
-        worst_widest_speedup = speedup;
-      }
+          .cell(vs_serial, 2)
+          .cell(static_cast<std::int64_t>(o.ledger_words));
+      const std::string prefix =
+          w.name + ".threads" + std::to_string(threads) + ".";
+      json.set(prefix + "seconds_best", o.seconds);
+      json.set(prefix + "updates_per_second", ups);
+      json.set(prefix + "allocated_words", o.allocated);
+      json.set(prefix + "ledger_words", o.ledger_words);
     }
   }
   table.print(std::cout);
-  std::cout << "\nbyte-identity: ok — every shard count matched the unsharded "
+  std::cout << "\nbyte-identity: ok — every thread count matched the serial "
                "grid on\nallocated words, boundary samples, ledger words, and "
                "rounds.\n";
-  json.set("identity.ok", all_identical ? std::uint64_t{1} : std::uint64_t{0});
-
-  // Scaling verdict, gated on the runner exactly like E13: a 1-core box
-  // records ~1.0x by construction, so only multi-core runners check the
-  // claim (shards = 8 at 8 threads should comfortably beat the 2-D grid
-  // on these streams; the acceptance target is >= 2x on the star).
-  const unsigned widest = kShardCounts[std::size(kShardCounts) - 1];
-  const bool can_scale = hw > 1;
-  const bool scaled = worst_widest_speedup >= 1.05;
-  json.set("scaling.widest_shards", static_cast<std::uint64_t>(widest));
-  json.set("scaling.checked", can_scale ? std::uint64_t{1} : std::uint64_t{0});
-  json.set("scaling.ok",
-           (!can_scale || scaled) ? std::uint64_t{1} : std::uint64_t{0});
-  json.set("scaling.worst_widest_speedup",
-           worst_widest_speedup < 0.0 ? 0.0 : worst_widest_speedup);
-  if (!can_scale) {
-    std::cout << "\nNOTE: hardware_concurrency = " << hw
-              << " — single-core runner, scaling is ~1.0x by construction;\n"
-                 "speedup columns are recorded for the trail but not "
-                 "checked.\n";
-  } else if (!scaled) {
-    std::cout << "\nWARNING: hardware_concurrency = " << hw << " but shards="
-              << widest << " ran at " << worst_widest_speedup
-              << "x vs the 2-D grid on its worst stream — the shard axis is "
-                 "not scaling on this multi-core runner (scaling.ok = 0 in "
-                 "the JSON record).\n";
-  } else {
-    std::cout << "\nscaling ok: shards=" << widest << " at "
-              << worst_widest_speedup << "x (worst stream) vs the 2-D grid on "
-              << hw << " cores.\n";
-  }
+  json.set("identity.ok", std::uint64_t{1});
 }
 
 }  // namespace

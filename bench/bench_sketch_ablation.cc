@@ -18,7 +18,6 @@
 #include "sketch/arena.h"
 #include "sketch/coord.h"
 #include "sketch/l0sampler.h"
-#include "soa_ref_arena.h"
 
 namespace streammpc {
 namespace {
@@ -102,31 +101,27 @@ void sweep_geometry() {
   t.print(std::cout);
 }
 
-// E10c — cell-layout ablation for the ROADMAP "AoS vs SoA, measure before
-// switching" item: cache lines touched per edge update vs per page merge.
+// E10c — cell-layout census: cache lines touched per edge update and per
+// page merge under the packed AoS records.
 //
-// The arena (sketch/arena.h) now packs each cell into one 32 B AoS record
-// {w, s_lo, s_hi, fp}; the pre-switch layout (frozen verbatim in
-// bench/soa_ref_arena.h) kept three SoA parallel arrays — w (8 B),
-// s (16 B), fp (8 B).  An update touches `rows` cells out of the
+// The arena (sketch/arena.h) packs each cell into one 32 B record
+// {w, s_lo, s_hi, fp}.  An update touches `rows` cells out of the
 // cells_per_level in each level it reaches (the level-0 hot page for
-// ~every update, a deepening overflow page per extra level), so SoA pays
-// up to three cache lines per touched cell (one per array) where AoS pays
-// one; a merge scans whole pages, where both layouts read every byte.
+// ~every update, a deepening overflow page per extra level), one line per
+// touched record; a merge scans whole pages.  DESIGN.md ("Cell layout: AoS
+// record") compares these counts with the pre-switch SoA layout.
 //
-// The counts here are MEASURED, not modeled: both arenas are built for
-// real, every page a sampled edge reaches is allocated up front (so the
-// stores stop reallocating and addresses are final), and each update's
-// footprint is the set of distinct 64-byte lines among the ACTUAL byte
-// addresses its applies dereference — AoS records through
-// BankArena::level_records, SoA elements through the reference arena's
-// store probes (&w[cell], &s[cell], &fp[cell]).  Whatever the allocator
-// did about alignment or page adjacency is therefore captured, instead of
-// assumed away by in-page offset arithmetic.
+// The counts are MEASURED, not modeled: the arena is built for real,
+// every page a sampled edge reaches is allocated up front (so the stores
+// stop reallocating and addresses are final), and each update's footprint
+// is the set of distinct 64-byte lines among the ACTUAL record addresses
+// its applies dereference (BankArena::level_records).  Whatever the
+// allocator did about alignment or page adjacency is therefore captured,
+// instead of assumed away by in-page offset arithmetic.
 void sweep_cell_layout() {
-  bench::section("E10c: cell layout (SoA vs AoS) — cache lines touched",
-                 "updates touch rows-of-16 cells per level (AoS favored); "
-                 "merges scan whole pages (layouts tie on bytes)");
+  bench::section("E10c: cell layout (AoS) — cache lines touched",
+                 "updates touch `rows` records per level and endpoint; "
+                 "merges scan whole pages");
   bench::BenchJson json("sketch_ablation");
 
   const std::uint64_t n = 1 << 16;
@@ -137,11 +132,10 @@ void sweep_cell_layout() {
   constexpr std::size_t kLine = 64;
 
   BankArena aos(n, params);
-  soa_ref::SoaBankArena soa(n, params);
 
-  // Sample the edge set once, then allocate every page either layout will
-  // touch BEFORE any address is recorded — vector growth would otherwise
-  // move the stores mid-census.
+  // Sample the edge set once, then allocate every page it will touch
+  // BEFORE any address is recorded — vector growth would otherwise move
+  // the stores mid-census.
   Rng rng(10500);
   CoordPlan plan;
   const int kEdges = 20000;
@@ -155,121 +149,65 @@ void sweep_cell_layout() {
   }
   for (const Edge e : edges) {
     params.plan_coord(codec.encode(e), +1, plan);
-    for (const VertexId vtx : {e.v, e.u}) {
-      aos.prepare_pages(vtx, plan.depth);
-      soa.prepare_pages(vtx, plan.depth);
-    }
+    for (const VertexId vtx : {e.v, e.u}) aos.prepare_pages(vtx, plan.depth);
   }
 
-  // Census pass: per update, the distinct lines among the addresses the
-  // two layouts' apply loops dereference for that edge's plan.
-  std::vector<std::uintptr_t> soa_seen, aos_seen;  // reused per edge
-  const auto distinct = [](std::vector<std::uintptr_t>& lines) {
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    return static_cast<std::uint64_t>(lines.size());
-  };
-  std::uint64_t soa_update_lines = 0, aos_update_lines = 0;
+  // Census pass: per update, the distinct lines among the record
+  // addresses the apply loop dereferences for that edge's plan.
+  std::vector<std::uintptr_t> seen;  // reused per edge
+  std::uint64_t update_lines = 0;
   std::uint64_t levels_touched = 0;
   for (const Edge e : edges) {
     params.plan_coord(codec.encode(e), +1, plan);
-    soa_seen.clear();
-    aos_seen.clear();
+    seen.clear();
     const unsigned limit =
         plan.depth < params.levels() ? plan.depth : params.levels() - 1;
     for (unsigned j = 0; j <= limit; ++j) {
       ++levels_touched;
       const std::uint32_t* offsets =
           plan.offsets.data() + static_cast<std::size_t>(j) * shape.rows;
-      const bool hot = j < soa.hot_levels();
-      const soa_ref::SoaBankArena::Store& store =
-          hot ? soa.hot() : *soa.overflow_at(j);
-      const std::size_t page_cells = hot ? soa.hot_cells() : cpl;
-      const std::size_t level_skip = hot ? j * cpl : 0;
       for (const VertexId vtx : {e.v, e.u}) {
         const std::span<const ArenaCell> records = aos.level_records(j, vtx);
-        const std::size_t base =
-            static_cast<std::size_t>(store.page_of[vtx]) * page_cells +
-            level_skip;
         for (unsigned r = 0; r < shape.rows; ++r) {
-          const std::size_t off = offsets[r];
-          aos_seen.push_back(
-              reinterpret_cast<std::uintptr_t>(records.data() + off) / kLine);
-          const std::size_t cell = base + off;
-          soa_seen.push_back(
-              reinterpret_cast<std::uintptr_t>(&store.w[cell]) / kLine);
-          soa_seen.push_back(
-              reinterpret_cast<std::uintptr_t>(&store.s[cell]) / kLine);
-          soa_seen.push_back(
-              reinterpret_cast<std::uintptr_t>(&store.fp[cell]) / kLine);
+          seen.push_back(
+              reinterpret_cast<std::uintptr_t>(records.data() + offsets[r]) /
+              kLine);
         }
       }
     }
-    soa_update_lines += distinct(soa_seen);
-    aos_update_lines += distinct(aos_seen);
+    std::sort(seen.begin(), seen.end());
+    update_lines += static_cast<std::uint64_t>(
+        std::unique(seen.begin(), seen.end()) - seen.begin());
   }
 
   // Merge path: one vertex's level-0 page scanned end to end, measured
-  // from the same real addresses (first byte through last of each array's
-  // page run, or of the record run for AoS).
-  const auto lines_in = [&](const void* first, std::size_t bytes) {
-    const std::uintptr_t lo = reinterpret_cast<std::uintptr_t>(first) / kLine;
-    const std::uintptr_t hi =
-        (reinterpret_cast<std::uintptr_t>(first) + bytes - 1) / kLine;
-    return static_cast<std::uint64_t>(hi - lo + 1);
-  };
-  const VertexId probe = edges.front().v;
-  const std::span<const ArenaCell> probe_records = aos.level_records(0, probe);
-  const std::size_t probe_base =
-      static_cast<std::size_t>(soa.hot().page_of[probe]) * soa.hot_cells();
-  const std::uint64_t aos_merge_lines =
-      lines_in(probe_records.data(), cpl * sizeof(ArenaCell));
-  const std::uint64_t soa_merge_lines =
-      lines_in(&soa.hot().w[probe_base], cpl * sizeof(std::int64_t)) +
-      lines_in(&soa.hot().s[probe_base], cpl * sizeof(__int128)) +
-      lines_in(&soa.hot().fp[probe_base], cpl * sizeof(std::uint64_t));
+  // from the real address of its first and last record.
+  const std::span<const ArenaCell> probe = aos.level_records(0, edges[0].v);
+  const auto first = reinterpret_cast<std::uintptr_t>(probe.data());
+  const std::uint64_t merge_lines =
+      (first + cpl * sizeof(ArenaCell) - 1) / kLine - first / kLine + 1;
 
-  const double soa_per_update =
-      static_cast<double>(soa_update_lines) / kEdges;
-  const double aos_per_update =
-      static_cast<double>(aos_update_lines) / kEdges;
+  const double per_update = static_cast<double>(update_lines) / kEdges;
   Table t({"layout", "bytes/cell", "lines/update (meas.)",
-           "lines/page-merge", "sequential streams"});
+           "lines/page-merge"});
   t.add_row()
-      .cell("SoA (pre-switch ref)")
-      .cell(static_cast<std::uint64_t>(sizeof(std::int64_t) +
-                                       sizeof(__int128) +
-                                       sizeof(std::uint64_t)))
-      .cell(soa_per_update, 2)
-      .cell(soa_merge_lines)
-      .cell("3 per store (prefetch-friendly)");
-  t.add_row()
-      .cell("AoS (current)")
+      .cell("AoS")
       .cell(static_cast<std::uint64_t>(sizeof(ArenaCell)))
-      .cell(aos_per_update, 2)
-      .cell(aos_merge_lines)
-      .cell("1 per store");
+      .cell(per_update, 2)
+      .cell(merge_lines);
   t.print(std::cout);
   std::cout << "measured from live arena addresses over " << kEdges
             << " random edges ("
             << static_cast<double>(levels_touched) / kEdges
             << " levels touched per edge, both endpoints counted, "
-            << shape.rows << "x" << shape.buckets << " grids)\n"
-            << "update path: AoS touches "
-            << soa_per_update / aos_per_update
-            << "x fewer lines; merge path: identical bytes, but SoA streams "
-               "3 sequential runs per store vs 1.\n";
+            << shape.rows << "x" << shape.buckets << " grids)\n";
 
   json.set("cell_layout.method", std::string("measured-addresses"));
   json.set("cell_layout.edges_sampled", static_cast<std::uint64_t>(kEdges));
   json.set("cell_layout.levels_per_edge",
            static_cast<double>(levels_touched) / kEdges);
-  json.set("cell_layout.soa_lines_per_update", soa_per_update);
-  json.set("cell_layout.aos_lines_per_update", aos_per_update);
-  json.set("cell_layout.update_line_ratio_soa_over_aos",
-           soa_per_update / aos_per_update);
-  json.set("cell_layout.soa_lines_per_page_merge", soa_merge_lines);
-  json.set("cell_layout.aos_lines_per_page_merge", aos_merge_lines);
+  json.set("cell_layout.aos_lines_per_update", per_update);
+  json.set("cell_layout.aos_lines_per_page_merge", merge_lines);
 }
 
 }  // namespace

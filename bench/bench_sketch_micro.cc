@@ -2,13 +2,8 @@
 // 1-sparse cells, L0-sampler update/merge/query, full edge updates on the
 // per-vertex sketch banks; plus the flat-arena engine against the frozen
 // seed implementation (legacy_sketch_ref.h) at the default config
-// (n = 2^16, 12 banks), and the AoS cell layout against the frozen
-// pre-switch SoA engine (soa_ref_arena.h) at a cache-pressured geometry —
-// all recorded in BENCH_sketch_micro.json.
+// (n = 2^16, 12 banks), recorded in BENCH_sketch_micro.json.
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <random>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -17,7 +12,6 @@
 #include "sketch/graphsketch.h"
 #include "sketch/l0sampler.h"
 #include "sketch/onesparse.h"
-#include "soa_ref_arena.h"
 
 namespace streammpc {
 namespace {
@@ -216,184 +210,6 @@ double measure_update_throughput(Sketches& vs, const std::vector<Edge>& edges,
   return static_cast<double>(edges.size()) * repeats / timer.seconds();
 }
 
-// One timed batched-ingest pass: every delta set to `delta`, one
-// update_edges.  Caller is responsible for warm-up (page allocation) and
-// for alternating the sign so cell magnitudes stay bounded.
-template <typename Sketches>
-double timed_pass(Sketches& vs, std::vector<EdgeDelta>& batch,
-                  std::int64_t delta) {
-  for (auto& d : batch) d.delta = delta;
-  bench::Timer timer;
-  vs.update_edges(batch);
-  return timer.seconds();
-}
-
-// Realized AoS-vs-SoA hot-path ingest comparison (the ISSUE 10 gate).
-//
-// Two measurements, both against the frozen pre-switch SoA storage
-// (soa_ref_arena.h), both on the identical per-pass edge permutation:
-//
-//  1. The batched-ingest HOT LOOP — the per-bank cell loop the grid
-//     executor runs (plan_coord + apply to both endpoints on a warmed,
-//     preparation-complete arena), each side with its own shipped hint
-//     discipline: the SoA engine's one-edge-ahead page-map prefetch vs
-//     the AoS engine's pipelined exact-record prefetch
-//     (BankArena::prefetch_planned).  This is the loop the cell-layout
-//     switch changed, and it carries the >= 1.3x gate.
-//  2. The END-TO-END update_edges pipeline (staging, validation,
-//     encoding, the canonical page-preparation pass, then the same hot
-//     loop), recorded as layout.speedup_update_edges — transparently NOT
-//     gated: the shared hash/stage/prepare work is identical code on
-//     both sides and dilutes the layout effect to ~1.1x.
-//
-// Geometry: shape {rows=8, buckets=8} — the theory-faithful O(log n)-rows
-// regime — rather than the light {2, 8} default: s-sparse recovery at
-// constant failure probability per level needs Theta(log n) rows, and at
-// 8 rows an endpoint-level touches 8 records = ~8 cache lines AoS vs up
-// to ~24 SoA (w / s / fp live in three arrays), so the memory system
-// carries a realistic share of the walk.  The arenas (~0.5 GiB per side)
-// dwarf L2, and each pass runs a fresh permutation of the batch — page
-// allocation is first-touch in batch order, so REPLAYING the warm-up
-// order would walk the arenas near-sequentially and the stream
-// prefetcher would hide either layout.  Cells are linear, so the
-// resulting bytes are permutation-blind.
-//
-// Protocol: both sides stay live and warmed; passes are INTERLEAVED
-// (soa, aos, soa, aos, ...) and the reported speedup is the median of
-// per-pair time ratios.  Pairing adjacent passes cancels the slow
-// throughput drift of a shared host (observed ±15% between back-to-back
-// runs), which an unpaired A-then-B protocol folds straight into the
-// ratio.
-void record_layout_json(bench::BenchJson& json) {
-  const VertexId n = 1 << 18;
-  const std::size_t m = std::size_t{1} << 16;
-  const int pairs = 7;
-  const L0Shape shape{8, 8};
-  const auto edges = random_edges(n, m, 47);
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-
-  // --- 1. hot loop, one bank pair seeded the way VertexSketches /
-  // SoaRefSketches seed their first bank ---------------------------------
-  EdgeCoordCodec codec(n);
-  SplitMix64 sm(42);
-  L0Params params(codec.dimension(), shape, sm.next());
-  BankArena aos(n, params);
-  soa_ref::SoaBankArena soa(n, params);
-  std::vector<Coord> coords(m);
-  {
-    CoordPlan plan;
-    for (std::size_t i = 0; i < m; ++i) {
-      coords[i] = codec.encode(edges[i]);
-      const unsigned depth = params.depth_of(coords[i]);
-      // Canonical first-touch preparation (begin_routed_cells' order);
-      // every timed pass below is allocation-free.
-      aos.prepare_pages(edges[i].v, depth);
-      aos.prepare_pages(edges[i].u, depth);
-      soa.prepare_pages(edges[i].v, depth);
-      soa.prepare_pages(edges[i].u, depth);
-    }
-  }
-  std::vector<std::size_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) order[i] = i;
-
-  // The frozen engine's loop: one-edge-ahead page-map prefetch, plan,
-  // apply (soa_ref_arena.h's update_edges apply phase, verbatim).
-  const auto soa_pass = [&](std::int64_t delta) {
-    CoordPlan& plan = soa.plan_scratch();
-    bench::Timer timer;
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t i = order[k];
-      if (k + 1 < m) soa.prefetch_hot(edges[order[k + 1]]);
-      params.plan_coord(coords[i], delta, plan);
-      soa.apply(edges[i].v, coords[i], delta, plan, /*negated=*/false);
-      soa.apply(edges[i].u, coords[i], -delta, plan, /*negated=*/true);
-    }
-    return timer.seconds();
-  };
-  // The production loop: ingest_cell's software pipeline — hash + hint
-  // item k+1's exact records while item k applies into lines prefetched
-  // one iteration ago.
-  CoordPlan plan_cur, plan_next;
-  const auto aos_pass = [&](std::int64_t delta) {
-    CoordPlan* cur = &plan_cur;
-    CoordPlan* next = &plan_next;
-    bench::Timer timer;
-    params.plan_coord(coords[order[0]], delta, *cur);
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t i = order[k];
-      if (k + 1 < m) {
-        const std::size_t j = order[k + 1];
-        aos.prefetch_hot(edges[j]);
-        params.plan_coord(coords[j], delta, *next);
-        aos.prefetch_planned(edges[j], *next);
-      }
-      aos.apply(edges[i].v, coords[i], delta, *cur, /*negated=*/false);
-      aos.apply(edges[i].u, coords[i], -delta, *cur, /*negated=*/true);
-      std::swap(cur, next);
-    }
-    return timer.seconds();
-  };
-
-  std::mt19937_64 shuffle_rng(1234);
-  std::vector<double> ratios, soa_secs, aos_secs;
-  for (int p = 0; p < pairs; ++p) {
-    std::shuffle(order.begin(), order.end(), shuffle_rng);
-    const std::int64_t delta = (p & 1) ? +1 : -1;
-    const double ts = soa_pass(delta);
-    const double ta = aos_pass(delta);
-    ratios.push_back(ts / ta);
-    soa_secs.push_back(ts);
-    aos_secs.push_back(ta);
-  }
-  const double speedup = median(ratios);
-  const double soa_ops = static_cast<double>(m) / median(soa_secs);
-  const double aos_ops = static_cast<double>(m) / median(aos_secs);
-
-  // --- 2. end-to-end update_edges, same geometry ------------------------
-  GraphSketchConfig cfg;
-  cfg.seed = 42;
-  cfg.banks = 1;
-  cfg.shape = shape;
-  cfg.ingest_threads = 1;
-  std::vector<EdgeDelta> batch;
-  batch.reserve(m);
-  for (const Edge& e : edges) batch.push_back(EdgeDelta{e, +1});
-  soa_ref::SoaRefSketches soa_vs(n, cfg);
-  VertexSketches aos_vs(n, cfg);
-  soa_vs.update_edges(batch);  // warm-up: allocates every page
-  aos_vs.update_edges(batch);
-  std::vector<double> e2e_ratios;
-  for (int p = 0; p < pairs; ++p) {
-    std::shuffle(batch.begin(), batch.end(), shuffle_rng);
-    const std::int64_t delta = (p & 1) ? +1 : -1;
-    const double ts = timed_pass(soa_vs, batch, delta);
-    const double ta = timed_pass(aos_vs, batch, delta);
-    e2e_ratios.push_back(ts / ta);
-  }
-  const double e2e_speedup = median(e2e_ratios);
-
-  json.set("layout.n", static_cast<std::uint64_t>(n));
-  json.set("layout.edges", static_cast<std::uint64_t>(m));
-  json.set("layout.rows", static_cast<std::uint64_t>(shape.rows));
-  json.set("layout.buckets", static_cast<std::uint64_t>(shape.buckets));
-  json.set("layout.pairs", static_cast<std::uint64_t>(pairs));
-  json.set("layout.ops_per_sec_hot_loop_soa", soa_ops);
-  json.set("layout.ops_per_sec_hot_loop_aos", aos_ops);
-  json.set("layout.speedup_aos_vs_soa_batched", speedup);
-  json.set("layout.speedup_update_edges", e2e_speedup);
-  json.set("layout.soa_words", soa.allocated_words());
-  json.set("layout.aos_words", aos.allocated_words());
-  json.set("layout.aos_speedup_ok", speedup >= 1.3 ? 1.0 : 0.0);
-  std::cout << "batched ingest hot loop (n=" << n << ", m=" << m
-            << ", shape={8,8}): soa=" << soa_ops << " aos=" << aos_ops
-            << " ops/sec (median-of-" << pairs << "-pairs " << speedup
-            << "x, gate >= 1.3x " << (speedup >= 1.3 ? "OK" : "FAIL")
-            << "); end-to-end update_edges " << e2e_speedup << "x\n";
-}
-
 void record_speedup_json() {
   const VertexId n = 1 << 16;
   const std::size_t m = 4096;
@@ -433,7 +249,6 @@ void record_speedup_json() {
   json.set("edge_update.speedup_flat_vs_legacy", flat_ops / legacy_ops);
   json.set("edge_update.speedup_batched_vs_legacy", batched_ops / legacy_ops);
   json.set("memory.flat_words", flat_vs.allocated_words());
-  record_layout_json(json);
   json.flush();
 
   std::cout << "single-thread edge-update ops/sec: legacy=" << legacy_ops

@@ -57,16 +57,6 @@ class ThreadPool {
   void parallel_for_grid(std::size_t rows, std::size_t cols,
                          const std::function<void(std::size_t, std::size_t)>& fn);
 
-  // 3-D variant for the sharded (machine x bank x shard) ingest grid: runs
-  // fn(row, col, shard) for every cell, flattened with the shard axis
-  // innermost ((row * cols + col) * shards + shard) so one cell's shards
-  // stay adjacent in the stealing ranges.  With one thread, cells execute
-  // strictly in that flat order — machine-major, then bank, then shard
-  // ascending — the canonical order of the serial sharded executor.
-  void parallel_for_grid3(
-      std::size_t rows, std::size_t cols, std::size_t shards,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
-
  private:
   // One participant's contiguous slice of the flattened index space.
   struct Range {

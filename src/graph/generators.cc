@@ -1,6 +1,7 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -29,6 +30,13 @@ void add_random_edges(VertexId n, std::size_t count,
       --count;
     }
   }
+}
+
+// Log-uniform vertex: rank r = v + 1 has density ~1/r.
+VertexId zipf_vertex(Rng& rng, VertexId n) {
+  const double r = std::exp(rng.uniform01() * std::log(static_cast<double>(n)));
+  const auto v = static_cast<VertexId>(r) - 1;
+  return v >= n ? n - 1 : v;
 }
 
 }  // namespace
@@ -189,6 +197,33 @@ std::vector<WeightedEdge> with_random_weights(const std::vector<Edge>& edges,
       out.push_back(WeightedEdge{e, rng.uniform_int(wmin, wmax)});
   }
   return out;
+}
+
+std::vector<EdgeDelta> power_law_deltas(VertexId n, std::size_t count,
+                                        Rng& rng) {
+  std::vector<EdgeDelta> deltas;
+  deltas.reserve(count);
+  while (deltas.size() < count) {
+    const VertexId u = zipf_vertex(rng, n);
+    const VertexId v = zipf_vertex(rng, n);
+    if (u == v) continue;
+    deltas.push_back(EdgeDelta{make_edge(u, v), +1});
+  }
+  return deltas;
+}
+
+std::vector<EdgeDelta> hot_block_deltas(VertexId n, VertexId block,
+                                        std::size_t count, Rng& rng) {
+  const VertexId lim = block < 2 ? 2 : (block > n ? n : block);
+  std::vector<EdgeDelta> deltas;
+  deltas.reserve(count);
+  while (deltas.size() < count) {
+    const VertexId u = static_cast<VertexId>(rng.below(lim));
+    const VertexId v = static_cast<VertexId>(rng.below(lim));
+    if (u == v) continue;
+    deltas.push_back(EdgeDelta{make_edge(u, v), +1});
+  }
+  return deltas;
 }
 
 }  // namespace streammpc::gen

@@ -47,4 +47,20 @@ std::vector<WeightedEdge> with_random_weights(const std::vector<Edge>& edges,
                                               Weight wmin, Weight wmax,
                                               Rng& rng, bool distinct = false);
 
+// Hot-cell insert streams: they pile one machine's routed load (under the
+// contiguous-block partitioner) onto a few (machine, bank) cells of the
+// ingest grid.  Repeated edges are valid multigraph deltas (sketch cells
+// are linear), so these are ingest workloads, not simple-graph query
+// workloads.
+
+// `count` inserts with both endpoints drawn log-uniformly (Zipf-like: rank
+// r has density ~1/r), so low ids — all on machine 0 — dominate.
+std::vector<EdgeDelta> power_law_deltas(VertexId n, std::size_t count,
+                                        Rng& rng);
+
+// `count` inserts with both endpoints in the first `block` vertices: with
+// n / block machines every delta routes to machine 0.
+std::vector<EdgeDelta> hot_block_deltas(VertexId n, VertexId block,
+                                        std::size_t count, Rng& rng);
+
 }  // namespace streammpc::gen

@@ -67,48 +67,6 @@ std::uint64_t ExecPlan::run(VertexSketches& sketches, ThreadPool* pool,
     return sketches.merge_delta_cells(*delta_, pool);
   }
   const std::size_t cells = static_cast<std::size_t>(machines) * banks;
-  // Sharded 3-D grid (machine x bank x shard): each cell's item stripe
-  // tasks apply into per-(bank, shard) scratch arenas and merge back after
-  // the grid — the hot-cell worst case (one machine's sub-batch in one
-  // bank) no longer serializes the pool.  Entered whenever plan_shards
-  // picks S > 1 for this batch: a fixed configured shard count, or — in
-  // adaptive mode (shards = 0 / SMPC_SHARDS=auto) — a routed load skew
-  // that warrants striping.  Works even without a pool: the serial
-  // fallback then runs the canonical machine-major, bank,
-  // shard-ascending order.  Accounting is
-  // untouched — charges and budget gates all happen outside run() — and
-  // the merged bytes equal the 2-D grid's for every shard count.
-  const unsigned shards = sketches.plan_shards(routed);
-  if (shards > 1) {
-    sketches.begin_shard_cells(routed, shards, pool);
-    const std::size_t slots = cells * shards;
-    cell_scratch_.assign(slots, 0);
-    const auto run_shard = [&](std::size_t row, std::size_t bank,
-                               std::size_t shard) {
-      const std::uint64_t m = order.empty() ? row : order[row];
-      if (routed.load_words[m] == 0) return;
-      // An injected fault loses the whole cell: every stripe of it.
-      if (m == skip_machine && bank == skip_bank) return;
-      cell_scratch_[(m * banks + bank) * shards + shard] =
-          sketches.ingest_cell_shard(m, static_cast<unsigned>(bank),
-                                     static_cast<unsigned>(shard), routed);
-    };
-    if (pool != nullptr && slots >= 2) {
-      pool->parallel_for_grid3(machines, banks, shards, run_shard);
-    } else {
-      for (std::size_t row = 0; row < machines; ++row) {
-        for (unsigned b = 0; b < banks; ++b) {
-          for (unsigned s = 0; s < shards; ++s) run_shard(row, b, s);
-        }
-      }
-    }
-    sketches.merge_shard_cells(pool);
-    // Machine-major, bank, shard-ascending fold; every item lands in
-    // exactly one stripe, so the total matches the 2-D grid's fold.
-    std::uint64_t applied = 0;
-    for (std::size_t c = 0; c < slots; ++c) applied += cell_scratch_[c];
-    return applied;
-  }
   cell_scratch_.assign(cells, 0);
   const auto run_cell = [&](std::size_t row, std::size_t bank) {
     const std::uint64_t m = order.empty() ? row : order[row];

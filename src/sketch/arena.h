@@ -220,8 +220,8 @@ class BankArena {
   // makes worthwhile: one 32-byte record per (level, row) is one line, so
   // the plan's offsets name the exact lines — under SoA the same
   // information cost three lines per cell and the hint was left at the
-  // page map.  The pipelined ingest loops (ingest_cell / ingest_cell_shard
-  // / DeltaSketch::accumulate) call prefetch_hot for item i+1 BEFORE
+  // page map.  The pipelined ingest loops (ingest_cell /
+  // DeltaSketch::accumulate) call prefetch_hot for item i+1 BEFORE
   // hashing its plan and this AFTER, so the map demand-reads here land on
   // lines already in flight and the record lines arrive while item i
   // applies.

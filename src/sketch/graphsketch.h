@@ -57,23 +57,9 @@ struct GraphSketchConfig {
   unsigned banks = 12;  // t: independent sketches per vertex
   L0Shape shape{2, 8};  // per-level s-sparse geometry
   std::uint64_t seed = 0x5eedULL;
-  // Worker threads for batched ingest: 0 = auto
-  // (min(hardware, banks * shards)), 1 = serial.  The sketch contents never
-  // depend on this value.
+  // Worker threads for batched ingest: 0 = auto (min(hardware, banks)),
+  // 1 = serial.  The sketch contents never depend on this value.
   unsigned ingest_threads = 0;
-  // Per-cell shard count S for the 3-D (machine x bank x shard) ingest
-  // grid: each (machine, bank) cell's sub-batch is striped across S scratch
-  // shards that apply concurrently into private BankArenas and merge back
-  // after the grid (exact, by cell linearity) — the hot-cell worst case
-  // (star / power-law streams concentrating one machine's sub-batch) no
-  // longer serializes the pool behind a single cell.  >= 1 fixes S; 0
-  // defers to the SMPC_SHARDS environment knob (common/env.h): a number
-  // fixes S, while "auto" — or the knob unset/invalid — selects ADAPTIVE
-  // per-batch sharding, where plan_shards(routed) derives S from the
-  // batch's routed load skew (see VertexSketches::plan_shards).  Purely
-  // intra-machine parallelism: sketch bytes, CommLedger charges, and
-  // Simulator budget checks never depend on this value.
-  unsigned shards = 0;
 };
 
 class VertexSketches {
@@ -161,84 +147,8 @@ class VertexSketches {
   std::uint64_t ingest_cell(std::uint64_t machine, unsigned bank,
                             const mpc::RoutedBatch& routed);
 
-  // --- 3-D sharded cell ingest (the hot-cell worst case) ---------------------
-  // With shards() > 1 the grid gains a third axis: machine m's CSR slice is
-  // cut into shards() contiguous item stripes, and cell (m, b) becomes
-  // shards() tasks (m, b, s), each applying stripe s into a private scratch
-  // BankArena keyed (b, s) — so a star stream's single dominant cell no
-  // longer serializes the pool.  Stripes partition the ITEMS (not the
-  // vertex range): a star hub concentrates every apply on one vertex, which
-  // vertex-range striping could never spread.  Tasks of the same (b, s)
-  // across machines share one scratch arena but touch disjoint vertices
-  // (machines own disjoint blocks), and begin_shard_cells pre-sizes every
-  // scratch page in canonical order, so the 3-D grid is race-free in any
-  // schedule.  merge_shard_cells then folds each bank's scratch shards —
-  // shard-ascending — into the resident arena via BankArena::merge_from;
-  // cells are linear, so the resident bytes come out identical to the 2-D
-  // grid for every shard count, thread count, and schedule.  Resident page
-  // numbering is untouched: begin_routed_cells' canonical preparation pass
-  // still sizes the resident arenas, and the merge allocates nothing.
-
-  // Hard ceiling on any shard count, fixed or adaptive: the scratch side
-  // costs banks x S arenas, and stripes thinner than a few items buy
-  // nothing.
-  static constexpr unsigned kShardCap = 256;
-
-  // Fixed shard count resolved at construction (>= 1, from
-  // GraphSketchConfig::shards / SMPC_SHARDS); stays 1 in adaptive mode,
-  // where the per-batch count comes from plan_shards(routed) instead.
-  unsigned shards() const { return shards_; }
-  // True when shard counts are selected adaptively per batch from the
-  // routed load skew (GraphSketchConfig::shards == 0 with SMPC_SHARDS
-  // unset or "auto").
-  bool adaptive_shards() const { return auto_shards_; }
-  // Shard count ExecPlan::run should use for a batch of `items` routed
-  // items under a FIXED shard configuration: shards() when sharding is on
-  // and the batch clears the parallel threshold, else 1 (single updates
-  // keep the 2-D fast path).  Adaptive mode always answers 1 here — it
-  // needs the batch itself, not just its size.
-  unsigned plan_shards(std::size_t items) const;
-  // Per-batch shard count for `routed` — THE planner ExecPlan::run calls.
-  // Fixed mode defers to plan_shards(items).  Adaptive mode derives S from
-  // the routed load skew: skew = ceil(max-machine-load / mean-load) over
-  // the machines with nonzero load, S = the smallest power of two >= skew,
-  // clamped to [1, kShardCap] (a uniform batch keeps the 2-D grid; a star
-  // stream concentrating one machine's sub-batch gets striped wide).
-  // Deterministic — a pure function of load_words — and logged: the
-  // decision lands in last_planned_shards() / auto_sharded_batches().
-  unsigned plan_shards(const mpc::RoutedBatch& routed);
-  // The S the most recent plan_shards(routed) picked (1 before any call).
-  unsigned last_planned_shards() const { return last_planned_shards_; }
-  // Number of batches the adaptive planner striped (picked S > 1).
-  std::uint64_t auto_sharded_batches() const { return auto_sharded_batches_; }
-
-  // Prepares the scratch side of the 3-D grid for `routed` at `shards`
-  // stripes: lazily builds (and widens, in adaptive mode) the banks() x
-  // shards scratch arenas, resets each (O(touched pages), DeltaSketch's
-  // reuse discipline), and pre-allocates — per (bank, shard) task, walking
-  // machines ascending over stripe s — every scratch page any (m, b, s)
-  // task will touch.  Requires begin_routed_cells(routed) first (reuses
-  // its encoded coordinates).  The (bank, shard) tasks share nothing and
-  // fan across `pool`.
-  void begin_shard_cells(const mpc::RoutedBatch& routed, unsigned shards,
-                         ThreadPool* pool = nullptr);
-
-  // One 3-D grid task: applies stripe `shard` of machine `machine`'s CSR
-  // slice to the (bank, shard) scratch arena, using that task's private
-  // plan scratch.  Returns the number of items applied; every item of the
-  // machine lands in exactly one stripe, so the per-cell shard sums equal
-  // the unsharded ingest_cell counts.  Requires begin_shard_cells(routed);
-  // distinct (machine, bank, shard) tasks may run concurrently.
-  std::uint64_t ingest_cell_shard(std::uint64_t machine, unsigned bank,
-                                  unsigned shard,
-                                  const mpc::RoutedBatch& routed);
-
-  // Folds every bank's scratch shards into the resident arena,
-  // shard-ascending (one independent task per bank, fanned across `pool`),
-  // then invalidates the prepared-cells state (the batch is consumed).
-  // After this the resident arenas are byte-identical to running the 2-D
-  // grid on the same batch.
-  void merge_shard_cells(ThreadPool* pool = nullptr);
+  // Always 0 (intra-cell sharding was removed); bench/e2e still reports it.
+  std::uint64_t auto_sharded_batches() const { return 0; }
 
   // --- transactional ingest (fault tolerance) --------------------------------
   // Brackets the begin_routed_cells + ingest_cell pipeline of ONE routed
@@ -364,10 +274,6 @@ class VertexSketches {
 
   VertexId n_;
   EdgeCoordCodec codec_;
-  // Declared before ingest_threads_: thread resolution sizes the pool from
-  // the fixed shard count.
-  unsigned shards_;   // fixed shard count (>= 1); stays 1 in adaptive mode
-  bool auto_shards_;  // adaptive per-batch selection (see plan_shards)
   unsigned ingest_threads_;
   std::vector<L0Params> params_;   // one per bank
   std::vector<BankArena> arenas_;  // one per bank
@@ -385,22 +291,6 @@ class VertexSketches {
   static constexpr std::size_t kCellsNotReady = ~std::size_t{0};
   const mpc::RoutedBatch* cells_ready_batch_ = nullptr;
   std::size_t cells_ready_items_ = kCellsNotReady;
-  // 3-D sharded-grid state: per-(bank, shard) scratch arenas (lazily built
-  // on the first sharded batch at the batch's stripe count, widened when a
-  // later batch plans more stripes, reset-and-reused otherwise),
-  // per-(machine, bank, shard) plan scratch, and whether begin_shard_cells
-  // has prepared the current cells-ready batch.  `active_shards_` is the S
-  // the prepared batch runs at (adaptive mode varies it per batch);
-  // `scratch_stride_` the allocated per-bank scratch width (>= any
-  // active_shards_ seen so far).
-  std::vector<BankArena> shard_scratch_;  // [bank * scratch_stride_ + shard]
-  std::vector<CoordPlan> shard_plans_;  // [(machine*banks + bank)*S + shard]
-  unsigned active_shards_ = 1;
-  unsigned scratch_stride_ = 0;
-  bool shard_cells_ready_ = false;
-  // Adaptive-planner log (see plan_shards(routed)).
-  unsigned last_planned_shards_ = 1;
-  std::uint64_t auto_sharded_batches_ = 0;
   mpc::ExecPlan exec_plan_;  // the update_edges lowering, buffers reused
   std::uint64_t mutation_epoch_ = 0;  // see mutation_epoch()
 };

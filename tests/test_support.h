@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -73,58 +72,6 @@ inline std::vector<EdgeDelta> er_deltas(VertexId n, std::size_t m,
                                         std::uint64_t seed) {
   Rng rng(seed);
   return insert_deltas(gen::gnm(n, m, rng));
-}
-
-// --- hot-cell adversarial streams (ISSUE 9) ----------------------------------
-// Named workloads that concentrate one (machine, bank) cell's work — the
-// streams the 3-D sharded grid exists for — shared by bench_hot_cell and
-// the shard-invariance tests so the worst case is reproducible by name.
-
-// Log-uniform (Zipf-like) vertex: rank r drawn with density ~1/r, so low
-// ids dominate — under the contiguous-block partitioner they all live on
-// machine 0, making it the hot machine.
-inline VertexId zipf_vertex(Rng& rng, VertexId n) {
-  const double r = std::exp(rng.uniform01() * std::log(static_cast<double>(n)));
-  const auto v = static_cast<VertexId>(r) - 1;
-  return v >= n ? n - 1 : v;
-}
-
-// Power-law insert stream: both endpoints log-uniform, hubs everywhere,
-// machine 0 absorbing most of the routed load.  Repeated edges are valid
-// multigraph deltas (cells are linear); ingest-identity workload, not a
-// simple-graph query workload.
-inline std::vector<EdgeDelta> power_law_deltas(VertexId n, std::size_t count,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<EdgeDelta> deltas;
-  deltas.reserve(count);
-  while (deltas.size() < count) {
-    const VertexId u = zipf_vertex(rng, n);
-    const VertexId v = zipf_vertex(rng, n);
-    if (u == v) continue;
-    deltas.push_back(EdgeDelta{make_edge(u, v), +1});
-  }
-  return deltas;
-}
-
-// All-edges-one-block collision: every endpoint inside the first
-// `block` vertices, so with machines = n / block every delta routes to
-// machine 0 — the single-cell worst case (one machine's sub-batch, and
-// within it every bank's cell, is the entire stream).
-inline std::vector<EdgeDelta> hot_block_deltas(VertexId n, VertexId block,
-                                               std::size_t count,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  const VertexId lim = block < 2 ? 2 : (block > n ? n : block);
-  std::vector<EdgeDelta> deltas;
-  deltas.reserve(count);
-  while (deltas.size() < count) {
-    const VertexId u = static_cast<VertexId>(rng.below(lim));
-    const VertexId v = static_cast<VertexId>(rng.below(lim));
-    if (u == v) continue;
-    deltas.push_back(EdgeDelta{make_edge(u, v), +1});
-  }
-  return deltas;
 }
 
 // Component-merge adversary: round k links representatives of adjacent

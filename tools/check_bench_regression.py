@@ -12,10 +12,10 @@ numbers do not.  A fresh speedup below --min-ratio x baseline (default 0.8,
 i.e. a >20% regression) fails the check; improvements are reported and
 accepted silently.
 
-Thread-scaling and shard-scaling speedups are meaningless on a single
-hardware thread, so on a 1-core runner any comparable key whose name
-mentions "threads", "thread_", "scaling", or "shards" is skipped (the
-harnesses themselves already gate their *_ok verdicts the same way).
+Thread-scaling speedups are meaningless on a single hardware thread, so on
+a 1-core runner any comparable key whose name mentions "threads",
+"thread_", or "scaling" is skipped (the harnesses themselves already gate
+their *_ok verdicts the same way).
 """
 
 import argparse
@@ -36,7 +36,7 @@ def comparable_keys(record):
 
 
 def is_scaling_key(key):
-    return any(tag in key for tag in ("threads", "thread_", "scaling", "shards"))
+    return any(tag in key for tag in ("threads", "thread_", "scaling"))
 
 
 def main():
