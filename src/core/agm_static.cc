@@ -12,106 +12,30 @@ AgmStaticConnectivity::AgmStaticConnectivity(
     VertexId n, const GraphSketchConfig& sketch, mpc::Cluster* cluster,
     mpc::ExecMode mode, const mpc::SchedulerConfig& scheduler,
     mpc::FaultInjector* fault_injector)
-    : n_(n), cluster_(cluster), exec_mode_(mode), sketches_(n, sketch) {
-  if (cluster_ != nullptr && exec_mode_ == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(*cluster_);
-    if (fault_injector != nullptr)
-      simulator_->attach_fault_injector(fault_injector);
-    scheduler_ =
-        std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_, scheduler);
-  }
-}
-
-void AgmStaticConnectivity::enable_async_ingest(
-    const GutterIngestConfig& config) {
-  SMPC_CHECK_MSG(gutter_ == nullptr, "async ingest already enabled");
-  GutterIngestConfig gcfg = config;
-  if (gcfg.label == GutterIngestConfig{}.label)
-    gcfg.label = "agm/sketch-update";  // ledger parity with sync ingest
-  gutter_ = std::make_unique<GutterIngest>(n_, sketches_, gcfg, cluster_,
-                                           exec_mode_, simulator_.get(),
-                                           scheduler_.get());
-}
-
-void AgmStaticConnectivity::flush_ingest() {
-  if (gutter_ == nullptr) return;
-  try {
-    gutter_->flush();
-  } catch (...) {
-    poison_repair();
-    throw;
-  }
-}
-
-void AgmStaticConnectivity::poison_repair() {
-  repairable_ = false;
-  pending_inserts_.clear();
-  query_cache_.invalidate();
-}
-
-void AgmStaticConnectivity::ingest_deltas() {
-  if (gutter_ != nullptr) {
-    gutter_->submit(std::span<const EdgeDelta>(delta_scratch_));
-    return;
-  }
-  routed_ingest(cluster_, n_, delta_scratch_, "agm/sketch-update", sketches_,
-                routed_scratch_, exec_mode_, simulator_.get(),
-                scheduler_.get());
-}
-
-void AgmStaticConnectivity::note_update(const Update& update) {
-  if (update.type != UpdateType::kInsert) {
-    // A deletion may split a component; only a fresh Boruvka can see the
-    // split (the repair-vs-rebuild rule, core/query_cache.h).
-    repairable_ = false;
-    pending_inserts_.clear();
-    query_cache_.invalidate();
-    return;
-  }
-  if (!repairable_) return;
-  // Past this the buffer rivals the sketches themselves — rebuilding is
-  // cheaper than repairing, and memory stays O(n).
-  if (pending_inserts_.size() >= 8 * static_cast<std::size_t>(n_) + 64) {
-    repairable_ = false;
-    pending_inserts_.clear();
-    return;
-  }
-  pending_inserts_.push_back(update.e);
-}
-
-void AgmStaticConnectivity::apply(const Update& update) {
-  delta_scratch_.assign(
-      1, EdgeDelta{update.e, update.type == UpdateType::kInsert ? +1 : -1});
-  // Ingest FIRST: a rejected delta (bad edge, strict budget refusal) must
-  // not leave a phantom edge in the repair buffer — a later repair would
-  // then disagree with a rebuild from the actual resident sketches.
-  try {
-    ingest_deltas();
-  } catch (...) {
-    poison_repair();
-    throw;
-  }
-  note_update(update);
-}
+    : n_(n),
+      sketches_(n, sketch),
+      ingest_(n, &sketches_, cluster, mode, scheduler, 0, fault_injector) {}
 
 void AgmStaticConnectivity::apply_batch(const Batch& batch) {
-  if (cluster_ != nullptr) cluster_->begin_phase();
-  delta_scratch_.clear();
-  for (const Update& u : batch)
-    delta_scratch_.push_back(
-        EdgeDelta{u.e, u.type == UpdateType::kInsert ? +1 : -1});
-  // Same ingest-before-note ordering as apply(): a throw mid-batch leaves
-  // an unknowable subset of the deltas resident, so poison instead of
-  // guessing which of the batch's edges are repair-safe.
-  try {
-    ingest_deltas();
-  } catch (...) {
-    poison_repair();
-    throw;
+  const QueryCache::PoisonOnThrow guard(query_cache());
+  if (cluster() != nullptr) cluster()->begin_phase();
+  // Ingest FIRST: a rejected delta (bad edge, strict budget refusal) must
+  // not leave a phantom edge in the repair buffer — a later repair would
+  // then disagree with a rebuild from the actual resident sketches.  A
+  // throw mid-batch leaves an unknowable subset of the deltas resident, so
+  // the guard poisons instead of guessing which edges are repair-safe.
+  ingest_.deliver(batch, "agm/sketch-update");
+  for (const Update& u : batch) {
+    // A deletion may split a component; only a fresh Boruvka can see the
+    // split (the repair-vs-rebuild rule, core/query_cache.h).
+    if (u.type == UpdateType::kInsert) {
+      query_cache().note_link(u.e);
+    } else {
+      query_cache().note_split();
+    }
   }
-  for (const Update& u : batch) note_update(u);
-  if (cluster_ != nullptr)
-    cluster_->set_usage("agm/sketches", sketches_.allocated_words());
+  if (cluster() != nullptr)
+    cluster()->set_usage("agm/sketches", sketches_.allocated_words());
 }
 
 AgmStaticConnectivity::QueryResult
@@ -119,7 +43,7 @@ AgmStaticConnectivity::query_spanning_forest() {
   // Flush-on-query: the Boruvka below reads the resident sketches.
   flush_ingest();
   const std::uint64_t rounds_before =
-      cluster_ != nullptr ? cluster_->rounds() : 0;
+      cluster() != nullptr ? cluster()->rounds() : 0;
   QueryResult result;
   Dsu dsu(n_);
   std::vector<VertexId> vertex_ids(n_);
@@ -128,10 +52,10 @@ AgmStaticConnectivity::query_spanning_forest() {
   for (; level < sketches_.banks(); ++level) {
     // One Boruvka level: merge each supernode's sketches (bank `level`)
     // and sample one outgoing edge per supernode.
-    if (cluster_ != nullptr) {
-      cluster_->add_rounds(cluster_->aggregate_rounds(n_) + 1,
+    if (cluster() != nullptr) {
+      cluster()->add_rounds(cluster()->aggregate_rounds(n_) + 1,
                            "agm/query-level");
-      cluster_->charge_comm(n_);
+      cluster()->charge_comm(n_);
     }
     // Supernode CSR (group id = first appearance of the DSU root in vertex
     // order — deterministic); one level-at-a-time arena pass answers every
@@ -157,43 +81,29 @@ AgmStaticConnectivity::query_spanning_forest() {
   result.components = dsu.num_sets();
   result.levels = level + 1;
   result.rounds =
-      cluster_ != nullptr ? cluster_->rounds() - rounds_before : 0;
+      cluster() != nullptr ? cluster()->rounds() - rounds_before : 0;
   return result;
 }
 
 QueryCache::SnapshotPtr AgmStaticConnectivity::snapshot() {
-  // Flush-on-query: pending drains bump the mutation epoch as they merge,
-  // so the epoch must be settled before acquire/repair/publish read it.
-  flush_ingest();
-  const std::uint64_t epoch = sketches_.mutation_epoch();
-  if (auto snap = query_cache_.acquire(epoch)) return snap;
-  if (repairable_) {
-    // Insert-only since the published snapshot: every buffered edge either
-    // merges two cached components (entering the forest) or is swallowed —
-    // no Boruvka, no sketch reads.
-    if (auto snap = query_cache_.repair(epoch, pending_inserts_)) {
-      pending_inserts_.clear();
-      return snap;
+  // Insert-only since the published snapshot: every buffered edge either
+  // merges two cached components (entering the forest) or is swallowed —
+  // no Boruvka, no sketch reads.  Otherwise rebuild: one fresh Boruvka,
+  // then canonical min-vertex labels from its forest (ascending-v scan, so
+  // the first vertex reaching each DSU root is the component minimum).
+  return ingest_.serve([&] {
+    QueryResult fresh = query_spanning_forest();
+    Dsu dsu(n_);
+    for (const Edge& e : fresh.forest) dsu.unite(e.u, e.v);
+    std::vector<VertexId> min_of_root(n_, kNoVertex);
+    QueryCache::Rebuilt out{std::vector<VertexId>(n_), std::move(fresh.forest)};
+    for (VertexId v = 0; v < n_; ++v) {
+      VertexId& m = min_of_root[dsu.find(v)];
+      if (m == kNoVertex) m = v;
+      out.labels[v] = m;
     }
-  }
-  // Rebuild: one fresh Boruvka, then canonical min-vertex labels from its
-  // forest (ascending-v scan, so the first vertex reaching each DSU root
-  // is the component minimum).
-  QueryResult fresh = query_spanning_forest();
-  Dsu dsu(n_);
-  for (const Edge& e : fresh.forest) dsu.unite(e.u, e.v);
-  std::vector<VertexId> min_of_root(n_, kNoVertex);
-  std::vector<VertexId> labels(n_);
-  for (VertexId v = 0; v < n_; ++v) {
-    VertexId& m = min_of_root[dsu.find(v)];
-    if (m == kNoVertex) m = v;
-    labels[v] = m;
-  }
-  auto snap = query_cache_.publish(epoch, std::move(labels),
-                                   std::move(fresh.forest));
-  pending_inserts_.clear();
-  repairable_ = true;
-  return snap;
+    return out;
+  });
 }
 
 }  // namespace streammpc

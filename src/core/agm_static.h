@@ -14,27 +14,22 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/query_cache.h"
+#include "core/sketch_frontend.h"
 #include "graph/types.h"
-#include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
-#include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
 
 class AgmStaticConnectivity {
  public:
-  // `mode` selects how update batches execute against the cluster (flat /
-  // routed-with-accounting / per-machine simulation); ignored when
-  // `cluster` is null.  `scheduler` opts the simulated mode into adaptive
-  // batch bisection (see mpc::BatchScheduler).  `fault_injector` (not
-  // owned, may be null) attaches a deterministic fault plan to the
-  // simulated executor (see mpc::FaultInjector).
+  // `mode` selects how update batches execute against the cluster
+  // (routed-with-accounting / per-machine simulation); ignored when
+  // `cluster` is null (flat ingest).  `scheduler` opts the simulated mode
+  // into adaptive batch bisection (see mpc::BatchScheduler).
+  // `fault_injector` (not owned, may be null) attaches a deterministic
+  // fault plan to the simulated executor (see mpc::FaultInjector).
   AgmStaticConnectivity(VertexId n, const GraphSketchConfig& sketch,
                         mpc::Cluster* cluster = nullptr,
                         mpc::ExecMode mode = mpc::ExecMode::kRouted,
@@ -46,7 +41,9 @@ class AgmStaticConnectivity {
   // O(1)-round updates: only the endpoint sketches change.  With a cluster
   // attached, the batch is routed per machine (Cluster::route_batch) and
   // its per-machine delta loads are charged on the cluster's CommLedger.
-  void apply(const Update& update);
+  // apply(u) is apply_batch({u}).  A throwing call poisons the snapshot
+  // repair state: the next snapshot() rebuilds.
+  void apply(const Update& update) { apply_batch({update}); }
   void apply_batch(const Batch& batch);
 
   // Async ingest front door (ingest/gutter_ingest.h): after this, updates
@@ -54,12 +51,14 @@ class AgmStaticConnectivity {
   // delta sketches; flushed automatically before every query.  A
   // default-constructed label becomes "agm/sketch-update" so ledger
   // charges land exactly where direct ingest puts them.
-  void enable_async_ingest(const GutterIngestConfig& config = {});
+  void enable_async_ingest(const GutterIngestConfig& config = {}) {
+    ingest_.enable_async(config, "agm/sketch-update");
+  }
   // Non-null once async ingest is enabled; exposes buffered()/stats().
-  const GutterIngest* gutter() const { return gutter_.get(); }
+  const GutterIngest* gutter() const { return ingest_.gutter(); }
   // Drains buffered updates (no-op when async ingest is off).  A throwing
   // flush poisons the repair state: the next snapshot() rebuilds.
-  void flush_ingest();
+  void flush_ingest() { ingest_.flush(); }
 
   struct QueryResult {
     std::vector<Edge> forest;   // sampled spanning forest (sorted)
@@ -84,49 +83,29 @@ class AgmStaticConnectivity {
   // Point queries against the current snapshot (refreshing it if stale).
   bool connected(VertexId u, VertexId v) { return snapshot()->connected(u, v); }
   std::size_t num_components() { return snapshot()->components(); }
-  QueryCache& query_cache() { return query_cache_; }
-  const QueryCache& query_cache() const { return query_cache_; }
+  QueryCache& query_cache() { return ingest_.cache(); }
+  const QueryCache& query_cache() const { return ingest_.cache(); }
 
   std::uint64_t memory_words() const { return sketches_.allocated_words(); }
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff constructed with kSimulated mode and a cluster.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
   // Non-null under the same condition (see BatchScheduler::enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
  private:
-  // Routes delta_scratch_ through the cluster when one is attached.
-  void ingest_deltas();
-  // Folds one update into the repair buffer / repairability flag.  Called
-  // only AFTER the update's delta was accepted for delivery: a rejected
-  // update must never leave a phantom edge in the repair buffer.
-  void note_update(const Update& update);
-  // Throw path: repair bookkeeping can no longer describe the resident
-  // sketches; force the next snapshot() to rebuild.
-  void poison_repair();
+  mpc::Cluster* cluster() const { return ingest_.cluster(); }
 
   VertexId n_;
-  mpc::Cluster* cluster_;
-  mpc::ExecMode exec_mode_;
-  std::unique_ptr<mpc::Simulator> simulator_;       // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;  // kSimulated mode only
   VertexSketches sketches_;
-  std::vector<EdgeDelta> delta_scratch_;  // reused batch-ingest buffer
-  mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
+  // After sketches_: its destructor's implicit flush writes them.  This
+  // structure keeps no forest, so EVERY insert is a candidate repair edge
+  // in its cache, unlike DynamicConnectivity's accepted links.
+  SketchFrontend ingest_;
   // Reused buffers for the level-at-a-time Boruvka queries.
   GroupCsr group_csr_;
   std::vector<L0Sampler> group_scratch_;
   std::vector<std::optional<Edge>> group_samples_;
-  // Serve-heavy query cache: edges inserted since the last published
-  // snapshot (repairable while no delete intervened and the buffer stays
-  // under its cap — this structure keeps no forest, so EVERY insert is a
-  // candidate repair edge, unlike DynamicConnectivity's accepted links).
-  QueryCache query_cache_;
-  std::vector<Edge> pending_inserts_;
-  bool repairable_ = true;
-  // Declared last: the destructor's implicit flush must run while the
-  // sketches/cluster/simulator/scheduler above are still alive.
-  std::unique_ptr<GutterIngest> gutter_;
 };
 
 }  // namespace streammpc

@@ -38,39 +38,26 @@ DynamicConnectivity::DynamicConnectivity(VertexId n,
                                          mpc::Cluster* cluster)
     : n_(n),
       config_(config),
-      cluster_(cluster),
       sketches_(n, config.sketch),
+      ingest_(n, &sketches_, cluster, config.exec_mode, config.scheduler,
+              config.simulator_scratch_words, config.fault_injector),
       forest_(n, cluster),
       labels_(n) {
-  if (cluster_ != nullptr && config_.exec_mode == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(
-        *cluster_, config_.simulator_scratch_words);
-    if (config_.fault_injector != nullptr)
-      simulator_->attach_fault_injector(config_.fault_injector);
-    scheduler_ = std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_,
-                                                       config_.scheduler);
-  }
-  if (config_.async_ingest) {
-    GutterIngestConfig gcfg = config_.gutter;
-    if (gcfg.label == GutterIngestConfig{}.label)
-      gcfg.label = "connectivity/sketch-update";  // ledger parity with sync
-    gutter_ = std::make_unique<GutterIngest>(n_, sketches_, gcfg, cluster_,
-                                             config_.exec_mode,
-                                             simulator_.get(),
-                                             scheduler_.get());
-  }
+  if (config_.async_ingest)
+    ingest_.enable_async(config_.gutter, "connectivity/sketch-update");
   for (VertexId v = 0; v < n; ++v) labels_[v] = v;
   publish_usage();
 }
 
 void DynamicConnectivity::apply_batch(const Batch& batch) {
-  if (cluster_ != nullptr) cluster_->begin_phase();
+  const QueryCache::PoisonOnThrow guard(query_cache());
+  if (cluster() != nullptr) cluster()->begin_phase();
   ++stats_.batches;
 
   // Preprocessing: the batch arrives scattered over machines and is sorted
   // onto a dedicated machine in O(1) rounds (§1.2, [GSZ11]).
-  mpc::sort(cluster_, batch.size(), "connectivity/preprocess");
-  mpc::gather_to_one(cluster_, 2 * batch.size(), "connectivity/batch");
+  mpc::sort(cluster(), batch.size(), "connectivity/preprocess");
+  mpc::gather_to_one(cluster(), 2 * batch.size(), "connectivity/batch");
 
   auto [ins, del] = normalize_batch(batch);
   if (!ins.empty()) apply_inserts(ins);
@@ -78,47 +65,12 @@ void DynamicConnectivity::apply_batch(const Batch& batch) {
   publish_usage();
 }
 
-void DynamicConnectivity::ingest_deltas(const std::string& label) {
-  if (gutter_ != nullptr) {
-    // Async front door: buffer the deltas; gutter drains deliver the same
-    // bytes through the same ExecPlan::run choke point, under the label
-    // fixed at construction (delivery may charge under a later phase than
-    // submission — flush_ingest() bounds that).
-    gutter_->submit(std::span<const EdgeDelta>(delta_scratch_));
-    return;
-  }
-  // Route the batch to the machines hosting the affected endpoint sketches
-  // (§6.1) and charge the actual per-machine delta loads — not a flat
-  // broadcast — on the cluster's CommLedger.  In kSimulated mode each
-  // machine's resident shard + delivered sub-batch is budgeted against s,
-  // with the batch scheduler bisecting over-budget batches when enabled.
-  routed_ingest(cluster_, n_, delta_scratch_, label, sketches_,
-                routed_scratch_, config_.exec_mode, simulator_.get(),
-                scheduler_.get());
-}
-
-void DynamicConnectivity::flush_ingest() {
-  if (gutter_ == nullptr) return;
-  try {
-    gutter_->flush();
-  } catch (...) {
-    // A failed delivery can leave the resident sketches partially updated
-    // (strict-mode throw mid-flush); anything derived from the previous
-    // sketch state is no longer trustworthy for local repair.
-    repairable_ = false;
-    repair_links_.clear();
-    query_cache_.invalidate();
-    throw;
-  }
-}
-
 void DynamicConnectivity::apply_inserts(const std::vector<Update>& ins) {
   stats_.inserts += ins.size();
 
-  // Sketch updates: one routed, batched, bank-parallel ingest.
-  delta_scratch_.clear();
-  for (const Update& u : ins) delta_scratch_.push_back(EdgeDelta{u.e, +1});
-  ingest_deltas("connectivity/sketch-update");
+  // Sketch updates: one batched, bank-parallel ingest, routed to the
+  // machines hosting the endpoint sketches (§6.1).
+  ingest_.deliver(ins, "connectivity/sketch-update");
 
   // Auxiliary graph H over affected components (Claim 6.1): one vertex per
   // component, one edge per insert joining two distinct components; its
@@ -144,7 +96,7 @@ void DynamicConnectivity::apply_inserts(const std::vector<Update>& ins) {
     cand.emplace_back(iu, iv);
     f_h.push_back(u.e);  // aligned with cand
   }
-  mpc::gather_to_one(cluster_, 2 * f_h.size() + comp_index.size(),
+  mpc::gather_to_one(cluster(), 2 * f_h.size() + comp_index.size(),
                      "connectivity/aux-H");
   std::vector<Edge> links;
   if (!cand.empty()) {
@@ -159,7 +111,7 @@ void DynamicConnectivity::apply_inserts(const std::vector<Update>& ins) {
   stats_.tree_inserts += links.size();
   // Insert-only partition changes are exactly these accepted tree edges;
   // remember them so the next snapshot() can repair instead of rebuild.
-  repair_links_.insert(repair_links_.end(), links.begin(), links.end());
+  for (const Edge& e : links) query_cache().note_link(e);
   forest_.batch_link(links);
   relabel_trees_of(touched);
 }
@@ -169,13 +121,9 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
   // A deletion may split a component, which no local repair can express —
   // the next snapshot() must rebuild from labels_/forest_ (the
   // repair-vs-rebuild rule, core/query_cache.h).
-  repairable_ = false;
-  repair_links_.clear();
-  query_cache_.invalidate();
+  query_cache().note_split();
 
-  delta_scratch_.clear();
-  for (const Update& u : del) delta_scratch_.push_back(EdgeDelta{u.e, -1});
-  ingest_deltas("connectivity/sketch-update");
+  ingest_.deliver(del, "connectivity/sketch-update");
   // Replacement-edge sampling below reads the sketches: every buffered
   // delta (earlier insert batches included) must be resident first.
   flush_ingest();
@@ -238,9 +186,9 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
   // gather them all on one machine (Lemma 6.5).
   const std::uint64_t banks = sketches_.banks();
   const std::uint64_t levels_cap = banks;
-  mpc::aggregate(cluster_, n_, 1, "connectivity/sketch-merge");
+  mpc::aggregate(cluster(), n_, 1, "connectivity/sketch-merge");
   mpc::gather_to_one(
-      cluster_,
+      cluster(),
       fragments.size() * levels_cap *
           sketches_.params(0).nominal_words(),
       "connectivity/boruvka-gather");
@@ -318,7 +266,7 @@ void DynamicConnectivity::relabel_trees_of(const std::vector<VertexId>& touched)
   // endpoint of the batch (replacement edges live in trees that also hold
   // cut endpoints), so this covers all label changes.  O(1) rounds: the
   // minima are tree aggregations, the labels a broadcast back.
-  mpc::aggregate(cluster_, n_, 1, "connectivity/relabel");
+  mpc::aggregate(cluster(), n_, 1, "connectivity/relabel");
   std::unordered_map<TourId, char> done;
   for (const VertexId x : touched) {
     const TourId t = forest_.tour_of(x);
@@ -333,13 +281,14 @@ void DynamicConnectivity::relabel_trees_of(const std::vector<VertexId>& touched)
 void DynamicConnectivity::bootstrap(std::span<const Edge> edges) {
   SMPC_CHECK_MSG(stats_.batches == 0 && forest_.tree_edges().empty(),
                  "bootstrap requires a fresh structure");
-  if (cluster_ != nullptr) {
-    cluster_->begin_phase();
+  const QueryCache::PoisonOnThrow guard(query_cache());
+  if (cluster() != nullptr) {
+    cluster()->begin_phase();
     // Static connectivity in O(log n) rounds [AGM12, NO21]: route the m
     // edges (a sort), then O(log n) Boruvka-style contraction rounds.
     std::uint64_t lg = 1;
     while ((1ULL << lg) < n_) ++lg;
-    cluster_->add_rounds(cluster_->sort_rounds(edges.size()) + lg,
+    cluster()->add_rounds(cluster()->sort_rounds(edges.size()) + lg,
                          "connectivity/bootstrap");
   }
   // Sketches absorb every edge; the spanning forest comes from one local
@@ -347,19 +296,19 @@ void DynamicConnectivity::bootstrap(std::span<const Edge> edges) {
   Dsu dsu(n_);
   std::vector<Edge> forest_edges;
   std::vector<VertexId> touched;
-  delta_scratch_.clear();
+  std::vector<EdgeDelta> deltas;
+  deltas.reserve(edges.size());
   for (const Edge& e : edges) {
-    delta_scratch_.push_back(EdgeDelta{e, +1});
+    deltas.push_back(EdgeDelta{e, +1});
     ++stats_.inserts;
     if (dsu.unite(e.u, e.v)) {
       forest_edges.push_back(e);
       touched.push_back(e.u);
     }
   }
-  ingest_deltas("connectivity/bootstrap");
+  ingest_.deliver(deltas, "connectivity/bootstrap");
   stats_.tree_inserts += forest_edges.size();
-  repair_links_.insert(repair_links_.end(), forest_edges.begin(),
-                       forest_edges.end());
+  for (const Edge& e : forest_edges) query_cache().note_link(e);
   forest_.batch_link(forest_edges);
   relabel_trees_of(touched);
   publish_usage();
@@ -367,10 +316,10 @@ void DynamicConnectivity::bootstrap(std::span<const Edge> edges) {
 
 std::vector<bool> DynamicConnectivity::batch_query(
     std::span<const std::pair<VertexId, VertexId>> pairs) {
-  if (cluster_ != nullptr) {
-    cluster_->begin_phase();
-    mpc::sort(cluster_, pairs.size(), "connectivity/query-batch");
-    cluster_->note_object(2 * pairs.size(), "connectivity/query-batch");
+  if (cluster() != nullptr) {
+    cluster()->begin_phase();
+    mpc::sort(cluster(), pairs.size(), "connectivity/query-batch");
+    cluster()->note_object(2 * pairs.size(), "connectivity/query-batch");
   }
   std::vector<bool> out;
   out.reserve(pairs.size());
@@ -379,27 +328,16 @@ std::vector<bool> DynamicConnectivity::batch_query(
 }
 
 QueryCache::SnapshotPtr DynamicConnectivity::snapshot() {
-  // Flush-on-query: buffered deltas bump the mutation epoch as they merge,
-  // so acquire/repair/publish must not race a pending drain's epoch bump.
-  flush_ingest();
-  const std::uint64_t epoch = sketches_.mutation_epoch();
-  if (auto snap = query_cache_.acquire(epoch)) return snap;
-  if (repairable_) {
-    // Insert-only since the published snapshot: merge the accepted tree
-    // edges into it locally — no forest walk, no relabel, no sketch reads.
-    if (auto snap = query_cache_.repair(epoch, repair_links_)) {
-      repair_links_.clear();
-      return snap;
-    }
-  }
-  auto snap = query_cache_.publish(epoch, labels_, spanning_forest());
-  repair_links_.clear();
-  repairable_ = true;
-  return snap;
+  // Insert-only since the published snapshot: the cache merges the
+  // accepted tree edges into it locally — no forest walk, no relabel, no
+  // sketch reads.  Otherwise it rebuilds from labels_/forest_.
+  return ingest_.serve([&] {
+    return QueryCache::Rebuilt{labels_, spanning_forest()};
+  });
 }
 
 std::vector<std::vector<VertexId>> DynamicConnectivity::components() {
-  mpc::sort(cluster_, n_, "connectivity/report-components");
+  mpc::sort(cluster(), n_, "connectivity/report-components");
   // Materialized from the snapshot's CSR, which is built once per mutation
   // epoch in the same deterministic first-appearance order this function
   // used to recompute (hash-map regroup) on every call.
@@ -424,11 +362,11 @@ std::uint64_t DynamicConnectivity::memory_words() const {
 }
 
 void DynamicConnectivity::publish_usage() {
-  if (cluster_ == nullptr) return;
-  cluster_->set_usage(config_.ledger_prefix + "/sketches",
+  if (cluster() == nullptr) return;
+  cluster()->set_usage(config_.ledger_prefix + "/sketches",
                       sketches_.allocated_words());
-  cluster_->set_usage(config_.ledger_prefix + "/forest", forest_.words());
-  cluster_->set_usage(config_.ledger_prefix + "/labels", n_);
+  cluster()->set_usage(config_.ledger_prefix + "/forest", forest_.words());
+  cluster()->set_usage(config_.ledger_prefix + "/labels", n_);
 }
 
 }  // namespace streammpc

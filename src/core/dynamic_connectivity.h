@@ -41,30 +41,25 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/query_cache.h"
+#include "core/sketch_frontend.h"
 #include "euler/tour_forest.h"
 #include "graph/types.h"
-#include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
-#include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
 
 struct ConnectivityConfig {
   GraphSketchConfig sketch;
-  // How sketch-delta batches execute against the attached cluster: flat
-  // in-process, routed-with-accounting, or machine-by-machine simulation
-  // under per-machine scratch budgets (see mpc::ExecMode / mpc::Simulator).
-  // Ignored when no cluster is attached.
+  // How sketch-delta batches execute against the attached cluster:
+  // routed-with-accounting, or machine-by-machine simulation under
+  // per-machine scratch budgets (see mpc::ExecMode / mpc::Simulator).
+  // Ignored when no cluster is attached (flat ingest).
   mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
   // Adaptive batch scheduling (kSimulated mode only): when the split
   // policy is active, over-budget update batches are deterministically
@@ -150,25 +145,26 @@ class DynamicConnectivity {
   // snapshot answers connected/component_of/components from any thread;
   // snapshot() itself is writer-side (same thread as apply_batch).
   QueryCache::SnapshotPtr snapshot();
-  QueryCache& query_cache() { return query_cache_; }
-  const QueryCache& query_cache() const { return query_cache_; }
+  QueryCache& query_cache() { return ingest_.cache(); }
+  const QueryCache& query_cache() const { return ingest_.cache(); }
   const std::vector<VertexId>& labels() const { return labels_; }
   const EulerTourForest& forest() const { return forest_; }
   EulerTourForest& mutable_forest() { return forest_; }
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
   // Non-null under the same condition; splits only when its resolved
   // policy is active (scheduler()->enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
   // Non-null iff config.async_ingest; exposes buffered()/stats().
-  const GutterIngest* gutter() const { return gutter_.get(); }
+  const GutterIngest* gutter() const { return ingest_.gutter(); }
   // Drains every buffered sketch delta into the resident shard (no-op when
   // async_ingest is off).  Called automatically before every sketch read;
   // call it explicitly to observe delivery errors (strict budget
   // rejection, scheduler exhaustion) at a deterministic point.  A throwing
-  // flush poisons the snapshot repair state: the next snapshot() rebuilds.
-  void flush_ingest();
+  // flush — like a throwing apply_batch or bootstrap — poisons the
+  // snapshot repair state: the next snapshot() rebuilds.
+  void flush_ingest() { ingest_.flush(); }
 
   struct Stats {
     std::uint64_t batches = 0;
@@ -191,36 +187,23 @@ class DynamicConnectivity {
   void apply_inserts(const std::vector<Update>& ins);
   void apply_deletes(const std::vector<Update>& del);
   void relabel_trees_of(const std::vector<VertexId>& touched);
-  // Routes delta_scratch_ through the cluster (per-machine accounting under
-  // `label`) when one is attached, flat ingest otherwise.
-  void ingest_deltas(const std::string& label);
   void publish_usage();
+  mpc::Cluster* cluster() const { return ingest_.cluster(); }
 
   VertexId n_;
   ConnectivityConfig config_;
-  mpc::Cluster* cluster_;
-  std::unique_ptr<mpc::Simulator> simulator_;        // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;   // kSimulated mode only
   VertexSketches sketches_;
+  // After sketches_: its destructor's implicit flush writes them.
+  SketchFrontend ingest_;
   EulerTourForest forest_;
   std::vector<VertexId> labels_;
-  std::vector<EdgeDelta> delta_scratch_;  // reused batch-ingest buffer
-  mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
   // Reused buffers for the level-at-a-time Boruvka queries.
   GroupCsr group_csr_;
   std::vector<std::uint32_t> fragment_class_;  // [fragment] -> zero-sum class
   std::vector<std::uint32_t> group_class_;     // [group] -> zero-sum class
   std::vector<L0Sampler> group_scratch_;
   std::vector<std::optional<Edge>> group_samples_;
-  // Serve-heavy query cache: tree edges accepted since the last published
-  // snapshot (the repair set), repairable while no delete intervened.
-  QueryCache query_cache_;
-  std::vector<Edge> repair_links_;
-  bool repairable_ = true;
   Stats stats_;
-  // Declared last: the destructor's implicit flush must run while the
-  // sketches/cluster/simulator/scheduler above are still alive.
-  std::unique_ptr<GutterIngest> gutter_;
 };
 
 // Cancels offsetting insert/delete pairs of the same edge and splits the

@@ -109,4 +109,35 @@ void QueryCache::invalidate() {
   ++stats_.invalidations;
 }
 
+void QueryCache::note_link(const Edge& e) {
+  if (!repairable_) return;
+  if (pending_.size() >= pending_cap_) {
+    // Repairing from a truncated list would drop the overflowed edges from
+    // the served labels: stop buffering and rebuild instead.
+    repairable_ = false;
+    pending_.clear();
+    return;
+  }
+  pending_.push_back(e);
+}
+
+void QueryCache::note_split() {
+  repairable_ = false;
+  pending_.clear();
+  invalidate();
+}
+
+QueryCache::SnapshotPtr QueryCache::serve(
+    std::uint64_t epoch, const std::function<Rebuilt()>& rebuild) {
+  if (auto snap = acquire(epoch)) return snap;
+  SnapshotPtr snap = repairable_ ? repair(epoch, pending_) : nullptr;
+  if (snap == nullptr) {
+    Rebuilt fresh = rebuild();
+    snap = publish(epoch, std::move(fresh.labels), std::move(fresh.forest));
+    repairable_ = true;
+  }
+  pending_.clear();
+  return snap;
+}
+
 }  // namespace streammpc

@@ -32,7 +32,11 @@
 //     components, so a still-published snapshot is repaired with a local
 //     DSU pass over the inserted (or already-accepted tree) edges — no
 //     sketch reads, no Boruvka.  Any deletion may split a component and
-//     demands a rebuild from the front end's authoritative state.
+//     demands a rebuild from the front end's authoritative state.  The
+//     cache owns this rule for every front end: they report edges with
+//     note_link() and deletions with note_split(), a throwing update or
+//     flush poisons the pending set (PoisonOnThrow), and serve() runs
+//     acquire -> repair -> rebuild.
 //
 // Thread-safety contract: ONE writer (the thread applying update batches
 // and calling valid/acquire/publish/repair/invalidate) and any number of
@@ -44,6 +48,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -98,6 +104,13 @@ class QueryCache {
   // Epoch value no snapshot was ever built at.
   static constexpr std::uint64_t kNeverBuilt = ~std::uint64_t{0};
 
+  // `n` sizes the pending-edge cap at 8n + 64: past it the buffer rivals
+  // the sketches, so the cache stops buffering and the next serve()
+  // rebuilds.  Front ends that note only accepted tree edges (at most
+  // n - 1 between deletions) never reach it.
+  explicit QueryCache(VertexId n = 0)
+      : pending_cap_(8 * static_cast<std::size_t>(n) + 64) {}
+
   // --- reader side (lock-free, any thread) -----------------------------------
   // Latest published snapshot; nullptr before the first publish.  A stale
   // snapshot stays published until the writer replaces it — readers always
@@ -134,6 +147,46 @@ class QueryCache {
   // but concurrent readers keep the last consistent snapshot.
   void invalidate();
 
+  // --- repair bookkeeping (writer side) --------------------------------------
+  // Records an edge that may merge two components since the last publish.
+  // Call it only after the edge's delta was accepted for delivery, so a
+  // rejected update never leaves a phantom repair edge.
+  void note_link(const Edge& e);
+  // A deletion: the partition may split, which no repair can express —
+  // drops the pending edges and invalidates; the next serve() rebuilds.
+  void note_split();
+
+  // Scope guard for a writer-side update or flush: if the scope exits by an
+  // exception, the sketches may hold any subset of the call's deltas, so
+  // the pending edges no longer describe them — handled like a split.
+  class PoisonOnThrow {
+   public:
+    explicit PoisonOnThrow(QueryCache& cache)
+        : cache_(cache), uncaught_(std::uncaught_exceptions()) {}
+    ~PoisonOnThrow() {
+      if (std::uncaught_exceptions() > uncaught_) cache_.note_split();
+    }
+    PoisonOnThrow(const PoisonOnThrow&) = delete;
+    PoisonOnThrow& operator=(const PoisonOnThrow&) = delete;
+
+   private:
+    QueryCache& cache_;
+    int uncaught_;
+  };
+
+  // What a rebuild produces: min-vertex canonical labels and the sorted
+  // spanning forest (publish()'s inputs).
+  struct Rebuilt {
+    std::vector<VertexId> labels;
+    std::vector<Edge> forest;
+  };
+  // The front ends' query path at `epoch`: the published snapshot when it
+  // is still valid; else a repair with the pending edges when no deletion
+  // or failure intervened; else a publish of `rebuild()`.  Either way the
+  // pending set is consumed.
+  SnapshotPtr serve(std::uint64_t epoch,
+                    const std::function<Rebuilt()>& rebuild);
+
   struct Stats {
     std::uint64_t hits = 0;       // acquire() served the published snapshot
     std::uint64_t misses = 0;     // acquire() found it stale
@@ -152,6 +205,10 @@ class QueryCache {
   AtomicSharedPtr<const QuerySnapshot> snapshot_;
   std::uint64_t built_epoch_ = kNeverBuilt;
   std::uint64_t next_version_ = 1;
+  // Edges noted since the last publish; meaningful only while repairable_.
+  std::vector<Edge> pending_;
+  std::size_t pending_cap_;
+  bool repairable_ = true;
   Stats stats_;
 };
 

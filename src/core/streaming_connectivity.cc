@@ -12,55 +12,12 @@ StreamingConnectivity::StreamingConnectivity(
     mpc::ExecMode mode, const mpc::SchedulerConfig& scheduler,
     mpc::FaultInjector* fault_injector)
     : n_(n),
-      cluster_(cluster),
-      exec_mode_(mode),
       sketches_(n, sketch),
+      ingest_(n, &sketches_, cluster, mode, scheduler, 0, fault_injector),
       forest_adj_(n),
       labels_(n),
       components_(n) {
-  if (cluster_ != nullptr && exec_mode_ == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(*cluster_);
-    if (fault_injector != nullptr)
-      simulator_->attach_fault_injector(fault_injector);
-    scheduler_ =
-        std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_, scheduler);
-  }
   for (VertexId v = 0; v < n; ++v) labels_[v] = v;
-}
-
-void StreamingConnectivity::ingest(std::span<const EdgeDelta> deltas) {
-  if (gutter_ != nullptr) {
-    gutter_->submit(deltas);
-    return;
-  }
-  routed_ingest(cluster_, n_, deltas, "streaming/sketch-update", sketches_,
-                routed_scratch_, exec_mode_, simulator_.get(),
-                scheduler_.get());
-}
-
-void StreamingConnectivity::enable_async_ingest(
-    const GutterIngestConfig& config) {
-  SMPC_CHECK_MSG(gutter_ == nullptr, "async ingest already enabled");
-  GutterIngestConfig gcfg = config;
-  if (gcfg.label == GutterIngestConfig{}.label)
-    gcfg.label = "streaming/sketch-update";  // ledger parity with sync
-  gutter_ = std::make_unique<GutterIngest>(n_, sketches_, gcfg, cluster_,
-                                           exec_mode_, simulator_.get(),
-                                           scheduler_.get());
-}
-
-void StreamingConnectivity::flush_ingest() {
-  if (gutter_ == nullptr) return;
-  try {
-    gutter_->flush();
-  } catch (...) {
-    // A failed delivery leaves the resident sketches in an unknowable
-    // partial state; void local snapshot repair.
-    repairable_ = false;
-    repair_links_.clear();
-    query_cache_.invalidate();
-    throw;
-  }
 }
 
 void StreamingConnectivity::apply(const Update& update) {
@@ -101,7 +58,10 @@ void StreamingConnectivity::apply_stream(std::span<const Update> updates) {
   // *read* when a tree edge is deleted, so every run of inserts and
   // non-tree deletions can flow through the batched ingest path.  The
   // forest/label bookkeeping still runs per update, in order.
-  if (cluster_ != nullptr) cluster_->begin_phase();
+  const QueryCache::PoisonOnThrow guard(query_cache());
+  for (const Update& update : updates)
+    SMPC_CHECK(make_edge(update.e.u, update.e.v).v < n_);
+  if (ingest_.cluster() != nullptr) ingest_.cluster()->begin_phase();
   std::vector<EdgeDelta> pending;
   pending.reserve(updates.size());
   const auto flush = [&] {
@@ -110,7 +70,6 @@ void StreamingConnectivity::apply_stream(std::span<const Update> updates) {
   };
   for (const Update& update : updates) {
     const Edge e = make_edge(update.e.u, update.e.v);
-    SMPC_CHECK(e.v < n_);
     if (update.type == UpdateType::kInsert) {
       ++stats_.inserts;
       pending.push_back(EdgeDelta{e, +1});
@@ -128,6 +87,7 @@ void StreamingConnectivity::apply_stream(std::span<const Update> updates) {
 }
 
 void StreamingConnectivity::insert(VertexId u, VertexId v) {
+  const QueryCache::PoisonOnThrow guard(query_cache());
   const Edge e = make_edge(u, v);
   SMPC_CHECK(e.v < n_);
   ++stats_.inserts;
@@ -145,7 +105,7 @@ void StreamingConnectivity::insert_forest(VertexId u, VertexId v) {
   forest_adj_[e.u].insert(e.v);
   forest_adj_[e.v].insert(e.u);
   ++forest_edges_;
-  repair_links_.push_back(e);  // snapshot repair set (core/query_cache.h)
+  query_cache().note_link(e);  // snapshot repair set (core/query_cache.h)
   const VertexId keep = std::min(labels_[u], labels_[v]);
   const VertexId losing = labels_[u] == keep ? v : u;
   relabel(collect_tree(losing), keep);
@@ -153,6 +113,7 @@ void StreamingConnectivity::insert_forest(VertexId u, VertexId v) {
 }
 
 void StreamingConnectivity::erase(VertexId u, VertexId v) {
+  const QueryCache::PoisonOnThrow guard(query_cache());
   const Edge e = make_edge(u, v);
   SMPC_CHECK(e.v < n_);
   SMPC_CHECK_MSG(labels_[u] == labels_[v],
@@ -166,9 +127,7 @@ void StreamingConnectivity::erase(VertexId u, VertexId v) {
 void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
   // Any deletion voids snapshot repair (a split is not expressible as
   // merges — the repair-vs-rebuild rule, core/query_cache.h).
-  repairable_ = false;
-  repair_links_.clear();
-  query_cache_.invalidate();
+  query_cache().note_split();
   const Edge e = make_edge(u, v);
   const auto it = forest_adj_[e.u].find(e.v);
   if (it == forest_adj_[e.u].end()) return;  // non-tree edge: done
@@ -226,21 +185,9 @@ bool StreamingConnectivity::is_tree_edge(Edge e) const {
 }
 
 QueryCache::SnapshotPtr StreamingConnectivity::snapshot() {
-  // Flush-on-query: pending drains bump the mutation epoch as they merge,
-  // so the epoch must be settled before acquire/repair/publish read it.
-  flush_ingest();
-  const std::uint64_t epoch = sketches_.mutation_epoch();
-  if (auto snap = query_cache_.acquire(epoch)) return snap;
-  if (repairable_) {
-    if (auto snap = query_cache_.repair(epoch, repair_links_)) {
-      repair_links_.clear();
-      return snap;
-    }
-  }
-  auto snap = query_cache_.publish(epoch, labels_, spanning_forest());
-  repair_links_.clear();
-  repairable_ = true;
-  return snap;
+  return ingest_.serve([&] {
+    return QueryCache::Rebuilt{labels_, spanning_forest()};
+  });
 }
 
 std::uint64_t StreamingConnectivity::memory_words() const {

@@ -27,17 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <span>
 #include <vector>
 
-#include "core/query_cache.h"
+#include "core/sketch_frontend.h"
 #include "graph/types.h"
-#include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
-#include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
@@ -49,7 +44,7 @@ class StreamingConnectivity {
   // CommLedger (the §5 view of the §4 algorithm); with nullptr the
   // structure runs unaccounted, single-machine.  Routing never changes the
   // sketch state, so results are identical either way.  `mode` selects how
-  // buffered delta flushes execute against the cluster (flat / routed /
+  // buffered delta flushes execute against the cluster (routed /
   // machine-by-machine simulation); ignored when `cluster` is null.
   // `scheduler` opts the simulated mode into adaptive batch bisection
   // (see mpc::BatchScheduler).  `fault_injector` (not owned, may be null)
@@ -63,7 +58,9 @@ class StreamingConnectivity {
 
   VertexId n() const { return n_; }
 
-  // Single-update stream interface (Algorithm 1's dispatch).
+  // Single-update stream interface (Algorithm 1's dispatch).  A throwing
+  // update call poisons the snapshot repair state: the next snapshot()
+  // rebuilds.
   void insert(VertexId u, VertexId v);
   void erase(VertexId u, VertexId v);
   void apply(const Update& update);
@@ -74,8 +71,9 @@ class StreamingConnectivity {
   // deletion so each cut query sees exactly the prefix it would have seen
   // under single-update processing.
   //
-  // Preconditions: endpoints < n(); deletions only of edges whose endpoints
-  // are currently connected (a valid stream).  Not thread-safe against
+  // Preconditions: endpoints < n() (checked for the whole segment before
+  // any update applies); deletions only of edges whose endpoints are
+  // currently connected (a valid stream).  Not thread-safe against
   // concurrent mutation or queries.  Deterministic: for a fixed sketch
   // seed, the resulting forest/labels are identical to per-update apply()
   // processing, with or without an attached cluster.
@@ -88,12 +86,14 @@ class StreamingConnectivity {
   // unaffected — it never reads the sketches between flushes.  A
   // default-constructed label becomes "streaming/sketch-update" so ledger
   // charges land exactly where direct ingest puts them.
-  void enable_async_ingest(const GutterIngestConfig& config = {});
+  void enable_async_ingest(const GutterIngestConfig& config = {}) {
+    ingest_.enable_async(config, "streaming/sketch-update");
+  }
   // Non-null once async ingest is enabled; exposes buffered()/stats().
-  const GutterIngest* gutter() const { return gutter_.get(); }
+  const GutterIngest* gutter() const { return ingest_.gutter(); }
   // Drains buffered deltas (no-op when async ingest is off).  A throwing
   // flush poisons the repair state: the next snapshot() rebuilds.
-  void flush_ingest();
+  void flush_ingest() { ingest_.flush(); }
 
   // --- queries ---------------------------------------------------------------
   VertexId component_of(VertexId v) const { return labels_[v]; }
@@ -110,8 +110,8 @@ class StreamingConnectivity {
   // from the tree edges accepted since the last publish after insert-only
   // runs, rebuilt after any deletion.  Writer-side, like the updates.
   QueryCache::SnapshotPtr snapshot();
-  QueryCache& query_cache() { return query_cache_; }
-  const QueryCache& query_cache() const { return query_cache_; }
+  QueryCache& query_cache() { return ingest_.cache(); }
+  const QueryCache& query_cache() const { return ingest_.cache(); }
 
   struct Stats {
     std::uint64_t inserts = 0;
@@ -126,9 +126,9 @@ class StreamingConnectivity {
 
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff constructed with kSimulated mode and a cluster.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
   // Non-null under the same condition (see BatchScheduler::enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
  private:
   // Collects the vertices of u's tree in F via BFS (the Z_u of §4.2).
@@ -138,32 +138,23 @@ class StreamingConnectivity {
   // buffered-stream paths (the sketch delta is applied separately).
   void insert_forest(VertexId u, VertexId v);
   void erase_forest(VertexId u, VertexId v);
-  // Applies buffered deltas to the sketches — routed per machine (and
-  // charged on the cluster) when a cluster is attached, flat otherwise.
-  void ingest(std::span<const EdgeDelta> deltas);
+  // Applies deltas to the sketches — routed per machine (and charged on
+  // the cluster) when a cluster is attached, flat otherwise.
+  void ingest(std::span<const EdgeDelta> deltas) {
+    ingest_.deliver(deltas, "streaming/sketch-update");
+  }
 
   VertexId n_;
-  mpc::Cluster* cluster_;
-  mpc::ExecMode exec_mode_;
-  std::unique_ptr<mpc::Simulator> simulator_;       // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;  // kSimulated mode only
-  mpc::RoutedBatch routed_scratch_;
   VertexSketches sketches_;
+  // After sketches_: its destructor's implicit flush writes them.
+  SketchFrontend ingest_;
   std::vector<std::set<VertexId>> forest_adj_;
   std::vector<VertexId> labels_;
   std::size_t components_;
   std::size_t forest_edges_ = 0;
   unsigned next_bank_ = 0;
   L0Sampler cut_query_scratch_;  // reused merged sampler for deletions
-  // Serve-heavy query cache: tree edges accepted since the last published
-  // snapshot, repairable while no delete intervened.
-  QueryCache query_cache_;
-  std::vector<Edge> repair_links_;
-  bool repairable_ = true;
   Stats stats_;
-  // Declared last: the destructor's implicit flush must run while the
-  // sketches/cluster/simulator/scheduler above are still alive.
-  std::unique_ptr<GutterIngest> gutter_;
 };
 
 }  // namespace streammpc

@@ -50,7 +50,6 @@ GutterIngest::GutterIngest(VertexId universe, VertexSketches& sketches,
     : universe_(universe),
       sketches_(sketches),
       cluster_(cluster),
-      mode_(mode),
       simulator_(simulator),
       scheduler_(scheduler),
       label_(config.label),
@@ -132,8 +131,14 @@ void GutterIngest::deliver_direct(std::vector<EdgeDelta>& gutter) {
   // A gutter flush is ONE scheduled batch: the scheduler's probe/bisect/
   // retry/grow loop and the fault injector see exactly what a synchronous
   // front end would have delivered.
-  routed_ingest(cluster_, universe_, gutter, label_, sketches_,
-                routed_scratch_, mode_, simulator_, scheduler_);
+  try {
+    routed_ingest(cluster_, universe_, gutter, label_, sketches_,
+                  routed_scratch_, mpc::ExecMode::kSimulated, simulator_,
+                  scheduler_);
+  } catch (...) {
+    gutter.clear();
+    throw;
+  }
   ++stats_.direct_batches;
   gutter.clear();
 }
@@ -148,8 +153,9 @@ void GutterIngest::enqueue(std::vector<EdgeDelta>& gutter) {
   std::swap(job->deltas, gutter);  // both buffers keep their capacity
   gutter.clear();
   // Stage on the writer thread (route_batch is a read-only pass over the
-  // cluster); the worker only ever sees an immutable CSR.
-  if (cluster_ != nullptr && mode_ == mpc::ExecMode::kRouted) {
+  // cluster; off the direct path a cluster means kRouted); the worker only
+  // ever sees an immutable CSR.
+  if (cluster_ != nullptr) {
     cluster_->route_batch(job->deltas, universe_, job->routed);
   } else {
     stage_flat(job->deltas, job->routed);
@@ -177,7 +183,7 @@ void GutterIngest::merge_ready(std::unique_lock<std::mutex>& lock) {
         // Deliveries happen in submission order on this (writer) thread
         // only: the ledger charge and the ExecPlan::run epoch bump form
         // the same deterministic sequence for every worker count.
-        if (cluster_ != nullptr && mode_ == mpc::ExecMode::kRouted)
+        if (cluster_ != nullptr)
           cluster_->charge_routed(job->routed, label_);
         stats_.applied += sketches_.merge_delta(job->routed, *job->sketch);
         ++stats_.delta_batches;

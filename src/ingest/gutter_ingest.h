@@ -14,10 +14,10 @@
 //     the original batch and the CommLedger charges come out exactly equal
 //     to direct ingest of that batch;
 //   * a full gutter drains: the writer stages the batch (Cluster::
-//     route_batch under kRouted, a 1-machine flat CSR otherwise) and hands
-//     the job to a worker thread, which accumulates a *delta sketch* into
-//     a reusable scratch arena set (sketch/delta_sketch.h) — all the
-//     hashing happens off the writer thread;
+//     route_batch under kRouted, a 1-machine flat CSR without a cluster)
+//     and hands the job to a worker thread, which accumulates a *delta
+//     sketch* into a reusable scratch arena set (sketch/delta_sketch.h) —
+//     all the hashing happens off the writer thread;
 //   * the writer merges completed jobs into the resident shard IN
 //     SUBMISSION ORDER through the ExecPlan::run choke point
 //     (VertexSketches::merge_delta) — so the mutation epoch, the query
@@ -91,13 +91,14 @@ class GutterIngest {
  public:
   // `sketches` (and the optional cluster/simulator/scheduler, all
   // unowned) must outlive this object.  `mode` mirrors routed_ingest's
-  // dispatch: kFlat or a null cluster = unaccounted flat staging; kRouted
-  // = route + charge per machine; kSimulated = writer-thread delivery
-  // through the simulator/scheduler (`simulator` must be non-null then).
+  // dispatch: a null cluster = unaccounted flat staging (whatever the
+  // mode); kRouted = route + charge per machine; kSimulated = writer-thread
+  // delivery through the simulator/scheduler (`simulator` must be non-null
+  // then).
   GutterIngest(VertexId universe, VertexSketches& sketches,
                const GutterIngestConfig& config = {},
                mpc::Cluster* cluster = nullptr,
-               mpc::ExecMode mode = mpc::ExecMode::kFlat,
+               mpc::ExecMode mode = mpc::ExecMode::kRouted,
                mpc::Simulator* simulator = nullptr,
                mpc::BatchScheduler* scheduler = nullptr);
   ~GutterIngest();
@@ -154,7 +155,9 @@ class GutterIngest {
         static_cast<std::uint64_t>(e.u) * gutters_.size() / universe_);
   }
   void drain(std::size_t g);
-  // Synchronous writer-thread delivery (kSimulated: scheduler/faults).
+  // Synchronous writer-thread delivery (kSimulated: scheduler/faults).  A
+  // failed delivery is dropped, like a failed worker job: the gutter is
+  // emptied either way.
   void deliver_direct(std::vector<EdgeDelta>& gutter);
   // Hands `gutter`'s contents to a worker as a delta-sketch job.
   void enqueue(std::vector<EdgeDelta>& gutter);
@@ -169,7 +172,6 @@ class GutterIngest {
   VertexId universe_;
   VertexSketches& sketches_;
   mpc::Cluster* cluster_;
-  mpc::ExecMode mode_;
   mpc::Simulator* simulator_;
   mpc::BatchScheduler* scheduler_;
   std::string label_;

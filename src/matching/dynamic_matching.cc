@@ -8,16 +8,11 @@ namespace streammpc {
 
 DynamicApproxMatching::DynamicApproxMatching(
     VertexId n, const DynamicMatchingConfig& config, mpc::Cluster* cluster)
-    : n_(n), config_(config), cluster_(cluster) {
+    : n_(n),
+      config_(config),
+      exec_(n, nullptr, cluster, config.exec_mode, config.scheduler,
+            config.simulator_scratch_words, config.fault_injector) {
   SMPC_CHECK(n >= 2);
-  if (cluster_ != nullptr && config_.exec_mode == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(
-        *cluster_, config_.simulator_scratch_words);
-    if (config_.fault_injector != nullptr)
-      simulator_->attach_fault_injector(config_.fault_injector);
-    scheduler_ = std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_,
-                                                       config_.scheduler);
-  }
   SplitMix64 sm(config.seed);
   for (std::uint64_t guess = n; guess >= 1; guess /= 2) {
     Instance inst;
@@ -39,10 +34,11 @@ DynamicApproxMatching::DynamicApproxMatching(
 }
 
 void DynamicApproxMatching::apply_batch(const Batch& batch) {
-  if (cluster_ != nullptr) cluster_->begin_phase();
-  mpc::sort(cluster_, batch.size(), "matching/preprocess");
-  if (cluster_ == nullptr || config_.exec_mode == mpc::ExecMode::kFlat ||
-      batch.empty()) {
+  mpc::Cluster* const cluster = exec_.cluster();
+  mpc::Simulator* const simulator = exec_.simulator();
+  if (cluster != nullptr) cluster->begin_phase();
+  mpc::sort(cluster, batch.size(), "matching/preprocess");
+  if (cluster == nullptr || batch.empty()) {
     // Flat baseline: one in-process pass per guess, no routing accounting.
     for (auto& inst : guesses_) {
       auto delta = inst.sparsifier->apply_batch(batch);
@@ -73,12 +69,12 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
             }
           }
         };
-    if (config_.exec_mode == mpc::ExecMode::kSimulated) {
+    if (simulator != nullptr) {
       const auto step = [&](std::uint64_t,
                             std::span<const mpc::RoutedBatch::Item> items) {
         apply_owned(items);
       };
-      if (scheduler_->enabled()) {
+      if (exec_.scheduler()->enabled()) {
         // Scheduler path: the sampler shards report their per-machine
         // resident words through a Target, so an over-budget batch is
         // probed, bisected, retried, or grown instead of throwing — the
@@ -91,22 +87,22 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
         };
         target.deliver = [&](const mpc::RoutedBatch& routed,
                              const std::string& label) {
-          resident_scratch_.assign(cluster_->machines(), 0);
+          resident_scratch_.assign(cluster->machines(), 0);
           for (auto& inst : guesses_)
             inst.sparsifier->add_resident_words(resident_scratch_);
-          simulator_->execute(routed, label, step, resident_scratch_);
+          simulator->execute(routed, label, step, resident_scratch_);
         };
-        scheduler_->execute(delta_scratch_, n_, "matching/sketch-update",
-                            target);
+        exec_.scheduler()->execute(delta_scratch_, n_,
+                                   "matching/sketch-update", target);
       } else {
         // Default path, unchanged from pre-scheduler behavior: one flat
         // delivery with resident = 0.
-        cluster_->route_batch(delta_scratch_, n_, routed_scratch_);
-        simulator_->execute(routed_scratch_, "matching/sketch-update", step);
+        cluster->route_batch(delta_scratch_, n_, routed_scratch_);
+        simulator->execute(routed_scratch_, "matching/sketch-update", step);
       }
     } else {
-      cluster_->route_batch(delta_scratch_, n_, routed_scratch_);
-      cluster_->charge_routed(routed_scratch_, "matching/sketch-update");
+      cluster->route_batch(delta_scratch_, n_, routed_scratch_);
+      cluster->charge_routed(routed_scratch_, "matching/sketch-update");
       for (std::uint64_t m = 0; m < routed_scratch_.machines(); ++m) {
         apply_owned(routed_scratch_.machine_items(m));
       }
@@ -116,8 +112,8 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
       inst.maximal->apply(delta.remove, delta.add);
     }
   }
-  if (cluster_ != nullptr)
-    cluster_->set_usage("matching/dynamic", memory_words());
+  if (cluster != nullptr)
+    cluster->set_usage("matching/dynamic", memory_words());
 }
 
 std::vector<Edge> DynamicApproxMatching::matching() const {

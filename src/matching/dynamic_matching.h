@@ -17,11 +17,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/sketch_frontend.h"
 #include "matching/akly_sparsifier.h"
 #include "matching/batch_maximal_matching.h"
-#include "mpc/batch_scheduler.h"
-#include "mpc/cluster.h"
-#include "mpc/simulator.h"
 
 namespace streammpc {
 
@@ -31,14 +29,14 @@ struct DynamicMatchingConfig {
   L0Shape shape{2, 8};
   std::uint64_t seed = 0xd1a2;
   // How each batch's sketch updates execute against an attached cluster
-  // (see mpc::ExecMode): flat in-process, routed per endpoint-hosting
-  // machine with per-machine load accounting, or machine-by-machine
-  // simulation under scratch budgets — in kSimulated mode an update is
-  // applied to the sparsifiers by the machine hosting the edge's min
-  // endpoint (the duplicate delivery to the other endpoint's machine is
-  // the communication the ledger charges).  All modes leave identical
-  // sparsifier state (samplers are linear) and hence identical matchings.
-  // Ignored when no cluster is attached.
+  // (see mpc::ExecMode): routed per endpoint-hosting machine with
+  // per-machine load accounting, or machine-by-machine simulation under
+  // scratch budgets — in kSimulated mode an update is applied to the
+  // sparsifiers by the machine hosting the edge's min endpoint (the
+  // duplicate delivery to the other endpoint's machine is the
+  // communication the ledger charges).  Both modes leave the sparsifier
+  // state (samplers are linear), and hence the matching, identical to flat
+  // in-process ingest, which runs when no cluster is attached.
   mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
   // Adaptive batch scheduling (kSimulated mode only): with the split
   // policy active, the AKLY sampler shards report their per-machine
@@ -77,10 +75,10 @@ class DynamicApproxMatching {
   std::uint64_t memory_words() const;
 
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
+  const mpc::Simulator* simulator() const { return exec_.simulator(); }
   // Non-null under the same condition; splits only when its resolved
   // policy is active (scheduler()->enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  const mpc::BatchScheduler* scheduler() const { return exec_.scheduler(); }
 
   struct Instance {
     std::uint64_t opt_guess = 0;
@@ -92,9 +90,9 @@ class DynamicApproxMatching {
  private:
   VertexId n_;
   DynamicMatchingConfig config_;
-  mpc::Cluster* cluster_;
-  std::unique_ptr<mpc::Simulator> simulator_;        // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;   // kSimulated mode only
+  // The executor only (no VertexSketches): cluster, mode, simulator and
+  // scheduler.  Delivery into the AKLY samplers is apply_batch's own.
+  SketchFrontend exec_;
   std::vector<EdgeDelta> delta_scratch_;       // reused batch-ingest buffer
   mpc::RoutedBatch routed_scratch_;  // reused per-machine sub-batches
   std::vector<std::uint64_t> resident_scratch_;  // scheduler Target fold

@@ -12,9 +12,10 @@
 
 namespace streammpc::mpc {
 
-// How a front-end structure ingests one update batch (see simulator.h):
-//   kFlat      — one in-process pass over the flat delta span; no routing,
-//                no per-machine accounting (the single-machine baseline).
+// How a front-end structure with an attached cluster ingests one update
+// batch (see simulator.h).  Without a cluster, ingest is one in-process
+// pass over the flat delta span, with no routing and no per-machine
+// accounting (the single-machine baseline), whatever the mode.
 //   kRouted    — split per machine (Cluster::route_batch), charge the
 //                per-machine loads on the CommLedger, then ingest the
 //                routed sub-batches in one in-process pass (accounting
@@ -24,9 +25,9 @@ namespace streammpc::mpc {
 //                bounded scratch budget sized from s, and an over-budget
 //                sub-batch trips MemoryBudgetExceeded instead of silently
 //                spilling (true simulation).
-// All three modes produce byte-identical sketch state (cells are linear
-// and commutative); they differ only in accounting and enforcement.
-enum class ExecMode : std::uint8_t { kFlat, kRouted, kSimulated };
+// Both modes produce sketch state byte-identical to flat ingest (cells are
+// linear and commutative); they differ only in accounting and enforcement.
+enum class ExecMode : std::uint8_t { kRouted, kSimulated };
 
 // How the adaptive batch scheduler (mpc::BatchScheduler) reacts when a
 // simulated machine's claim on local memory s — resident sketch shard plus

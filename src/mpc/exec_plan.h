@@ -31,7 +31,8 @@
 //
 // The plan performs no accounting: callers charge delivery (Cluster::
 // charge_routed) and budgets (mpc::Simulator) around it.  That split is
-// what lets kFlat share the executor without acquiring a ledger.
+// what lets flat (cluster-free) ingest share the executor without
+// acquiring a ledger.
 #pragma once
 
 #include <cstdint>

@@ -347,7 +347,7 @@ void routed_ingest(mpc::Cluster* cluster, VertexId universe,
   // the per-structure round accounting (front ends reach here with empty
   // delta lists on e.g. all-cancelling batches).
   if (deltas.empty()) return;
-  if (cluster == nullptr || mode == mpc::ExecMode::kFlat) {
+  if (cluster == nullptr) {
     sketches.update_edges(deltas);
     return;
   }

@@ -350,11 +350,11 @@ class GroupCsr {
 };
 
 // The shared front-end ingest step of every tier-1 structure, dispatching
-// on the execution mode (see mpc::ExecMode).  Every mode executes the same
+// on the execution mode (see mpc::ExecMode).  Every path executes the same
 // (machine x bank) cell grid (mpc::ExecPlan); they differ only in routing,
 // accounting, and enforcement:
-//   kFlat      — lower the span as a 1-machine grid; no routing or
-//                accounting;
+//   no cluster — lower the span as a 1-machine grid; no routing or
+//                accounting (flat ingest, whatever `mode` says);
 //   kRouted    — route `deltas` through `cluster` under the vertex
 //                universe [0, universe) (scratch-reusing `routed`), charge
 //                the per-machine loads on the cluster's CommLedger under
@@ -366,9 +366,8 @@ class GroupCsr {
 //                supplied, it owns the whole route-probe-execute loop:
 //                over-budget batches are deterministically bisected and
 //                retried instead of failing (see mpc::BatchScheduler).
-// With a null cluster every mode degrades to plain flat ingest.  All modes
-// leave identical sketch state.  An empty batch is a no-op (no round
-// charged).
+// All paths leave identical sketch state.  An empty batch is a no-op (no
+// round charged).
 void routed_ingest(mpc::Cluster* cluster, VertexId universe,
                    std::span<const EdgeDelta> deltas, const std::string& label,
                    VertexSketches& sketches, mpc::RoutedBatch& routed,

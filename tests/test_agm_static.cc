@@ -88,6 +88,22 @@ TEST(AgmStatic, UpdateRoundsConstantQueryRoundsGrow) {
                              "Boruvka levels";
 }
 
+TEST(AgmStatic, SingleUpdatesPublishSketchUsageOnTheLedger) {
+  // apply() is apply_batch({u}): a stream of single updates must reach the
+  // cluster's memory ledger exactly like batches do.
+  const VertexId n = 64;
+  mpc::MpcConfig mc;
+  mc.n = n;
+  mpc::Cluster cluster(mc);
+  AgmStaticConnectivity agm(n, sketch_config(n, 8), &cluster);
+  Rng rng(9);
+  for (const Edge& e : gen::gnm(n, 40, rng))
+    agm.apply(Update{UpdateType::kInsert, e, 1});
+  ASSERT_GT(agm.memory_words(), 0u);
+  ASSERT_EQ(cluster.usage_by_label().count("agm/sketches"), 1u);
+  EXPECT_EQ(cluster.usage_by_label().at("agm/sketches"), agm.memory_words());
+}
+
 TEST(AgmStatic, MemoryMatchesMaintainedStructure) {
   // Same sketch banks => same asymptotic footprint: the baseline saves no
   // memory, it only trades query rounds.

@@ -378,7 +378,7 @@ TEST(Connectivity, ChurnStreamPinnedAcrossExecModes) {
     bool async_ingest;
   };
   for (const Mode& mode :
-       {Mode{"flat", mpc::ExecMode::kFlat, false, false},
+       {Mode{"flat", mpc::ExecMode::kRouted, false, false},
         Mode{"simulated", mpc::ExecMode::kSimulated, true, false},
         Mode{"simulated+async", mpc::ExecMode::kSimulated, true, true}}) {
     SCOPED_TRACE(mode.name);

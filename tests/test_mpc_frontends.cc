@@ -1,8 +1,8 @@
 // Front-end execution-mode matrix (ISSUE 4 satellite): all six front ends
 // — DynamicConnectivity, AgmStaticConnectivity, StreamingConnectivity,
 // DynamicBipartiteness, ApproxMsf, DynamicApproxMatching — accept
-// Flat | Routed | Simulated and report identical query results in every
-// mode; the cluster-attached modes expose simulator() stats.  The
+// Routed | Simulated and report query results identical to flat ingest (no
+// cluster) in every mode; the simulated mode exposes simulator() stats.  The
 // connectivity trio's matrix lives in test_mpc_simulation*.cc; this file
 // covers the three front ends ported here (bipartiteness, approximate
 // MSF, matching) plus the cross-mode equivalence loop over all of them.
@@ -23,13 +23,11 @@
 namespace streammpc {
 namespace {
 
-constexpr mpc::ExecMode kModes[] = {mpc::ExecMode::kFlat,
-                                    mpc::ExecMode::kRouted,
+constexpr mpc::ExecMode kModes[] = {mpc::ExecMode::kRouted,
                                     mpc::ExecMode::kSimulated};
 
 const char* mode_name(mpc::ExecMode mode) {
   switch (mode) {
-    case mpc::ExecMode::kFlat: return "flat";
     case mpc::ExecMode::kRouted: return "routed";
     case mpc::ExecMode::kSimulated: return "simulated";
   }
@@ -179,11 +177,9 @@ TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
     } else {
       EXPECT_EQ(under_test.simulator(), nullptr);
     }
-    if (mode != mpc::ExecMode::kFlat) {
-      // Routing replaced the PR 2-era flat broadcast: the ledger now
-      // carries real per-machine delivery loads for matching batches.
-      EXPECT_GT(cluster.comm_ledger().total_words(), 0u);
-    }
+    // Routing replaced a flat broadcast: the ledger now
+    // carries real per-machine delivery loads for matching batches.
+    EXPECT_GT(cluster.comm_ledger().total_words(), 0u);
   }
 }
 

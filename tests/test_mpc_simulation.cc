@@ -30,7 +30,7 @@ constexpr double kPhis[] = {0.1, 0.25, 0.5};
 constexpr std::uint64_t kMachineCounts[] = {1, 4, 16, 64};
 
 // Ingests `deltas` in chunks of `chunk` through the given mode and returns
-// the resulting sketches; `cluster` may be null only for flat mode.
+// the resulting sketches; a null `cluster` is flat ingest.
 void ingest_chunked(VertexSketches& vs, std::span<const EdgeDelta> deltas,
                     std::size_t chunk, mpc::Cluster* cluster,
                     mpc::ExecMode mode, mpc::Simulator* sim) {
@@ -51,7 +51,7 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
   const auto sets = probe_sets(n, 20);
 
   VertexSketches flat(n, cfg);
-  ingest_chunked(flat, deltas, 64, nullptr, mpc::ExecMode::kFlat, nullptr);
+  ingest_chunked(flat, deltas, 64, nullptr, mpc::ExecMode::kRouted, nullptr);
 
   for (const double phi : kPhis) {
     for (const std::uint64_t machines : kMachineCounts) {
@@ -69,7 +69,7 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
                      mpc::ExecMode::kSimulated, &sim);
 
       // Byte-identical observable surface and identical allocation across
-      // all three modes, for every cell of the matrix.
+      // all three paths, for every cell of the matrix.
       expect_identical_samples(flat, routed, cfg.banks, sets);
       expect_identical_samples(flat, simulated, cfg.banks, sets);
       EXPECT_EQ(flat.allocated_words(), routed.allocated_words());

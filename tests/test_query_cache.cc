@@ -1,7 +1,8 @@
 // Query-cache correctness suite (core/query_cache.h, ISSUE 7):
 //   * snapshot answers equal the fresh oracle (adjacency component labels,
 //     and for the AGM front end a fresh Boruvka run) across the full
-//     ExecMode {Flat, Routed, Simulated} x machines {1, 4, 16} matrix, for
+//     matrix of flat ingest (no cluster) plus ExecMode {Routed, Simulated}
+//     x machines {1, 4, 16}, for
 //     insert-only and mixed (churn) streams, on all three connectivity
 //     front ends — and the published labels/forest are byte-identical
 //     across every cell of the matrix;
@@ -114,14 +115,12 @@ void expect_snapshot_matches(const QuerySnapshot& snap, const AdjGraph& ref,
 
 struct MatrixCell {
   mpc::ExecMode mode;
-  std::uint64_t machines;
+  std::uint64_t machines;  // 0 = no cluster attached: flat ingest
   const char* name;
 };
 
 constexpr MatrixCell kMatrix[] = {
-    {mpc::ExecMode::kFlat, 1, "flat/m1"},
-    {mpc::ExecMode::kFlat, 4, "flat/m4"},
-    {mpc::ExecMode::kFlat, 16, "flat/m16"},
+    {mpc::ExecMode::kRouted, 0, "flat"},
     {mpc::ExecMode::kRouted, 1, "routed/m1"},
     {mpc::ExecMode::kRouted, 4, "routed/m4"},
     {mpc::ExecMode::kRouted, 16, "routed/m16"},
@@ -148,7 +147,7 @@ TEST(QueryCacheOracle, DynamicConnectivityMatrixMatchesOracleByteIdentically) {
       ConnectivityConfig cc;
       cc.sketch = sketch_config(n, 7100);
       cc.exec_mode = cell.mode;
-      DynamicConnectivity dc(n, cc, &cluster);
+      DynamicConnectivity dc(n, cc, cell.machines == 0 ? nullptr : &cluster);
       AdjGraph ref(n);
       const bool first = ref_labels.empty();
       for (std::size_t b = 0; b < stream.size(); ++b) {
@@ -190,7 +189,8 @@ TEST(QueryCacheOracle, AgmSnapshotMatchesFreshBoruvkaAcrossMatrix) {
       const std::string where = std::string("agm/") + cell.name +
                                 (with_deletes ? "/mixed" : "/insert-only");
       mpc::Cluster cluster = test::make_cluster(n, cell.machines);
-      AgmStaticConnectivity agm(n, sketch_config(n, 7200), &cluster,
+      AgmStaticConnectivity agm(n, sketch_config(n, 7200),
+                                cell.machines == 0 ? nullptr : &cluster,
                                 cell.mode);
       AdjGraph ref(n);
       const bool first = ref_labels.empty();
@@ -235,7 +235,9 @@ TEST(QueryCacheOracle, StreamingSnapshotMatchesMaintainedStateAcrossMatrix) {
       const std::string where = std::string("streaming/") + cell.name +
                                 (with_deletes ? "/mixed" : "/insert-only");
       mpc::Cluster cluster = test::make_cluster(n, cell.machines);
-      StreamingConnectivity sc(n, sketch_config(n, 7300), &cluster, cell.mode);
+      StreamingConnectivity sc(n, sketch_config(n, 7300),
+                               cell.machines == 0 ? nullptr : &cluster,
+                               cell.mode);
       AdjGraph ref(n);
       for (const Batch& batch : stream) {
         sc.apply_stream(batch);
@@ -568,39 +570,138 @@ TEST(QueryCacheAgmSeams, InsertBufferCapForcesRebuildNeverTruncatedRepair) {
   EXPECT_EQ(small.query_cache().stats().rebuilds, 1u);
 }
 
+// One update call per front end, so the shared ingest-and-serve seams are
+// checked once for all three: AGM and DynamicConnectivity take batches,
+// StreamingConnectivity a stream segment.
+void apply_updates(AgmStaticConnectivity& agm, const Batch& b) {
+  agm.apply_batch(b);
+}
+void apply_updates(DynamicConnectivity& dc, const Batch& b) {
+  dc.apply_batch(b);
+}
+void apply_updates(StreamingConnectivity& sc, const Batch& b) {
+  sc.apply_stream(b);
+}
+void apply_update(AgmStaticConnectivity& agm, const Update& u) {
+  agm.apply(u);
+}
+void apply_update(DynamicConnectivity& dc, const Update& u) {
+  dc.apply_batch({u});
+}
+void apply_update(StreamingConnectivity& sc, const Update& u) { sc.apply(u); }
+
 TEST(QueryCacheAgmSeams, RejectedUpdateLeavesNoPhantomRepairEdge) {
-  // Regression: apply() used to call note_update BEFORE ingesting, so an
-  // update the ingest rejects (invalid edge, strict budget refusal) left
+  // Regression: AGM's apply() used to call note_update BEFORE ingesting, so
+  // an update the ingest rejects (invalid edge, strict budget refusal) left
   // a phantom edge in the repair buffer — the next repair then served
   // connectivity the resident sketches never saw.  Ingest-first + poison
-  // on throw forces the next snapshot to rebuild from real state.
+  // on throw forces the next snapshot to rebuild from real state.  The
+  // seam is shared (SketchFrontend + QueryCache), so every front end is
+  // checked.
   const VertexId n = 16;
+  const auto check = [&](auto& fe, const char* where) {
+    SCOPED_TRACE(where);
+    apply_updates(fe, {insert_of(0, 1)});
+    fe.snapshot();
+    const auto rebuilds_before = fe.query_cache().stats().rebuilds;
+
+    // An out-of-universe endpoint: the update is rejected, nothing reaches
+    // the sketches, and the repair buffer must not remember the edge.
+    EXPECT_THROW(apply_update(fe, insert_of(2, n + 5)), CheckError);
+    const auto snap = fe.snapshot();
+    EXPECT_EQ(fe.query_cache().stats().rebuilds, rebuilds_before + 1);
+    // Vertex 2 is still a singleton — no phantom connectivity.
+    EXPECT_FALSE(snap->connected(0, 2));
+    EXPECT_EQ(snap->labels[2], 2u);
+    EXPECT_TRUE(snap->connected(0, 1));
+
+    // Same seam through the batch path.  Flat ingest validates every item
+    // before touching a page (begin_routed_cells), and the streaming
+    // front end checks the whole segment first, so the whole batch — valid
+    // edge {4,5} included — is rejected with the arenas untouched; the old
+    // note-first ordering would have buffered BOTH edges as repair
+    // candidates anyway.
+    Batch bad = {insert_of(4, 5), insert_of(3, n + 9)};
+    EXPECT_THROW(apply_updates(fe, bad), CheckError);
+    const auto snap2 = fe.snapshot();
+    EXPECT_GT(fe.query_cache().stats().rebuilds, rebuilds_before + 1);
+    EXPECT_FALSE(snap2->connected(4, 5));
+    EXPECT_EQ(snap2->labels[3], 3u);
+  };
   AgmStaticConnectivity agm(n, sketch_config(n, 8901));
-  agm.apply_batch({insert_of(0, 1)});
-  agm.snapshot();
-  const auto rebuilds_before = agm.query_cache().stats().rebuilds;
+  check(agm, "agm");
+  ConnectivityConfig cc;
+  cc.sketch = sketch_config(n, 8901);
+  DynamicConnectivity dc(n, cc);
+  check(dc, "dynamic");
+  StreamingConnectivity sc(n, sketch_config(n, 8901));
+  check(sc, "streaming");
+}
 
-  // An out-of-universe endpoint: ingest throws, nothing reaches the
-  // sketches, and the repair buffer must not remember the edge.
-  EXPECT_THROW(agm.apply(insert_of(2, n + 5)), CheckError);
-  const auto snap = agm.snapshot();
-  EXPECT_EQ(agm.query_cache().stats().rebuilds, rebuilds_before + 1);
-  // Vertex 2 is still a singleton — no phantom connectivity.
-  EXPECT_FALSE(snap->connected(0, 2));
-  EXPECT_EQ(snap->labels[2], 2u);
-  EXPECT_TRUE(snap->connected(0, 1));
+TEST(QueryCacheFrontEndSeams, ThrowingFlushPoisonsRepairState) {
+  // Async ingest on a strict cluster: star inserts buffer in the hub's
+  // gutter until flush_ingest() delivers them as one drain, whose load on
+  // the hub's machine exceeds s, so the simulator rejects it whole.  The
+  // split policy is pinned to kNone so no SMPC_SCHED setting can bisect the
+  // drain into fitting pieces.  Insert-only, so without the poison the
+  // next snapshot() would repair (or hit); it must rebuild.
+  const VertexId n = 64;
+  const VertexId star_leaves = 40;  // 2 words each on the hub's machine
+  mpc::MpcConfig mc = test::small_mpc_config(n);
+  mc.machines = 64;
+  mc.local_memory_words = 64;  // s < the drain's 80 words
+  mc.strict = true;
+  mpc::SchedulerConfig sched;
+  sched.policy = mpc::SplitPolicy::kNone;
+  sched.grow = mpc::GrowPolicy::kNone;
+  GutterIngestConfig gc;
+  gc.gutter_capacity = 1024;
+  gc.drain_threads = 1;
 
-  // Same seam through the batch path.  Flat ingest validates every item
-  // before touching a page (begin_routed_cells), so the whole batch —
-  // valid edge {4,5} included — is rejected with the arenas untouched;
-  // the old note-first ordering would have buffered BOTH edges as repair
-  // candidates anyway.
-  Batch bad = {insert_of(4, 5), insert_of(3, n + 9)};
-  EXPECT_THROW(agm.apply_batch(bad), CheckError);
-  const auto snap2 = agm.snapshot();
-  EXPECT_GT(agm.query_cache().stats().rebuilds, rebuilds_before + 1);
-  EXPECT_FALSE(snap2->connected(4, 5));
-  EXPECT_EQ(snap2->labels[3], 3u);
+  const auto check = [&](auto& fe, const char* where) {
+    SCOPED_TRACE(where);
+    fe.snapshot();
+    ASSERT_EQ(fe.query_cache().stats().rebuilds, 1u);
+    for (VertexId v = 1; v <= star_leaves; v += 8) {
+      Batch batch;
+      for (VertexId w = v; w < v + 8 && w <= star_leaves; ++w)
+        batch.push_back(insert_of(0, w));
+      apply_updates(fe, batch);
+    }
+    ASSERT_EQ(fe.gutter()->buffered(), star_leaves);
+    EXPECT_THROW(fe.flush_ingest(), mpc::MemoryBudgetExceeded);
+    EXPECT_EQ(fe.gutter()->buffered(), 0u);
+
+    fe.snapshot();
+    EXPECT_EQ(fe.query_cache().stats().rebuilds, 2u);
+    EXPECT_EQ(fe.query_cache().stats().repairs, 0u);
+    EXPECT_EQ(fe.query_cache().stats().hits, 0u);
+  };
+  {
+    mpc::Cluster cluster(mc);
+    ConnectivityConfig cc;
+    cc.sketch = sketch_config(n, 9001);
+    cc.exec_mode = mpc::ExecMode::kSimulated;
+    cc.scheduler = sched;
+    cc.async_ingest = true;
+    cc.gutter = gc;
+    DynamicConnectivity dc(n, cc, &cluster);
+    check(dc, "dynamic");
+  }
+  {
+    mpc::Cluster cluster(mc);
+    AgmStaticConnectivity agm(n, sketch_config(n, 9001), &cluster,
+                              mpc::ExecMode::kSimulated, sched);
+    agm.enable_async_ingest(gc);
+    check(agm, "agm");
+  }
+  {
+    mpc::Cluster cluster(mc);
+    StreamingConnectivity sc(n, sketch_config(n, 9001), &cluster,
+                             mpc::ExecMode::kSimulated, sched);
+    sc.enable_async_ingest(gc);
+    check(sc, "streaming");
+  }
 }
 
 // --- layered structures ------------------------------------------------------
