@@ -63,7 +63,7 @@ RunResult run_stream(const RecoveryConfig& cfg,
   mc.machines = cfg.machines;
   mc.strict = false;
   mpc::Cluster cluster(mc);
-  mpc::Simulator sim(cluster, /*scratch_words=*/0, /*grid_threads=*/2);
+  mpc::Simulator sim(cluster);
   mpc::FaultInjector injector = std::move(plan);
   sim.attach_fault_injector(&injector);
   mpc::SchedulerConfig sc;
@@ -74,6 +74,7 @@ RunResult run_stream(const RecoveryConfig& cfg,
   GraphSketchConfig gcfg;
   gcfg.banks = 6;
   gcfg.seed = 13002;
+  gcfg.ingest_threads = 2;
   VertexSketches vs(cfg.n, gcfg);
 
   bench::Timer timer;
@@ -190,6 +191,7 @@ void run(const RecoveryConfig& cfg) {
   GraphSketchConfig gcfg;
   gcfg.banks = 6;
   gcfg.seed = 13002;
+  gcfg.ingest_threads = 2;
   const auto resident_at = [&](std::uint64_t machines) {
     mpc::MpcConfig mc;
     mc.n = cfg.star_n;
@@ -212,7 +214,7 @@ void run(const RecoveryConfig& cfg) {
   mc.machines = star_machines;
   mc.strict = true;
   mpc::Cluster cluster(mc);
-  mpc::Simulator sim(cluster, budget, /*grid_threads=*/2);
+  mpc::Simulator sim(cluster, budget);
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kBisect;
   sc.grow = mpc::GrowPolicy::kDouble;

@@ -5,7 +5,7 @@
 // power-law degree sequence, or a single-block collision — leaves only
 // that machine's `banks` cells to spread across the pool.  This bench
 // replays the three named hot streams (src/graph/generators.h) through
-// mpc::Simulator at 1 grid thread and at hardware_concurrency threads,
+// mpc::Simulator at ingest_threads 1 and at hardware_concurrency,
 // charts updates/second for each, and asserts inline that the thread
 // count is unobservable: identical allocated sketch words, boundary
 // samples, and CommLedger words and rounds.
@@ -71,11 +71,11 @@ Outcome replay(const HotCellConfig& cfg, const Workload& w, unsigned threads,
     mc.machines = w.machines;
     mc.strict = false;
     mpc::Cluster cluster(mc);
-    mpc::Simulator sim(cluster, 0, threads);
+    mpc::Simulator sim(cluster);
     GraphSketchConfig sketch;
     sketch.banks = cfg.banks;
     sketch.seed = 17003;
-    sketch.ingest_threads = 1;  // the Simulator's grid pool does the work
+    sketch.ingest_threads = threads;
     VertexSketches sketches(cfg.n, sketch);
     mpc::RoutedBatch routed;
     const std::span<const EdgeDelta> all(w.deltas);

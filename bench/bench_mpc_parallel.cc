@@ -5,7 +5,7 @@
 // grid executor realizes that on the host by scheduling all (machine,
 // bank) cells of a routed batch onto a work-stealing pool.  This bench
 // routes one fixed churn stream, replays it through mpc::Simulator at
-// several grid thread counts, and charts updates/second plus the
+// several ingest_threads widths, and charts updates/second plus the
 // speedup over the serial canonical executor.  Correctness is asserted
 // inline: every thread count must leave byte-identically allocated
 // sketches and identical ledger totals (the `ctest -L mpc` matrix checks
@@ -100,7 +100,6 @@ void run(const ParallelConfig& cfg) {
   GraphSketchConfig sketch;
   sketch.banks = cfg.banks;
   sketch.seed = 13002;
-  sketch.ingest_threads = 1;  // the grid, not the bank axis, parallelizes
 
   Table table({"threads", "cells/batch", "seconds (best)", "updates/s",
                "speedup", "peak res+load"});
@@ -119,7 +118,8 @@ void run(const ParallelConfig& cfg) {
       mc.machines = cfg.machines;
       mc.strict = false;
       mpc::Cluster cluster(mc);
-      mpc::Simulator sim(cluster, 0, threads);
+      mpc::Simulator sim(cluster);
+      sketch.ingest_threads = threads;
       VertexSketches sketches(cfg.n, sketch);
       mpc::RoutedBatch routed;
       bench::Timer timer;

@@ -1,6 +1,21 @@
 #include "common/thread_pool.h"
 
+#include <map>
+#include <memory>
+
 namespace streammpc {
+
+ThreadPool& ThreadPool::shared(unsigned threads) {
+  static std::mutex mu;
+  // Leaked on purpose: workers outlive every static destructor that might
+  // still ingest.
+  static auto* pools = new std::map<unsigned, std::unique_ptr<ThreadPool>>();
+  const unsigned width = threads == 0 ? 1 : threads;
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<ThreadPool>& pool = (*pools)[width];
+  if (!pool) pool = std::make_unique<ThreadPool>(width);
+  return *pool;
+}
 
 ThreadPool::ThreadPool(unsigned threads) {
   const unsigned n = threads == 0 ? 1 : threads;
@@ -79,7 +94,10 @@ void ThreadPool::drain(std::unique_lock<std::mutex>& lock, std::size_t home) {
 void ThreadPool::dispatch(std::size_t count,
                           const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty()) {
+  // A pool already running another caller's job leaves this caller on its
+  // own thread.
+  std::unique_lock<std::mutex> caller(caller_mu_, std::defer_lock);
+  if (workers_.empty() || !caller.try_lock()) {
     // Canonical serial order: ascending flat index (row-major for grids).
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;

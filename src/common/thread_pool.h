@@ -4,8 +4,15 @@
 // Sketch banks share no mutable state, and — after deterministic page
 // pre-allocation — neither do the (machine, bank) cells of a routed batch,
 // so both fan-outs need no synchronization beyond the join barrier: the
-// result is bit-identical for any thread count.  The pool is created once
-// and reused.
+// result is bit-identical for any thread count.
+//
+// One pool per width serves the whole process: shared(threads) builds it
+// on first use and never destroys it, so nested structures (ApproxMsf's
+// levels, the bipartite double cover) and every front end of one width
+// share its workers instead of each spawning their own.  A job that finds
+// the pool busy with another caller's job runs serially on its own thread,
+// in canonical order — bytes never depend on the schedule, so two front
+// ends on two threads may share one pool.
 //
 // Scheduling: every job's index space is split into one contiguous range
 // per participant (the calling thread participates); a participant drains
@@ -17,9 +24,10 @@
 //
 // Both entry points block until every index has been processed and rethrow
 // the first task exception on the calling thread.  With zero workers
-// (threads == 1) they degenerate to a plain serial loop in ascending /
-// row-major order — the canonical order, kept exact so single-threaded
-// runs are a readable debugging baseline.
+// (threads == 1), or while another caller holds the pool, they degenerate
+// to a plain serial loop in ascending / row-major order — the canonical
+// order, kept exact so single-threaded runs are a readable debugging
+// baseline.
 #pragma once
 
 #include <condition_variable>
@@ -35,7 +43,11 @@ namespace streammpc {
 
 class ThreadPool {
  public:
-  // Spawns `threads` workers (at least 1).
+  // The process's pool of width `threads` (0 counts as 1): built on first
+  // use, never destroyed.
+  static ThreadPool& shared(unsigned threads);
+
+  // Spawns `threads` - 1 workers (the calling thread is the last one).
   explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
@@ -46,6 +58,7 @@ class ThreadPool {
 
   // Runs fn(i) for every i in [0, count), distributing indices across the
   // pool (the calling thread participates).  Blocks until all complete.
+  // `fn` must not dispatch on this pool.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
@@ -65,13 +78,14 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t id);
-  // Shared core of both entry points: serial when workerless, otherwise
-  // range-stealing dispatch over [0, count).
+  // Shared core of both entry points: serial when workerless or busy with
+  // another caller's job, otherwise range-stealing dispatch over [0, count).
   void dispatch(std::size_t count, const std::function<void(std::size_t)>& fn);
   // Claims and runs indices (home range first, then steals) until none are
   // left to claim or the job generation changes.  Called with `lock` held.
   void drain(std::unique_lock<std::mutex>& lock, std::size_t home);
 
+  std::mutex caller_mu_;  // held by the caller whose job owns the workers
   std::mutex mu_;
   std::condition_variable wake_;   // workers wait for a job
   std::condition_variable done_;   // dispatch waits for completion

@@ -64,7 +64,7 @@ struct ConnectivityConfig {
   // Adaptive batch scheduling (kSimulated mode only): when the split
   // policy is active, over-budget update batches are deterministically
   // bisected and retried instead of throwing MemoryBudgetExceeded (see
-  // mpc::BatchScheduler; default kAuto = the SMPC_SCHED env switch).
+  // mpc::BatchScheduler; default kNone = never split).
   mpc::SchedulerConfig scheduler;
   // Per-machine scratch budget for the simulated executor, in words
   // (0 = the cluster's local memory s) — the Simulator ctor's

@@ -11,6 +11,7 @@
 // joins — quantified in bench_euler_ablation.
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "euler/tour_forest.h"
@@ -20,11 +21,10 @@ namespace streammpc {
 
 void EulerTourForest::batch_link(std::span<const Edge> links) {
   if (links.empty()) return;
-  charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
-         cluster_ ? links.size() * (cluster_->machines() + 1) : 0,
-         "euler/batch-join");
 
   // Auxiliary graph H over tree ids; must be a forest (Claim 6.1's F_H).
+  // Built and checked in full before the charge and the first mutation, so
+  // a rejected batch leaves the forest and the ledger untouched.
   struct HalfEdge {
     TourId child_tree;
     VertexId parent_terminal;  // endpoint inside this tree
@@ -42,6 +42,7 @@ void EulerTourForest::batch_link(std::span<const Edge> links) {
     return it->second;
   };
   for (const Edge& e : links) {
+    SMPC_CHECK(e.u < n_ && e.v < n_);
     const TourId tu = tour_of_[e.u];
     const TourId tv = tour_of_[e.v];
     SMPC_CHECK_MSG(tu != tv, "batch_link edge closes a cycle within a tree");
@@ -59,6 +60,9 @@ void EulerTourForest::batch_link(std::span<const Edge> links) {
       SMPC_CHECK_MSG(merged, "batch_link edges do not form a forest over trees");
     }
   }
+  charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
+         cluster_ ? links.size() * (cluster_->machines() + 1) : 0,
+         "euler/batch-join");
 
   std::vector<char> visited(id_list.size(), 0);
   for (TourId root_tree : id_list) {
@@ -161,13 +165,16 @@ void EulerTourForest::batch_link(std::span<const Edge> links) {
 
 void EulerTourForest::batch_cut(std::span<const Edge> cuts) {
   if (cuts.empty()) return;
+  // Validate the whole batch before the charge and the first cut.
+  std::unordered_set<Edge, EdgeHash> seen;
+  for (const Edge& e : cuts) {
+    SMPC_CHECK_MSG(tree_edges_.count(e), "batch_cut of a non-tree edge");
+    SMPC_CHECK_MSG(seen.insert(e).second, "batch_cut of a duplicate edge");
+  }
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
          cluster_ ? cuts.size() * (cluster_->machines() + 1) : 0,
          "euler/batch-split");
-  for (const Edge& e : cuts) {
-    SMPC_CHECK_MSG(tree_edges_.count(e), "batch_cut of a non-tree edge");
-    cut_impl(e.u, e.v);
-  }
+  for (const Edge& e : cuts) cut_impl(e.u, e.v);
 }
 
 }  // namespace streammpc

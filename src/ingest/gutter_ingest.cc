@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
@@ -16,9 +15,6 @@ namespace {
 
 unsigned resolve_drain_threads(unsigned configured) {
   if (configured != 0) return configured;
-  // Same validated-knob discipline as SMPC_SIM_THREADS (common/env.h).
-  if (const auto parsed = env_positive_unsigned("SMPC_GUTTER_THREADS"))
-    return *parsed;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : std::min(hw, 4u);
 }

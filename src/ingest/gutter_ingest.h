@@ -76,9 +76,8 @@ struct GutterIngestConfig {
   // Gutter count; 0 = one per cluster machine (1 without a cluster).
   // Gutters partition vertices into contiguous blocks by lower endpoint.
   std::size_t gutters = 0;
-  // Worker threads sketching drained batches: 0 = auto (the validated
-  // SMPC_GUTTER_THREADS env knob, else min(hardware, 4)).  The resident
-  // sketch state never depends on this value.
+  // Worker threads sketching drained batches: 0 = min(hardware, 4).  The
+  // resident sketch state never depends on this value.
   unsigned drain_threads = 0;
   // Drain jobs (and scratch delta sketches) in flight before submit()
   // blocks and merges completed heads; 0 = drain_threads + 2.

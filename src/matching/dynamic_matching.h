@@ -45,9 +45,8 @@ struct DynamicMatchingConfig {
   // bisected, and retried exactly like the vertex-sketch front ends —
   // including fault retry and machine-growing — instead of throwing
   // MemoryBudgetExceeded.  With the scheduler disabled (the default
-  // kAuto with SMPC_SCHED unset), the path is byte-identical to the
-  // pre-scheduler behavior: the Simulator's sketch-free MachineStep
-  // overload with resident = 0.
+  // kNone), the path is byte-identical to the pre-scheduler behavior: the
+  // Simulator's sketch-free MachineStep overload with resident = 0.
   mpc::SchedulerConfig scheduler;
   // Per-machine scratch budget for the simulated executor, in words
   // (0 = the cluster's local memory s).

@@ -1,8 +1,6 @@
 #include "mpc/batch_scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 #include "mpc/fault_injector.h"
@@ -10,35 +8,11 @@
 
 namespace streammpc::mpc {
 
-namespace {
-
-SplitPolicy resolve_policy(SplitPolicy configured) {
-  if (configured != SplitPolicy::kAuto) return configured;
-  if (const char* env = std::getenv("SMPC_SCHED")) {
-    if (std::strcmp(env, "bisect") == 0) return SplitPolicy::kBisect;
-    if (std::strcmp(env, "proportional") == 0)
-      return SplitPolicy::kProportional;
-  }
-  return SplitPolicy::kNone;
-}
-
-GrowPolicy resolve_grow(GrowPolicy configured) {
-  if (configured != GrowPolicy::kAuto) return configured;
-  if (const char* env = std::getenv("SMPC_GROW")) {
-    if (std::strcmp(env, "double") == 0) return GrowPolicy::kDouble;
-  }
-  return GrowPolicy::kNone;
-}
-
-}  // namespace
-
 BatchScheduler::BatchScheduler(Cluster& cluster, Simulator& simulator,
                                const SchedulerConfig& config)
     : cluster_(cluster),
       simulator_(simulator),
-      config_(config),
-      policy_(resolve_policy(config.policy)),
-      grow_(resolve_grow(config.grow)) {
+      config_(config) {
   SMPC_CHECK(config_.min_chunk >= 1);
 }
 
@@ -109,7 +83,7 @@ void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
                                          report.machine, report.needed_words,
                                          report.budget_words});
       }
-      if (policy_ == SplitPolicy::kProportional) {
+      if (config_.policy == SplitPolicy::kProportional) {
         // Load-proportional cut: size the left chunk so the offending
         // machine's delivered load fits its remaining budget, then keep
         // walking the remainder at the SAME depth — the split tree is a

@@ -21,7 +21,7 @@
 //     (loads from the content-independent partitioner, resident from the
 //     deterministic page allocation), and bisection is always at
 //     floor(size / 2).  Same stream + same budgets => identical split
-//     trees, rounds, and final sketches for every grid thread count and
+//     trees, rounds, and final sketches for every ingest thread count and
 //     for strict and non-strict clusters alike (with the default budget,
 //     strict and non-strict probe against the same limit).
 //   * Honest accounting (the round-compression concern, arXiv:1807.08745:
@@ -71,15 +71,14 @@
 //     geometry and resumes.  This closes the ROADMAP machine-growing open
 //     item: a resident shard that can no longer fit is *re-partitioned*
 //     (each old vertex block splits in half), not given up on.  Growing is
-//     strictly opt-in (GrowPolicy::kAuto resolves the SMPC_GROW
-//     environment variable, unset = never), so default runs keep the
-//     pre-PR throw-on-exhaustion contract.
+//     strictly opt-in (SchedulerConfig::grow defaults to kNone), so default
+//     runs keep the throw-on-exhaustion contract.
 //
 // Determinism of both reactions follows from the determinism of their
 // inputs: faults fire off the plan's deterministic clocks, backoff is a
 // pure function of the fault and the attempt number, and growing is a pure
 // function of the probe geometry — so a faulted run's sketches, ledger,
-// and recovery stats are byte-identical for every grid thread count
+// and recovery stats are byte-identical for every ingest thread count
 // (tests/test_mpc_fault.cc).
 //
 // Atomicity caveat: under kBisect the reject-whole guarantee holds per
@@ -178,19 +177,15 @@ class BatchScheduler {
         deliver;
   };
 
-  // `config.policy` kAuto resolves against the SMPC_SCHED environment
-  // variable once, here ("bisect" => kBisect, anything else => kNone) —
-  // the same construction-time env pattern as the Simulator's thread knob.
   BatchScheduler(Cluster& cluster, Simulator& simulator,
                  const SchedulerConfig& config = {});
 
   // Whether this scheduler actually splits; with kNone it is a transparent
   // pass-through to Simulator::execute (and routed_ingest skips it).
   bool enabled() const {
-    return policy_ == SplitPolicy::kBisect ||
-           policy_ == SplitPolicy::kProportional;
+    return config_.policy != SplitPolicy::kNone;
   }
-  SplitPolicy policy() const { return policy_; }
+  SplitPolicy policy() const { return config_.policy; }
 
   // Routes `deltas` under the vertex universe [0, universe) and executes
   // them through the simulator, bisecting on probe overflow as configured.
@@ -205,8 +200,8 @@ class BatchScheduler {
   void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
                const std::string& label, const Target& target);
 
-  // Whether machine-growing is active (after kAuto/SMPC_GROW resolution).
-  bool grow_enabled() const { return grow_ == GrowPolicy::kDouble; }
+  // Whether machine-growing is active.
+  bool grow_enabled() const { return config_.grow == GrowPolicy::kDouble; }
 
   const Stats& stats() const { return stats_; }
   const Cluster& cluster() const { return cluster_; }
@@ -243,8 +238,6 @@ class BatchScheduler {
   Cluster& cluster_;
   Simulator& simulator_;
   SchedulerConfig config_;
-  SplitPolicy policy_;   // resolved (never kAuto)
-  GrowPolicy grow_;      // resolved (never kAuto)
   RoutedBatch routed_;   // per-chunk routing scratch, reused
   std::vector<std::uint64_t> resident_scratch_;  // Target probe fold
   Stats stats_;

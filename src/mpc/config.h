@@ -46,12 +46,7 @@ enum class ExecMode : std::uint8_t { kRouted, kSimulated };
 //             batch (one hot machine) costs ~load/budget deliveries
 //             instead of bisect's full binary descent — fewer control and
 //             retry rounds, identical final bytes (linearity).
-//   kAuto   — resolve from the SMPC_SCHED environment variable at
-//             scheduler construction ("bisect" / "proportional" select a
-//             splitting policy; anything else, or unset, means kNone).
-//             The CI gate runs the mpc conformance matrix once with
-//             SMPC_SCHED=bisect.
-enum class SplitPolicy : std::uint8_t { kAuto, kNone, kBisect, kProportional };
+enum class SplitPolicy : std::uint8_t { kNone, kBisect, kProportional };
 
 // How the scheduler reacts when splitting cannot help — the offending
 // machine's *resident shard* alone exceeds the budget, so only
@@ -61,17 +56,14 @@ enum class SplitPolicy : std::uint8_t { kAuto, kNone, kBisect, kProportional };
 //   kDouble — request a cluster of 2x machines (Cluster::grow()),
 //             re-partition the resident shards via a charged shuffle round
 //             under "<label>/grow-shuffle", re-route, and resume.
-//   kAuto   — resolve from the SMPC_GROW environment variable at scheduler
-//             construction ("double" enables growing; anything else, or
-//             unset, means kNone — growing mutates the cluster geometry,
-//             so it is strictly opt-in).
-enum class GrowPolicy : std::uint8_t { kAuto, kNone, kDouble };
+//             Growing mutates the cluster geometry, so it is opt-in.
+enum class GrowPolicy : std::uint8_t { kNone, kDouble };
 
 // Per-front-end opt-in knobs for the adaptive batch scheduler.  Embedded in
 // the front ends' config structs (e.g. ConnectivityConfig::scheduler);
 // ignored unless the structure executes in ExecMode::kSimulated.
 struct SchedulerConfig {
-  SplitPolicy policy = SplitPolicy::kAuto;
+  SplitPolicy policy = SplitPolicy::kNone;
   // Never bisect a chunk of at most this many deltas; a chunk that still
   // does not fit at this size executes anyway (throwing under a strict
   // cluster, recording an overrun otherwise) — at that point the resident
@@ -88,7 +80,7 @@ struct SchedulerConfig {
   unsigned max_retries = 3;
   // Machine-growing reaction to unfixable resident overflow, and a cap on
   // how many times the cluster may double over the scheduler's lifetime.
-  GrowPolicy grow = GrowPolicy::kAuto;
+  GrowPolicy grow = GrowPolicy::kNone;
   unsigned max_grows = 4;
 };
 

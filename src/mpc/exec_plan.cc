@@ -40,7 +40,7 @@ ExecPlan& ExecPlan::lower_delta(const RoutedBatch& routed,
   return *this;
 }
 
-std::uint64_t ExecPlan::run(VertexSketches& sketches, ThreadPool* pool,
+std::uint64_t ExecPlan::run(VertexSketches& sketches,
                             std::span<const std::uint64_t> order,
                             std::uint64_t skip_machine, unsigned skip_bank) {
   SMPC_CHECK_MSG(view_ != nullptr, "ExecPlan::run before lowering");
@@ -55,7 +55,7 @@ std::uint64_t ExecPlan::run(VertexSketches& sketches, ThreadPool* pool,
   // Deterministic canonical-order page preparation: after this, the cells
   // share no mutable state and allocate nothing, so the schedule below is
   // unobservable in the resulting bytes.
-  sketches.begin_routed_cells(routed, pool);
+  sketches.begin_routed_cells(routed);
   if (delta_ != nullptr) {
     // Gutter-drain merge: the cells were precomputed into a scratch delta
     // sketch off-thread; fold them in per bank instead of re-hashing.  The
@@ -64,7 +64,7 @@ std::uint64_t ExecPlan::run(VertexSketches& sketches, ThreadPool* pool,
     // ingest of `routed` exactly.
     SMPC_CHECK_MSG(skip_machine == kNoSkip,
                    "fault injection is not supported on the delta-merge path");
-    return sketches.merge_delta_cells(*delta_, pool);
+    return sketches.merge_delta_cells(*delta_);
   }
   const std::size_t cells = static_cast<std::size_t>(machines) * banks;
   cell_scratch_.assign(cells, 0);
@@ -75,6 +75,7 @@ std::uint64_t ExecPlan::run(VertexSketches& sketches, ThreadPool* pool,
     cell_scratch_[m * banks + bank] =
         sketches.ingest_cell(m, static_cast<unsigned>(bank), routed);
   };
+  ThreadPool* pool = sketches.pool(routed.items.size());
   if (pool != nullptr && cells >= 2) {
     pool->parallel_for_grid(machines, banks, run_cell);
   } else {

@@ -22,8 +22,8 @@
 //     prepared-cells race-freedom for free.
 //
 // run() executes the lowered grid: one deterministic canonical-order page
-// preparation pass, then every (machine, bank) cell, fanned across `pool`
-// when one is supplied (serial machine-major otherwise).  Cell sums are
+// preparation pass, then every (machine, bank) cell, fanned across the
+// sketches' ingest pool (serial machine-major at width 1).  Cell sums are
 // commutative into disjoint pre-sized cells, so ANY schedule — any thread
 // count, any machine visit order — leaves the arenas byte-identical
 // (asserted by the conformance matrix in tests/test_mpc_simulation.cc and
@@ -43,7 +43,6 @@
 
 namespace streammpc {
 class DeltaSketch;
-class ThreadPool;
 class VertexSketches;
 }  // namespace streammpc
 
@@ -82,8 +81,9 @@ class ExecPlan {
 
   // Executes the lowered grid against `sketches`: canonical-order page
   // preparation, then all machines() x sketches.banks() cells (charges
-  // and budget gates live outside run()).  `pool` null = serial canonical
-  // (machine-major, then bank) order.  `order`, when
+  // and budget gates live outside run()), across the sketches' ingest
+  // pool — at width 1 in serial canonical (machine-major, then bank)
+  // order.  `order`, when
   // non-empty, permutes the machine rows (the Simulator's order-invariance
   // hook; must be a permutation of [0, machines()) — validated by the
   // caller).  Returns the number of items applied (nonzero delta, at least
@@ -104,7 +104,7 @@ class ExecPlan {
   // synchronous-round semantics: a failed round is retried whole), so the
   // skip never leaks into observable state.  kNoSkip = run every cell.
   static constexpr std::uint64_t kNoSkip = ~std::uint64_t{0};
-  std::uint64_t run(VertexSketches& sketches, ThreadPool* pool,
+  std::uint64_t run(VertexSketches& sketches,
                     std::span<const std::uint64_t> order = {},
                     std::uint64_t skip_machine = kNoSkip,
                     unsigned skip_bank = 0);

@@ -1,14 +1,10 @@
 #include "mpc/simulator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
-#include "common/thread_pool.h"
 #include "mpc/fault_injector.h"
 #include "sketch/graphsketch.h"
 
@@ -26,18 +22,6 @@ std::string budget_message(std::uint64_t machine, std::uint64_t needed,
   return os.str();
 }
 
-unsigned resolve_grid_threads(unsigned configured) {
-  if (configured != 0) return configured;
-  // Validated knob (common/env.h): "0", "4x", "abc", "" and out-of-range
-  // values are rejected with a stderr warning instead of silently steering
-  // the grid width, and the ctor default (auto = hardware concurrency)
-  // applies as if the variable were unset.
-  if (const auto parsed = env_positive_unsigned("SMPC_SIM_THREADS"))
-    return *parsed;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 }  // namespace
 
 MemoryBudgetExceeded::MemoryBudgetExceeded(std::uint64_t machine,
@@ -53,20 +37,10 @@ MemoryBudgetExceeded::MemoryBudgetExceeded(std::uint64_t machine,
       resident_words_(resident_words),
       label_(std::move(label)) {}
 
-Simulator::Simulator(Cluster& cluster, std::uint64_t scratch_words,
-                     unsigned grid_threads)
+Simulator::Simulator(Cluster& cluster, std::uint64_t scratch_words)
     : cluster_(cluster),
       scratch_words_(scratch_words != 0 ? scratch_words
-                                        : cluster.local_capacity_words()),
-      grid_threads_(resolve_grid_threads(grid_threads)) {}
-
-Simulator::~Simulator() = default;
-
-ThreadPool* Simulator::pool(std::size_t cells) {
-  if (grid_threads_ <= 1 || cells < 2) return nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(grid_threads_);
-  return pool_.get();
-}
+                                        : cluster.local_capacity_words()) {}
 
 std::uint64_t Simulator::effective_budget() const {
   // Under a strict cluster the machine's local memory s binds too, even
@@ -279,19 +253,18 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
   // grid runs, so which cell dies is a function of the plan and the
   // stream, never of the thread schedule.
   const unsigned banks = sketches.banks();
-  const std::size_t cells = static_cast<std::size_t>(machines) * banks;
   const bool transactional = injector_ != nullptr;
   std::uint64_t fault_machine = ExecPlan::kNoSkip;
   unsigned fault_bank = 0;
   const bool faulted =
       scan_cell_faults(routed, banks, &fault_machine, &fault_bank);
-  if (transactional) sketches.begin_transaction(routed, pool(cells));
+  if (transactional) sketches.begin_transaction(routed);
   charge_delivery(routed, label, resident);
   std::uint64_t applied = 0;
   try {
     applied = plan_.lower_routed(routed).run(
-        sketches, pool(cells), order,
-        faulted ? fault_machine : ExecPlan::kNoSkip, fault_bank);
+        sketches, order, faulted ? fault_machine : ExecPlan::kNoSkip,
+        fault_bank);
   } catch (...) {
     // Exception safety by construction: ANY mid-grid throw unwinds to the
     // snapshot bytes (transactional mode), instead of leaving a partially

@@ -17,11 +17,13 @@
 //    pre-allocate every page the batch will touch in a deterministic
 //    canonical-order pass (VertexSketches::begin_routed_cells), the cells
 //    share no mutable state at all, and the executor schedules the whole
-//    grid onto a work-stealing ThreadPool (parallel_for_grid).  All cell
-//    arithmetic is commutative integer/Mersenne addition into disjoint
-//    pre-sized cells, so ANY schedule — any thread count, any completion
-//    order — leaves the arenas byte-identical to serial machine-by-machine
-//    ingest (asserted across threads {1, 2, 8} in tests/test_mpc_grid.cc).
+//    grid onto the sketches' work-stealing ingest pool (its width is
+//    GraphSketchConfig::ingest_threads; the Simulator owns no threads).
+//    All cell arithmetic is commutative integer/Mersenne addition into
+//    disjoint pre-sized cells, so ANY schedule — any thread count, any
+//    completion order — leaves the arenas byte-identical to serial
+//    machine-by-machine ingest (asserted across ingest_threads {1, 2, 8}
+//    in tests/test_mpc_grid.cc).
 //
 //  * Memory fidelity.  The model's binding resource is each machine's
 //    local memory s, and a machine's claim on it is not just the delivered
@@ -57,7 +59,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -69,7 +70,6 @@
 
 namespace streammpc {
 
-class ThreadPool;
 class VertexSketches;
 
 namespace mpc {
@@ -166,16 +166,7 @@ class Simulator {
   // as a post-charge CheckError from charge_routed; non-strict clusters
   // record overruns in stats() and proceed, so benches can measure
   // headroom instead of dying.
-  //
-  // `grid_threads` sizes the cell scheduler's worker pool: 1 = serial
-  // canonical (machine-major) order, the readable debugging baseline;
-  // 0 = auto — the SMPC_SIM_THREADS environment variable if set (the CI
-  // conformance gate runs the matrix at 1 and 4), else the hardware
-  // concurrency.  The sketch and accounting state never depend on this
-  // value.
-  explicit Simulator(Cluster& cluster, std::uint64_t scratch_words = 0,
-                     unsigned grid_threads = 0);
-  ~Simulator();
+  explicit Simulator(Cluster& cluster, std::uint64_t scratch_words = 0);
 
   // Delivers `routed` (one charge_routed scatter round + ledger record)
   // and runs the machines x banks cell grid.
@@ -254,7 +245,6 @@ class Simulator {
   const FaultInjector* fault_injector() const { return injector_; }
 
   std::uint64_t scratch_words() const { return scratch_words_; }
-  unsigned grid_threads() const { return grid_threads_; }
   const Cluster& cluster() const { return cluster_; }
   const Stats& stats() const { return stats_; }
 
@@ -291,14 +281,11 @@ class Simulator {
   // Effective per-machine budget: strict clusters are additionally bound
   // by local memory s (see the ctor comment).
   std::uint64_t effective_budget() const;
-  ThreadPool* pool(std::size_t cells);
 
   Cluster& cluster_;
   std::uint64_t scratch_words_;
-  unsigned grid_threads_;
   FaultInjector* injector_ = nullptr;  // not owned; nullptr = no faults
   Stats stats_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created for grid_threads > 1
   std::vector<std::uint64_t> order_scratch_;     // ascending ids, reused
   std::vector<char> seen_scratch_;               // permutation check, reused
   std::vector<std::uint64_t> resident_scratch_;  // [machine], reused

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
@@ -18,20 +19,16 @@ namespace {
 // the cell-parallel win; single updates always take the serial path.
 constexpr std::size_t kParallelBatchMin = 4;
 
-unsigned resolve_threads(unsigned configured, unsigned cells) {
-  if (configured == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    configured = hw == 0 ? 1 : hw;
-  }
-  return std::min(configured, cells);
+ThreadPool* shared_pool(unsigned configured) {
+  const unsigned threads =
+      configured != 0 ? configured : std::thread::hardware_concurrency();
+  return threads > 1 ? &ThreadPool::shared(threads) : nullptr;
 }
 
 }  // namespace
 
 VertexSketches::VertexSketches(VertexId n, const GraphSketchConfig& config)
-    : n_(n),
-      codec_(n),
-      ingest_threads_(resolve_threads(config.ingest_threads, config.banks)) {
+    : n_(n), codec_(n), pool_(shared_pool(config.ingest_threads)) {
   SMPC_CHECK(config.banks >= 1);
   SplitMix64 sm(config.seed);
   params_.reserve(config.banks);
@@ -42,10 +39,8 @@ VertexSketches::VertexSketches(VertexId n, const GraphSketchConfig& config)
   }
 }
 
-ThreadPool* VertexSketches::pool() {
-  if (ingest_threads_ <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(ingest_threads_);
-  return pool_.get();
+ThreadPool* VertexSketches::pool(std::size_t items) const {
+  return items >= kParallelBatchMin ? pool_ : nullptr;
 }
 
 void VertexSketches::update_edge(Edge e, std::int64_t delta) {
@@ -53,42 +48,33 @@ void VertexSketches::update_edge(Edge e, std::int64_t delta) {
   update_edges(std::span<const EdgeDelta>(&one, 1));
 }
 
-void VertexSketches::run_plan(std::size_t items) {
-  exec_plan_.run(*this, items >= kParallelBatchMin ? pool() : nullptr);
-}
-
 void VertexSketches::update_edges(std::span<const EdgeDelta> batch) {
   if (batch.empty()) return;
   // Flat ingest IS the grid: one machine owning both endpoints of every
   // delta.  Same canonical preparation order and per-bank apply order as
   // every other path, hence byte-identical for any chunking.
-  exec_plan_.lower_flat(batch);
-  run_plan(batch.size());
+  exec_plan_.lower_flat(batch).run(*this);
 }
 
 void VertexSketches::update_edges(const mpc::RoutedBatch& routed) {
   if (routed.items.empty()) return;
-  exec_plan_.lower_routed(routed);
-  run_plan(routed.items.size());
+  exec_plan_.lower_routed(routed).run(*this);
 }
 
 std::uint64_t VertexSketches::merge_delta(const mpc::RoutedBatch& routed,
                                           const DeltaSketch& delta) {
   if (routed.items.empty()) return 0;
-  exec_plan_.lower_delta(routed, delta);
-  return exec_plan_.run(
-      *this, routed.items.size() >= kParallelBatchMin ? pool() : nullptr);
+  return exec_plan_.lower_delta(routed, delta).run(*this);
 }
 
-std::uint64_t VertexSketches::merge_delta_cells(const DeltaSketch& delta,
-                                                ThreadPool* pool) {
+std::uint64_t VertexSketches::merge_delta_cells(const DeltaSketch& delta) {
   SMPC_CHECK_MSG(delta.banks() == banks(),
                  "delta sketch bank count mismatch");
   const auto merge_bank = [&](std::size_t b) {
     arenas_[b].merge_from(delta.arena(static_cast<unsigned>(b)));
   };
-  if (pool != nullptr && banks() >= 2) {
-    pool->parallel_for(banks(), merge_bank);
+  if (ThreadPool* p = pool(delta.applied())) {
+    p->parallel_for(banks(), merge_bank);
   } else {
     for (unsigned b = 0; b < banks(); ++b) merge_bank(b);
   }
@@ -99,8 +85,7 @@ std::uint64_t VertexSketches::merge_delta_cells(const DeltaSketch& delta,
   return delta.applied();
 }
 
-void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed,
-                                        ThreadPool* pool) {
+void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed) {
   const std::size_t count = routed.items.size();
   cells_ready_batch_ = nullptr;
   cells_ready_items_ = kCellsNotReady;
@@ -123,7 +108,7 @@ void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed,
   // IS the canonical machine-major first-touch sequence of serial ingest;
   // within an item the endpoints and levels are touched in exactly
   // apply()'s order (max endpoint first, hot page, then deepening
-  // overflow).  Banks share nothing, so fanning the pass across `pool`
+  // overflow).  Banks share nothing, so fanning the pass across the pool
   // cannot change any bank's allocation sequence.
   const auto prepare_bank = [&](std::size_t b) {
     BankArena& arena = arenas_[b];
@@ -138,8 +123,8 @@ void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed,
         arena.prepare_pages(item.delta.e.u, depth);
     }
   };
-  if (pool != nullptr && count >= kParallelBatchMin) {
-    pool->parallel_for(banks(), prepare_bank);
+  if (ThreadPool* p = pool(count)) {
+    p->parallel_for(banks(), prepare_bank);
   } else {
     for (unsigned b = 0; b < banks(); ++b) prepare_bank(b);
   }
@@ -193,8 +178,7 @@ std::uint64_t VertexSketches::ingest_cell(std::uint64_t machine, unsigned bank,
   return applied;
 }
 
-void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed,
-                                       ThreadPool* pool) {
+void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed) {
   const std::size_t count = routed.items.size();
   // Same validate-and-encode pass as begin_routed_cells (which re-runs it
   // identically afterwards) — a bad edge must throw before any page is
@@ -219,8 +203,8 @@ void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed,
         arena.snapshot_pages(item.delta.e.u, depth);
     }
   };
-  if (pool != nullptr && count >= kParallelBatchMin) {
-    pool->parallel_for(banks(), snapshot_bank);
+  if (ThreadPool* p = pool(count)) {
+    p->parallel_for(banks(), snapshot_bank);
   } else {
     for (unsigned b = 0; b < banks(); ++b) snapshot_bank(b);
   }

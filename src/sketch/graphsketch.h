@@ -28,14 +28,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "mpc/comm_ledger.h"
 #include "mpc/config.h"
 #include "mpc/exec_plan.h"
@@ -46,6 +44,7 @@
 namespace streammpc {
 
 class DeltaSketch;
+class ThreadPool;
 
 namespace mpc {
 class BatchScheduler;
@@ -57,8 +56,10 @@ struct GraphSketchConfig {
   unsigned banks = 12;  // t: independent sketches per vertex
   L0Shape shape{2, 8};  // per-level s-sparse geometry
   std::uint64_t seed = 0x5eedULL;
-  // Worker threads for batched ingest: 0 = auto (min(hardware, banks)),
-  // 1 = serial.  The sketch contents never depend on this value.
+  // Width of the cell grid's thread pool, shared by every ingest path
+  // (flat, routed, simulated, transactions, gutter merges) and by every
+  // structure of the same width (ThreadPool::shared): 0 = hardware
+  // concurrency, 1 = serial.  The sketch contents never depend on it.
   unsigned ingest_threads = 0;
 };
 
@@ -114,9 +115,13 @@ class VertexSketches {
 
   // The merge half of merge_delta, called back by ExecPlan::run after the
   // epoch bump and page preparation: folds every bank's scratch arena into
-  // the resident arena (banks share nothing, so the fold fans across
-  // `pool`).  Public for ExecPlan; front ends use merge_delta.
-  std::uint64_t merge_delta_cells(const DeltaSketch& delta, ThreadPool* pool);
+  // the resident arena (banks share nothing, so the fold fans across the
+  // ingest pool).  Public for ExecPlan; front ends use merge_delta.
+  std::uint64_t merge_delta_cells(const DeltaSketch& delta);
+
+  // The ingest pool for a batch of `items`: null when serial (width 1, or
+  // a batch too small to be worth waking the workers).
+  ThreadPool* pool(std::size_t items) const;
 
   // --- (machine, bank) cell ingest: THE execution grid ----------------------
   // The primitive every ingest path lowers to (via mpc::ExecPlan): one
@@ -131,11 +136,11 @@ class VertexSketches {
   // pre-allocates — in the canonical order serial ingest would use
   // (machine-ascending, batch order, max endpoint first, hot page then
   // deepening overflow levels) — every arena page any cell will touch.
-  // The pass is independent per bank and may fan out across `pool`; page
-  // numbering never depends on the thread count.  After it returns, the
-  // arenas are fully sized and ingest_cell() performs no allocation.
-  void begin_routed_cells(const mpc::RoutedBatch& routed,
-                          ThreadPool* pool = nullptr);
+  // The pass is independent per bank and may fan out across the ingest
+  // pool; page numbering never depends on the thread count.  After it
+  // returns, the arenas are fully sized and ingest_cell() performs no
+  // allocation.
+  void begin_routed_cells(const mpc::RoutedBatch& routed);
 
   // One grid cell: applies machine `machine`'s CSR sub-batch to bank
   // `bank` alone, using that cell's private plan scratch.  Returns the
@@ -154,7 +159,7 @@ class VertexSketches {
   // Brackets the begin_routed_cells + ingest_cell pipeline of ONE routed
   // batch so a faulted delivery's partial grid work can be undone:
   //
-  //   begin_transaction(routed, pool);   // BEFORE begin_routed_cells: walks
+  //   begin_transaction(routed);         // BEFORE begin_routed_cells: walks
   //                                      // the batch in the same per-bank
   //                                      // pattern as the preparation pass
   //                                      // and snapshots every page it will
@@ -165,13 +170,13 @@ class VertexSketches {
   //   — or —
   //   commit_transaction();              // drop the snapshot
   //
-  // Banks share nothing, so the snapshot pass fans across `pool` exactly
-  // like the preparation pass.  Validation mirrors begin_routed_cells: a
-  // bad edge throws here, before any page is saved or allocated.  Cost is
-  // O(touched pages) words — paid only when the executor runs with a fault
-  // injector attached; untransacted ingest is unchanged.
-  void begin_transaction(const mpc::RoutedBatch& routed,
-                         ThreadPool* pool = nullptr);
+  // Banks share nothing, so the snapshot pass fans across the ingest pool
+  // exactly like the preparation pass.  Validation mirrors
+  // begin_routed_cells: a bad edge throws here, before any page is saved or
+  // allocated.  Cost is O(touched pages) words — paid only when the
+  // executor runs with a fault injector attached; untransacted ingest is
+  // unchanged.
+  void begin_transaction(const mpc::RoutedBatch& routed);
   void rollback_transaction();
   void commit_transaction();
 
@@ -267,18 +272,12 @@ class VertexSketches {
   std::uint64_t nominal_words_per_vertex() const;
 
  private:
-  ThreadPool* pool();
-  // Shared tail of both update_edges overloads: runs the lowered plan with
-  // the ingest pool (serial below the parallel-dispatch threshold).
-  void run_plan(std::size_t items);
-
   VertexId n_;
   EdgeCoordCodec codec_;
-  unsigned ingest_threads_;
+  ThreadPool* pool_;  // ThreadPool::shared(ingest_threads); null = serial
   std::vector<L0Params> params_;   // one per bank
   std::vector<BankArena> arenas_;  // one per bank
   std::vector<Coord> coord_scratch_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created for ingest_threads > 1
   // Cell-ingest state: per-(machine, bank) plan scratch (cells never share
   // a buffer) plus the identity (object + item count) of the batch the
   // last begin_routed_cells prepared — ingest_cell refuses any other

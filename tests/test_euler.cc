@@ -227,6 +227,51 @@ TEST(EulerTour, BatchCutShattersTree) {
   EXPECT_FALSE(f.same_tree(1, 2));
 }
 
+TEST(EulerTour, RejectedBatchLeavesForestAndRoundsUnchanged) {
+  // A batch is validated whole before its charge and its first mutation:
+  // a bad edge anywhere in it leaves no edge cut or linked and no round
+  // charged.
+  mpc::MpcConfig cfg;
+  cfg.n = 8;
+  mpc::Cluster cluster(cfg);
+  EulerTourForest f(8, &cluster);
+  f.batch_link(std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
+
+  const auto tree_edges = f.tree_edges();
+  const std::size_t trees = f.num_trees();
+  const std::uint64_t rounds = cluster.rounds();
+  std::vector<TourId> tours;
+  std::vector<std::vector<VertexId>> sequences;
+  for (VertexId v = 0; v < 8; ++v) {
+    tours.push_back(f.tour_of(v));
+    sequences.push_back(f.tour_sequence(v));
+  }
+
+  const std::vector<Edge> bad_cuts[] = {
+      {{0, 1}, {5, 6}},  // (5, 6) is not a tree edge
+      {{0, 1}, {0, 1}},  // duplicate
+  };
+  for (const auto& cuts : bad_cuts) {
+    EXPECT_THROW(f.batch_cut(cuts), CheckError);
+  }
+  const std::vector<Edge> bad_links[] = {
+      {{4, 5}, {0, 3}},          // (0, 3) closes a cycle in the path
+      {{4, 5}, {5, 6}, {4, 6}},  // not a forest over the trees
+  };
+  for (const auto& links : bad_links) {
+    EXPECT_THROW(f.batch_link(links), CheckError);
+  }
+
+  EXPECT_EQ(f.tree_edges(), tree_edges);
+  EXPECT_EQ(f.num_trees(), trees);
+  EXPECT_EQ(cluster.rounds(), rounds);
+  for (VertexId v = 0; v < 8; ++v) {
+    EXPECT_EQ(f.tour_of(v), tours[v]) << "vertex " << v;
+    EXPECT_EQ(f.tour_sequence(v), sequences[v]) << "vertex " << v;
+  }
+  f.validate();
+}
+
 TEST(EulerTour, BatchEqualsSequentialFuzz) {
   // Random batched links/cuts must yield the same partition as performing
   // them one at a time.

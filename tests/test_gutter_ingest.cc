@@ -18,21 +18,14 @@
 //   * concurrent snapshot readers run against a submitting/flushing
 //     writer (the TSan gate for the drain-worker hand-off: resident
 //     mutation stays writer-side, the AtomicSharedPtr slot stays the only
-//     publication point);
-//   * the validated env-knob parser behind SMPC_SIM_THREADS /
-//     SMPC_GUTTER_THREADS rejects "", "abc", "0", "4x", and out-of-range
-//     values instead of silently misconfiguring the pool (ISSUE 8
-//     satellite: strtoul end-pointer bug).
+//     publication point).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/env.h"
 #include "core/agm_static.h"
 #include "core/dynamic_connectivity.h"
 #include "core/streaming_connectivity.h"
@@ -86,68 +79,6 @@ void expect_identical_vertex_state(const VertexSketches& a,
           << where << ": bank " << bank << " vertex " << v;
     }
   }
-}
-
-// --- env knob parsing (SMPC_SIM_THREADS / SMPC_GUTTER_THREADS) ---------------
-
-TEST(EnvKnob, ParserRejectsEverythingButAPlainPositiveInteger) {
-  // The old strtoul call had no end-pointer check: "4x" parsed as 4, and
-  // "", "abc", "0" silently fell through to 0 (hardware-concurrency
-  // fallback picked by accident, not by validation).
-  EXPECT_EQ(parse_positive_unsigned(nullptr), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned(""), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("abc"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("0"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("4x"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("x4"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned(" 4"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("4 "), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("+4"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("-4"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("0x10"), std::nullopt);
-  EXPECT_EQ(parse_positive_unsigned("99999999999999999999"), std::nullopt);
-
-  EXPECT_EQ(parse_positive_unsigned("1"), 1u);
-  EXPECT_EQ(parse_positive_unsigned("4"), 4u);
-  EXPECT_EQ(parse_positive_unsigned("007"), 7u);  // digits only: fine
-  const std::string umax =
-      std::to_string(std::numeric_limits<unsigned>::max());
-  EXPECT_EQ(parse_positive_unsigned(umax.c_str()),
-            std::numeric_limits<unsigned>::max());
-  const std::string over =
-      std::to_string(static_cast<std::uint64_t>(
-                         std::numeric_limits<unsigned>::max()) +
-                     1);
-  EXPECT_EQ(parse_positive_unsigned(over.c_str()), std::nullopt);
-}
-
-TEST(EnvKnob, SimulatorFallsBackToCtorDefaultOnGarbage) {
-  mpc::Cluster cluster = test::make_cluster(64, 4);
-  const auto threads_with = [&](const char* value) {
-    EXPECT_EQ(setenv("SMPC_SIM_THREADS", value, 1), 0);
-    return mpc::Simulator(cluster).grid_threads();
-  };
-  // A valid setting steers the pool...
-  {
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(threads_with("3"), 3u);
-    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-  }
-  // ...every malformed one warns and behaves exactly as if unset.
-  unsetenv("SMPC_SIM_THREADS");
-  const unsigned fallback = mpc::Simulator(cluster).grid_threads();
-  EXPECT_GE(fallback, 1u);
-  for (const char* bad : {"", "abc", "0", "4x", "99999999999999999999"}) {
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(threads_with(bad), fallback) << "value '" << bad << "'";
-    const std::string warning = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(warning.find("SMPC_SIM_THREADS"), std::string::npos)
-        << "value '" << bad << "'";
-  }
-  // An explicit ctor value always wins over the environment.
-  ASSERT_EQ(setenv("SMPC_SIM_THREADS", "7", 1), 0);
-  EXPECT_EQ(mpc::Simulator(cluster, 0, 2).grid_threads(), 2u);
-  unsetenv("SMPC_SIM_THREADS");
 }
 
 // --- gutter vs flat equivalence ----------------------------------------------
@@ -374,7 +305,7 @@ TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kBisect;
   sc.grow = mpc::GrowPolicy::kNone;
-  mpc::Simulator probe_sim(cluster, 1, 1);
+  mpc::Simulator probe_sim(cluster, 1);
   mpc::RoutedBatch routed;
   cluster.route_batch(std::span<const EdgeDelta>(deltas).first(40), n, routed);
   VertexSketches probe_vs(n, cfg);
@@ -383,9 +314,9 @@ TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
   ASSERT_GT(report.needed_words - 1, report.min_leaf_words);
 
   mpc::Cluster run_cluster = test::make_cluster(n, 4);
-  mpc::Simulator sim(run_cluster, report.needed_words - 1, 1);
+  mpc::Simulator sim(run_cluster, report.needed_words - 1);
   mpc::BatchScheduler sched(run_cluster, sim, sc);
-  VertexSketches vs(n, cfg);
+  VertexSketches vs(n, test::with_threads(cfg, 1));
   GutterIngestConfig gc;
   gc.gutter_capacity = 40;
   GutterIngest gutter(n, vs, gc, &run_cluster, mpc::ExecMode::kSimulated,

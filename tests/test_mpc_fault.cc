@@ -7,7 +7,7 @@
 //     because the one-shot fault was consumed;
 //   * a seeded fault plan driven through the scheduler is byte-identical —
 //     sketches, ledger, rounds-by-label, scheduler/simulator/injector
-//     stats — across grid thread counts {1, 2, 8};
+//     stats — across ingest thread counts {1, 2, 8};
 //   * crash windows reject pre-charge and the scheduler's backoff charges
 //     exactly the rounds that clear the window;
 //   * budget spikes are fixable overflow: the scheduler bisects through
@@ -21,12 +21,10 @@
 //     shuffle visible on the ledger and the final sketches byte-identical
 //     to flat ingest;
 //   * MemoryBudgetExceeded always carries the phase label and machine id,
-//     and a retry-path overflow is re-labelled with the original label;
-//   * GrowPolicy::kAuto resolves SMPC_GROW once, at construction.
+//     and a retry-path overflow is re-labelled with the original label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.h"
@@ -91,9 +89,9 @@ struct FaultRun {
            const mpc::SchedulerConfig& sc, mpc::FaultInjector plan)
       : injector(std::move(plan)),
         cluster(test::make_cluster(n, machines, 0.5, strict)),
-        sim(cluster, budget, threads),
+        sim(cluster, budget),
         sched(cluster, sim, sc),
-        vs(n, cfg) {
+        vs(n, test::with_threads(cfg, threads)) {
     sim.attach_fault_injector(&injector);
   }
 
@@ -117,8 +115,8 @@ TEST(FaultInjection, EmptyPlanIsByteAndChargeIdenticalToNoInjector) {
 
   // Reference: no injector at all.
   mpc::Cluster ref_cluster = test::make_cluster(n, machines);
-  mpc::Simulator ref_sim(ref_cluster, 0, 2);
-  VertexSketches ref_vs(n, cfg);
+  mpc::Simulator ref_sim(ref_cluster);
+  VertexSketches ref_vs(n, test::with_threads(cfg, 2));
   mpc::RoutedBatch routed;
   for (std::size_t start = 0; start < deltas.size(); start += 40) {
     const std::size_t len = std::min<std::size_t>(40, deltas.size() - start);
@@ -132,9 +130,9 @@ TEST(FaultInjection, EmptyPlanIsByteAndChargeIdenticalToNoInjector) {
   mpc::FaultInjector empty;
   ASSERT_TRUE(empty.empty());
   mpc::Cluster cluster = test::make_cluster(n, machines);
-  mpc::Simulator sim(cluster, 0, 2);
+  mpc::Simulator sim(cluster);
   sim.attach_fault_injector(&empty);
-  VertexSketches vs(n, cfg);
+  VertexSketches vs(n, test::with_threads(cfg, 2));
   for (std::size_t start = 0; start < deltas.size(); start += 40) {
     const std::size_t len = std::min<std::size_t>(40, deltas.size() - start);
     cluster.route_batch(
@@ -185,9 +183,9 @@ TEST(FaultInjection, CellFaultRollsBackWholeBatchAndConsumedFaultAllowsRetry) {
   injector.add_cell_fault(16 + 5);
 
   mpc::Cluster cluster = test::make_cluster(n, machines);
-  mpc::Simulator sim(cluster, 0, 2);
+  mpc::Simulator sim(cluster);
   sim.attach_fault_injector(&injector);
-  VertexSketches vs(n, cfg);
+  VertexSketches vs(n, test::with_threads(cfg, 2));
   mpc::RoutedBatch routed;
   cluster.route_batch(batch1, n, routed);
   sim.execute(routed, "phase-1", vs);
@@ -618,33 +616,6 @@ TEST(FaultInjection, RandomPlanIsDeterministicAndRespectsItsGeometry) {
   for (std::size_t i = 0; i < c.cell_faults().size(); ++i)
     any_different |= c.cell_faults()[i].step != a.cell_faults()[i].step;
   EXPECT_TRUE(any_different);
-}
-
-TEST(FaultInjection, GrowPolicyResolvesFromEnvironmentAtConstruction) {
-  const VertexId n = 32;
-  mpc::Cluster cluster = test::make_cluster(n, 2);
-  mpc::Simulator sim(cluster);
-
-  ASSERT_EQ(setenv("SMPC_GROW", "double", 1), 0);
-  mpc::BatchScheduler on(cluster, sim);
-  EXPECT_TRUE(on.grow_enabled());
-
-  ASSERT_EQ(setenv("SMPC_GROW", "off", 1), 0);
-  mpc::BatchScheduler off(cluster, sim);
-  EXPECT_FALSE(off.grow_enabled());
-
-  ASSERT_EQ(unsetenv("SMPC_GROW"), 0);
-  mpc::BatchScheduler unset(cluster, sim);
-  EXPECT_FALSE(unset.grow_enabled());
-  EXPECT_TRUE(on.grow_enabled());  // resolved once, at construction
-
-  // Explicit policies ignore the environment entirely.
-  ASSERT_EQ(setenv("SMPC_GROW", "double", 1), 0);
-  mpc::SchedulerConfig none;
-  none.grow = mpc::GrowPolicy::kNone;
-  mpc::BatchScheduler forced(cluster, sim, none);
-  EXPECT_FALSE(forced.grow_enabled());
-  ASSERT_EQ(unsetenv("SMPC_GROW"), 0);
 }
 
 }  // namespace

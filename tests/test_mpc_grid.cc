@@ -1,26 +1,35 @@
-// Conformance suite for the 2-D (machine x bank) grid executor (ISSUE 4):
+// Conformance suite for the 2-D (machine x bank) grid executor:
 // thread-count invariance of simulated ingest (byte-identical sketches,
 // identical CommLedger state, identical Stats including the overrun list
-// in deterministic order, across threads {1, 2, 8} and machines
+// in deterministic order, across ingest_threads {1, 2, 8} and machines
 // {1, 4, 16, 64}, on a random stream and the hot-cell adversaries); the
 // canonical machine-major serial order of the single-thread fallback;
 // pre-mutation rejection by strict clusters even
-// under a concurrent schedule; and the resident-memory accounting
-// (vertex blocks, resident sums, ledger peaks, resident-driven rejection).
+// under a concurrent schedule; the resident-memory accounting
+// (vertex blocks, resident sums, ledger peaks, resident-driven rejection);
+// and the process-wide pool: the thread budget of serial and nested front
+// ends, and one shared pool driven from two threads at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
+#include "graph/streams.h"
 #include "mpc/cluster.h"
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
+#include "msf/approx_msf.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
 
@@ -127,7 +136,7 @@ void expect_identical_ledgers(const mpc::CommLedger& a,
   EXPECT_EQ(a.resident_peak_by_machine(), b.resident_peak_by_machine());
 }
 
-// Drives chunked simulated ingest with an explicit grid thread count.
+// Drives chunked simulated ingest with an explicit ingest thread count.
 struct SimRun {
   mpc::Cluster cluster;
   mpc::Simulator sim;
@@ -136,8 +145,8 @@ struct SimRun {
   SimRun(VertexId n, const GraphSketchConfig& cfg, std::uint64_t machines,
          unsigned threads, std::uint64_t scratch_words = 0)
       : cluster(test::make_cluster(n, machines)),
-        sim(cluster, scratch_words, threads),
-        sketches(n, cfg) {}
+        sim(cluster, scratch_words),
+        sketches(n, test::with_threads(cfg, threads)) {}
 
   void ingest(std::span<const EdgeDelta> deltas, std::size_t chunk) {
     mpc::RoutedBatch routed;
@@ -259,8 +268,8 @@ TEST(GridBudget, StrictRejectsPreMutationEvenWithConcurrentCells) {
       probe.resident_words(0, cluster) + probe.resident_words(1, cluster);
   const std::uint64_t scratch = resident_after + 512;
 
-  mpc::Simulator sim(cluster, scratch, /*grid_threads=*/8);
-  VertexSketches vs(n, cfg);
+  mpc::Simulator sim(cluster, scratch);
+  VertexSketches vs(n, test::with_threads(cfg, 8));
   sim.execute(routed, "good", vs);
   expect_identical_samples(reference, vs, cfg.banks, sets);
   const std::uint64_t rounds_before = cluster.comm_ledger().rounds();
@@ -499,6 +508,106 @@ TEST(GridRollback, MidGridFaultRestoresExactBytesAcrossThreadsAndMachines) {
       expect_identical_samples(after2, run.sketches, cfg.banks, sets);
       EXPECT_EQ(run.sketches.allocated_words(), after2.allocated_words());
     }
+  }
+}
+
+// ---------------- one pool per width ----------------------------------------
+
+// Live threads of this process; nullopt where /proc/self/task is absent.
+std::optional<std::size_t> live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator tasks("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<std::size_t>(
+      std::distance(tasks, std::filesystem::directory_iterator{}));
+}
+
+std::vector<Batch> churn(VertexId n, std::uint64_t seed) {
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.initial_edges = 2 * n;
+  opt.num_batches = 6;
+  opt.batch_size = 48;
+  Rng rng(seed);
+  return gen::churn_stream(opt, rng);
+}
+
+TEST(ThreadBudget, SerialSimulatedFrontEndAddsNoThread) {
+  if (!live_threads()) GTEST_SKIP() << "/proc/self/task is unavailable";
+  const VertexId n = 96;
+  mpc::Cluster cluster = test::make_cluster(n, 8);
+  ConnectivityConfig cfg;
+  cfg.sketch.ingest_threads = 1;
+  cfg.exec_mode = mpc::ExecMode::kSimulated;
+  DynamicConnectivity dc(n, cfg, &cluster);
+  const auto batches = churn(n, 90001);
+  const std::size_t before = *live_threads();
+  dc.apply_batch(batches.front());
+  EXPECT_EQ(*live_threads(), before);
+}
+
+TEST(ThreadBudget, NestedLevelsShareOnePool) {
+  if (!live_threads()) GTEST_SKIP() << "/proc/self/task is unavailable";
+  const VertexId n = 96;
+  const std::size_t hw =
+      std::max(1u, std::thread::hardware_concurrency());
+  mpc::Cluster cluster = test::make_cluster(n, 8);
+  ApproxMsfConfig cfg;
+  cfg.connectivity.exec_mode = mpc::ExecMode::kSimulated;
+  const std::size_t before = *live_threads();
+  ApproxMsf msf(n, cfg, &cluster);
+  ASSERT_GE(msf.instances(), 8u);
+  Rng rng(90002);
+  const auto stream = gen::insert_stream(
+      gen::with_random_weights(gen::gnm(n, 3 * n, rng), 1, cfg.w_max, rng),
+      rng);
+  for (const Batch& batch : gen::into_batches(stream, 64)) {
+    msf.apply_batch(batch);
+  }
+  EXPECT_LE(*live_threads(), before + (hw - 1));
+}
+
+TEST(SharedPool, TwoFrontEndsOnTwoThreadsMatchSerial) {
+  // Both front ends draw on ThreadPool::shared(4); whichever finds it busy
+  // runs its cells serially on its own thread.  Neither may notice.
+  const VertexId n = 96;
+  constexpr unsigned kBanks = 6;
+  const std::vector<Batch> streams[] = {churn(n, 90011), churn(n, 90012)};
+  struct Run {
+    mpc::Cluster cluster;
+    DynamicConnectivity dc;
+    Run(VertexId n, unsigned threads)
+        : cluster(test::make_cluster(n, 8)),
+          dc(n, config(threads), &cluster) {}
+    static ConnectivityConfig config(unsigned threads) {
+      ConnectivityConfig cfg;
+      cfg.sketch.banks = kBanks;
+      cfg.sketch.ingest_threads = threads;
+      cfg.exec_mode = mpc::ExecMode::kSimulated;
+      return cfg;
+    }
+    void apply(const std::vector<Batch>& batches) {
+      for (const Batch& batch : batches) dc.apply_batch(batch);
+    }
+  };
+  Run serial[] = {Run(n, 1), Run(n, 1)};
+  Run shared[] = {Run(n, 4), Run(n, 4)};
+  ASSERT_NE(shared[0].dc.sketches().pool(64), nullptr);
+  ASSERT_EQ(shared[0].dc.sketches().pool(64), shared[1].dc.sketches().pool(64));
+  for (int i = 0; i < 2; ++i) serial[i].apply(streams[i]);
+  std::jthread other([&] { shared[1].apply(streams[1]); });
+  shared[0].apply(streams[0]);
+  other.join();
+
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(::testing::Message() << "stream " << i);
+    for (unsigned bank = 0; bank < kBanks; ++bank) {
+      test::expect_identical_records(shared[i].dc.sketches().arena(bank),
+                                     serial[i].dc.sketches().arena(bank), n);
+    }
+    EXPECT_EQ(serial[i].dc.spanning_forest(), shared[i].dc.spanning_forest());
+    expect_identical_ledgers(serial[i].cluster.comm_ledger(),
+                             shared[i].cluster.comm_ledger());
   }
 }
 

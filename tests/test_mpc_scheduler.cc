@@ -1,6 +1,6 @@
 // Adaptive batch scheduler suite (mpc::BatchScheduler, ISSUE 5):
 //   * determinism — same stream + same budgets => identical split tree,
-//     rounds, and final sketches across grid thread counts {1, 2, 8} and
+//     rounds, and final sketches across ingest thread counts {1, 2, 8} and
 //     strict/non-strict clusters;
 //   * equivalence — splitting never changes the sketch bytes, only the
 //     accounting;
@@ -9,8 +9,7 @@
 //     scheduler, with the split rounds visible on the CommLedger and in
 //     Simulator::Stats;
 //   * exhaustion — when the resident shard alone is over budget, bisection
-//     bottoms out and the strict executor still throws;
-//   * policy resolution — kAuto reads SMPC_SCHED once at construction.
+//     bottoms out and the strict executor still throws.
 //
 // Test streams are built insert-then-delete: the insert phase allocates
 // every page the stream will ever touch, the delete phase (same edges,
@@ -22,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.h"
@@ -89,9 +87,9 @@ struct SchedRun {
            bool strict, std::uint64_t budget, unsigned threads,
            const mpc::SchedulerConfig& sc)
       : cluster(test::make_cluster(n, machines, 0.5, strict)),
-        sim(cluster, budget, threads),
+        sim(cluster, budget),
         sched(cluster, sim, sc),
-        vs(n, cfg) {}
+        vs(n, test::with_threads(cfg, threads)) {}
 
   void ingest(std::span<const EdgeDelta> deltas, std::size_t chunk) {
     for (std::size_t start = 0; start < deltas.size(); start += chunk) {
@@ -556,40 +554,6 @@ TEST(BatchScheduler, ProportionalSplitLogAndRoundsAreExactOnStarDeletes) {
   // And as always: the comb is invisible in the bytes.
   expect_identical_samples(flat, run.vs, cfg.banks, probe_sets(n, 60));
   EXPECT_EQ(flat.allocated_words(), run.vs.allocated_words());
-}
-
-TEST(BatchScheduler, AutoPolicyResolvesFromEnvironmentAtConstruction) {
-  const VertexId n = 32;
-  mpc::Cluster cluster = test::make_cluster(n, 2);
-  mpc::Simulator sim(cluster);
-
-  ASSERT_EQ(setenv("SMPC_SCHED", "bisect", 1), 0);
-  mpc::BatchScheduler on(cluster, sim);
-  EXPECT_TRUE(on.enabled());
-  EXPECT_EQ(on.policy(), mpc::SplitPolicy::kBisect);
-
-  ASSERT_EQ(setenv("SMPC_SCHED", "proportional", 1), 0);
-  mpc::BatchScheduler prop(cluster, sim);
-  EXPECT_TRUE(prop.enabled());
-  EXPECT_EQ(prop.policy(), mpc::SplitPolicy::kProportional);
-
-  ASSERT_EQ(setenv("SMPC_SCHED", "off", 1), 0);
-  mpc::BatchScheduler off(cluster, sim);
-  EXPECT_FALSE(off.enabled());
-
-  ASSERT_EQ(unsetenv("SMPC_SCHED"), 0);
-  mpc::BatchScheduler unset(cluster, sim);
-  EXPECT_FALSE(unset.enabled());
-  // Already-constructed schedulers keep their resolved policy.
-  EXPECT_TRUE(on.enabled());
-
-  // Explicit policies ignore the environment entirely.
-  ASSERT_EQ(setenv("SMPC_SCHED", "bisect", 1), 0);
-  mpc::SchedulerConfig none;
-  none.policy = mpc::SplitPolicy::kNone;
-  mpc::BatchScheduler forced(cluster, sim, none);
-  EXPECT_FALSE(forced.enabled());
-  ASSERT_EQ(unsetenv("SMPC_SCHED"), 0);
 }
 
 }  // namespace

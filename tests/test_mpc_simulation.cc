@@ -14,6 +14,7 @@
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
+#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
@@ -29,16 +30,68 @@ using test::random_deltas;
 constexpr double kPhis[] = {0.1, 0.25, 0.5};
 constexpr std::uint64_t kMachineCounts[] = {1, 4, 16, 64};
 
+// One cell of the conformance matrix: simulated == routed == flat in
+// bytes, charges and stats.
+void expect_matrix_cell(const VertexSketches& flat,
+                        const VertexSketches& routed,
+                        const VertexSketches& simulated,
+                        const mpc::Cluster& routed_cluster,
+                        const mpc::Cluster& sim_cluster,
+                        const mpc::Simulator& sim, unsigned banks,
+                        const std::vector<std::vector<VertexId>>& sets,
+                        std::uint64_t batches) {
+  // Byte-identical observable surface and identical allocation across
+  // all three paths, for every cell of the matrix.
+  expect_identical_samples(flat, routed, banks, sets);
+  expect_identical_samples(flat, simulated, banks, sets);
+  EXPECT_EQ(flat.allocated_words(), routed.allocated_words());
+  EXPECT_EQ(flat.allocated_words(), simulated.allocated_words());
+
+  // Identical accounting: the simulated schedule charges exactly the
+  // rounds and per-machine loads the routed (accounting-only) mode
+  // charges — the machine steps are the local computation of the same
+  // delivered round.
+  EXPECT_EQ(sim_cluster.rounds(), routed_cluster.rounds());
+  EXPECT_EQ(sim_cluster.comm_total(), routed_cluster.comm_total());
+  const mpc::CommLedger& a = routed_cluster.comm_ledger();
+  const mpc::CommLedger& b = sim_cluster.comm_ledger();
+  ASSERT_EQ(a.machines(), b.machines());
+  EXPECT_EQ(a.rounds(), b.rounds());
+  EXPECT_EQ(a.total_words(), b.total_words());
+  EXPECT_EQ(a.max_machine_load(), b.max_machine_load());
+  EXPECT_EQ(a.words_by_machine(), b.words_by_machine());
+  EXPECT_EQ(b.rounds(), batches);
+
+  // Every non-empty sub-batch became one machine step, bounded by the
+  // scratch budget.  With resident-memory fidelity an overrun is
+  // recorded exactly when some machine's shard + delivery exceeds s
+  // (at phi = 0.1 a single machine genuinely cannot host the whole
+  // n-vertex shard in n^0.1 memory — the honest accounting says so),
+  // and every recorded overrun must carry consistent geometry.
+  EXPECT_GE(sim.stats().machine_steps, b.rounds());
+  EXPECT_LE(sim.stats().peak_step_words, sim.scratch_words());
+  EXPECT_EQ(sim.stats().budget_overruns > 0,
+            sim.stats().peak_machine_words > sim.scratch_words());
+  EXPECT_EQ(sim.stats().budget_overruns, sim.stats().overruns.size());
+  for (const mpc::Simulator::Overrun& o : sim.stats().overruns) {
+    EXPECT_GT(o.needed_words, o.budget_words);
+    EXPECT_LE(o.resident_words, o.needed_words);
+    EXPECT_EQ(o.budget_words, sim.scratch_words());
+  }
+  EXPECT_EQ(sim.stats().batches, b.rounds());
+}
+
 // Ingests `deltas` in chunks of `chunk` through the given mode and returns
 // the resulting sketches; a null `cluster` is flat ingest.
 void ingest_chunked(VertexSketches& vs, std::span<const EdgeDelta> deltas,
                     std::size_t chunk, mpc::Cluster* cluster,
-                    mpc::ExecMode mode, mpc::Simulator* sim) {
+                    mpc::ExecMode mode, mpc::Simulator* sim,
+                    mpc::BatchScheduler* scheduler = nullptr) {
   mpc::RoutedBatch routed;
   for (std::size_t start = 0; start < deltas.size(); start += chunk) {
     const std::size_t len = std::min(chunk, deltas.size() - start);
     routed_ingest(cluster, vs.n(), deltas.subspan(start, len), "conformance",
-                  vs, routed, mode, sim);
+                  vs, routed, mode, sim, scheduler);
   }
 }
 
@@ -55,58 +108,34 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
 
   for (const double phi : kPhis) {
     for (const std::uint64_t machines : kMachineCounts) {
-      SCOPED_TRACE(::testing::Message()
-                   << "phi=" << phi << " machines=" << machines);
       mpc::Cluster routed_cluster = test::make_cluster(n, machines, phi);
       VertexSketches routed(n, cfg);
       ingest_chunked(routed, deltas, 64, &routed_cluster,
                      mpc::ExecMode::kRouted, nullptr);
 
-      mpc::Cluster sim_cluster = test::make_cluster(n, machines, phi);
-      mpc::Simulator sim(sim_cluster);
-      VertexSketches simulated(n, cfg);
-      ingest_chunked(simulated, deltas, 64, &sim_cluster,
-                     mpc::ExecMode::kSimulated, &sim);
-
-      // Byte-identical observable surface and identical allocation across
-      // all three paths, for every cell of the matrix.
-      expect_identical_samples(flat, routed, cfg.banks, sets);
-      expect_identical_samples(flat, simulated, cfg.banks, sets);
-      EXPECT_EQ(flat.allocated_words(), routed.allocated_words());
-      EXPECT_EQ(flat.allocated_words(), simulated.allocated_words());
-
-      // Identical accounting: the simulated schedule charges exactly the
-      // rounds and per-machine loads the routed (accounting-only) mode
-      // charges — the machine steps are the local computation of the same
-      // delivered round.
-      EXPECT_EQ(sim_cluster.rounds(), routed_cluster.rounds());
-      EXPECT_EQ(sim_cluster.comm_total(), routed_cluster.comm_total());
-      const mpc::CommLedger& a = routed_cluster.comm_ledger();
-      const mpc::CommLedger& b = sim_cluster.comm_ledger();
-      ASSERT_EQ(a.machines(), b.machines());
-      EXPECT_EQ(a.rounds(), b.rounds());
-      EXPECT_EQ(a.total_words(), b.total_words());
-      EXPECT_EQ(a.max_machine_load(), b.max_machine_load());
-      EXPECT_EQ(a.words_by_machine(), b.words_by_machine());
-      EXPECT_EQ(b.rounds(), (deltas.size() + 63) / 64);
-
-      // Every non-empty sub-batch became one machine step, bounded by the
-      // scratch budget.  With resident-memory fidelity an overrun is
-      // recorded exactly when some machine's shard + delivery exceeds s
-      // (at phi = 0.1 a single machine genuinely cannot host the whole
-      // n-vertex shard in n^0.1 memory — the honest accounting says so),
-      // and every recorded overrun must carry consistent geometry.
-      EXPECT_GE(sim.stats().machine_steps, b.rounds());
-      EXPECT_LE(sim.stats().peak_step_words, sim.scratch_words());
-      EXPECT_EQ(sim.stats().budget_overruns > 0,
-                sim.stats().peak_machine_words > sim.scratch_words());
-      EXPECT_EQ(sim.stats().budget_overruns, sim.stats().overruns.size());
-      for (const mpc::Simulator::Overrun& o : sim.stats().overruns) {
-        EXPECT_GT(o.needed_words, o.budget_words);
-        EXPECT_LE(o.resident_words, o.needed_words);
-        EXPECT_EQ(o.budget_words, sim.scratch_words());
+      // The simulated executor under every split policy (through the
+      // scheduler) and both a serial and a 4-wide ingest pool.
+      for (const auto policy :
+           {mpc::SplitPolicy::kNone, mpc::SplitPolicy::kBisect,
+            mpc::SplitPolicy::kProportional}) {
+        for (const unsigned threads : {1u, 4u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "phi=" << phi << " machines=" << machines
+                       << " policy=" << static_cast<int>(policy)
+                       << " threads=" << threads);
+          mpc::Cluster sim_cluster = test::make_cluster(n, machines, phi);
+          mpc::Simulator sim(sim_cluster);
+          mpc::SchedulerConfig sc;
+          sc.policy = policy;
+          mpc::BatchScheduler scheduler(sim_cluster, sim, sc);
+          VertexSketches simulated(n, test::with_threads(cfg, threads));
+          ingest_chunked(simulated, deltas, 64, &sim_cluster,
+                         mpc::ExecMode::kSimulated, &sim, &scheduler);
+          expect_matrix_cell(flat, routed, simulated, routed_cluster,
+                             sim_cluster, sim, cfg.banks, sets,
+                             (deltas.size() + 63) / 64);
+        }
       }
-      EXPECT_EQ(sim.stats().batches, b.rounds());
     }
   }
 }
@@ -130,9 +159,9 @@ TEST(SimulationConformance, LedgerPhaseRoundsWithinConstantPerPhiBudget) {
       // Pin the batch scheduler off: this test asserts the simulated mode
       // charges EXACTLY the routed mode's rounds, which is only true when
       // over-budget batches are not adaptively re-split (at phi = 0.1 the
-      // resident shard exceeds s and an SMPC_SCHED=bisect environment — the
-      // CI scheduler gate — would legitimately add split + retry rounds;
-      // tests/test_mpc_scheduler.cc pins that behavior instead).
+      // resident shard exceeds s, and a splitting policy would
+      // legitimately add split + retry rounds; tests/test_mpc_scheduler.cc
+      // pins that behavior instead).
       cfg.scheduler.policy = mpc::SplitPolicy::kNone;
       cfg.exec_mode = mpc::ExecMode::kSimulated;
       DynamicConnectivity sim_dc(n, cfg, &sim_cluster);

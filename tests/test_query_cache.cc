@@ -357,7 +357,7 @@ TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
   sc.grow = mpc::GrowPolicy::kNone;
   // Probe under an impossible 1-word budget so the report always carries
   // the first machine's full-batch claim.
-  mpc::Simulator probe_sim(cluster, 1, 1);
+  mpc::Simulator probe_sim(cluster, 1);
   VertexSketches probe_vs(n, cfg);
   mpc::RoutedBatch routed;
   cluster.route_batch(deltas, n, routed);
@@ -368,9 +368,9 @@ TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
   const std::uint64_t claim = report.needed_words;
   ASSERT_GT(claim - 1, report.min_leaf_words);
   mpc::Cluster run_cluster = test::make_cluster(n, 4);
-  mpc::Simulator sim(run_cluster, claim - 1, 1);
+  mpc::Simulator sim(run_cluster, claim - 1);
   mpc::BatchScheduler sched(run_cluster, sim, sc);
-  VertexSketches vs(n, cfg);
+  VertexSketches vs(n, test::with_threads(cfg, 1));
 
   QueryCache cache;
   std::vector<VertexId> singleton_labels(n);
@@ -408,9 +408,9 @@ TEST(QueryCacheInvalidation, RollbackRestoresBytesButNeverLeavesStaleValidCache)
   mpc::FaultInjector injector;
   injector.add_cell_fault(16 + 5);  // inside batch 2's step window
   mpc::Cluster cluster = test::make_cluster(n, machines);
-  mpc::Simulator sim(cluster, 0, 2);
+  mpc::Simulator sim(cluster);
   sim.attach_fault_injector(&injector);
-  VertexSketches vs(n, cfg);
+  VertexSketches vs(n, test::with_threads(cfg, 2));
   mpc::RoutedBatch routed;
   cluster.route_batch(batch1, n, routed);
   sim.execute(routed, "phase-1", vs);
@@ -463,9 +463,9 @@ TEST(QueryCacheInvalidation, MachineGrowKeepsEpochMonotoneAndCacheStale) {
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kBisect;
   sc.grow = mpc::GrowPolicy::kDouble;
-  mpc::Simulator sim(cluster, budget, 1);
+  mpc::Simulator sim(cluster, budget);
   mpc::BatchScheduler sched(cluster, sim, sc);
-  VertexSketches vs(n, cfg);
+  VertexSketches vs(n, test::with_threads(cfg, 1));
 
   QueryCache cache;
   std::vector<VertexId> labels(n);
@@ -642,8 +642,8 @@ TEST(QueryCacheFrontEndSeams, ThrowingFlushPoisonsRepairState) {
   // Async ingest on a strict cluster: star inserts buffer in the hub's
   // gutter until flush_ingest() delivers them as one drain, whose load on
   // the hub's machine exceeds s, so the simulator rejects it whole.  The
-  // split policy is pinned to kNone so no SMPC_SCHED setting can bisect the
-  // drain into fitting pieces.  Insert-only, so without the poison the
+  // split policy is pinned to kNone so nothing bisects the drain into
+  // fitting pieces.  Insert-only, so without the poison the
   // next snapshot() would repair (or hit); it must rebuild.
   const VertexId n = 64;
   const VertexId star_leaves = 40;  // 2 words each on the hub's machine

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -585,18 +584,7 @@ TEST(CellLayout, RollbackRestoresRecordsByteExactly) {
   for (const Edge e : first) ingest(arena, e, -1);  // drives s negative
   arena.rollback_pages();
 
-  EXPECT_EQ(arena.allocated_words(), twin.allocated_words());
-  for (unsigned level = 0; level < params.levels(); ++level) {
-    for (VertexId v = 0; v < n; ++v) {
-      const std::span<const ArenaCell> got = arena.level_records(level, v);
-      const std::span<const ArenaCell> want = twin.level_records(level, v);
-      ASSERT_EQ(got.size(), want.size()) << "level " << level << " v " << v;
-      if (want.empty()) continue;
-      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                               want.size() * sizeof(ArenaCell)))
-          << "level " << level << " v " << v;
-    }
-  }
+  test::expect_identical_records(arena, twin, n);
 }
 
 }  // namespace

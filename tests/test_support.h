@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -20,8 +21,33 @@
 #include "graph/types.h"
 #include "mpc/cluster.h"
 #include "mpc/config.h"
+#include "sketch/arena.h"
 
 namespace streammpc::test {
+
+// Byte-identical arenas: every record of every vertex below `n` at every
+// level, and the same allocated footprint.
+inline void expect_identical_records(const BankArena& got,
+                                     const BankArena& want, VertexId n) {
+  EXPECT_EQ(got.allocated_words(), want.allocated_words());
+  for (unsigned level = 0; level < want.levels(); ++level) {
+    for (VertexId v = 0; v < n; ++v) {
+      const std::span<const ArenaCell> a = got.level_records(level, v);
+      const std::span<const ArenaCell> b = want.level_records(level, v);
+      ASSERT_EQ(a.size(), b.size()) << "level " << level << " v " << v;
+      if (b.empty()) continue;
+      ASSERT_EQ(0, std::memcmp(a.data(), b.data(), b.size() * sizeof(ArenaCell)))
+          << "level " << level << " v " << v;
+    }
+  }
+}
+
+// `cfg` with its ingest pool width set to `threads` (1 = serial).
+inline GraphSketchConfig with_threads(GraphSketchConfig cfg,
+                                      unsigned threads) {
+  cfg.ingest_threads = threads;
+  return cfg;
+}
 
 // --- delta-stream generators -------------------------------------------------
 
