@@ -57,10 +57,25 @@ void join_ablation() {
   t.print(std::cout);
 }
 
-void split_ablation() {
+// The same forest state, TourIds included.
+bool same_forest(const EulerTourForest& a, const EulerTourForest& b) {
+  for (VertexId v = 0; v < a.n(); ++v) {
+    if (a.tour_of(v) != b.tour_of(v) ||
+        a.tour_sequence(v) != b.tour_sequence(v)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Returns false when a batch split leaves a different forest than the same
+// splits done one at a time.
+bool split_ablation() {
   bench::section("E9b: batch split vs k sequential splits (n = 2048)",
                  "same shape for deletions");
-  Table t({"k", "batch rounds", "sequential rounds", "speedup"});
+  Table t({"k", "batch rounds", "sequential rounds", "speedup",
+           "same forest"});
+  bool identical = true;
   for (const std::size_t k : {4u, 16u, 64u, 256u}) {
     Rng rng(9900 + k);
     const VertexId n = 2048;
@@ -85,6 +100,8 @@ void split_ablation() {
     sequential.batch_link(tree);
     const auto base_s = seq_cluster.rounds();
     sequential.sequential_cut(cuts);
+    const bool same = same_forest(batched, sequential);
+    identical = identical && same;
 
     t.add_row()
         .cell(static_cast<std::uint64_t>(k))
@@ -93,9 +110,11 @@ void split_ablation() {
         .cell(static_cast<double>(seq_cluster.rounds() - base_s) /
                   static_cast<double>(std::max<std::uint64_t>(
                       1, batched_cluster.rounds() - base_b)),
-              1);
+              1)
+        .cell(same ? "yes" : "NO");
   }
   t.print(std::cout);
+  return identical;
 }
 
 }  // namespace
@@ -104,6 +123,9 @@ void split_ablation() {
 int main() {
   std::cout << "E9 — Euler-tour batch operations ablation (§6.2)\n";
   streammpc::join_ablation();
-  streammpc::split_ablation();
+  if (!streammpc::split_ablation()) {
+    std::cerr << "E9b: batch split and sequential splits disagree\n";
+    return 1;
+  }
   return 0;
 }

@@ -1,5 +1,5 @@
 // M2 — microbenchmarks for Euler-tour forest operations as a function of
-// tree size: rooting, link/cut, identify-path, batch join.
+// tree size: rooting, link/cut, identify-path, batch join, batch split.
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
@@ -70,6 +70,26 @@ void BM_BatchLink(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchLink)->Arg(16)->Arg(256)->Arg(2048);
+
+void BM_BatchCut(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const VertexId n = 4096;
+  Rng rng(104);
+  const std::vector<Edge> tree = gen::random_tree(n, rng);
+  EulerTourForest f(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    f = EulerTourForest(n);  // the previous forest is freed untimed
+    f.batch_link(tree);
+    std::vector<Edge> cuts = tree;
+    shuffle(cuts, rng);
+    cuts.resize(k);
+    state.ResumeTiming();
+    f.batch_cut(cuts);
+    benchmark::DoNotOptimize(f.num_trees());
+  }
+}
+BENCHMARK(BM_BatchCut)->Arg(16)->Arg(256)->Arg(2048);
 
 }  // namespace
 }  // namespace streammpc

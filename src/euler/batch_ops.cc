@@ -9,6 +9,10 @@
 // paper's four shift-index/update-index message cases; the whole batch
 // costs O(1) MPC rounds (Lemma 6.4) versus Theta(k) for k sequential
 // joins — quantified in bench_euler_ablation.
+//
+// batch_cut is the inverse: it splits each affected tour in one sweep,
+// dropping every cut edge's descent and ascent pairs and routing the
+// remaining entries to the piece of their nearest cut ancestor.
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
@@ -174,7 +178,80 @@ void EulerTourForest::batch_cut(std::span<const Edge> cuts) {
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
          cluster_ ? cuts.size() * (cluster_->machines() + 1) : 0,
          "euler/batch-split");
-  for (const Edge& e : cuts) cut_impl(e.u, e.v);
+
+  // Resolve every cut against the pre-batch tours.  The child endpoint is
+  // the one with the larger f; the edge owns the descent pair at
+  // [f - 1, f] and the ascent pair at [l, l + 1] of the child.
+  struct Piece {
+    TourId tree;
+    std::uint32_t lo, hi;  // f(child), l(child)
+    VertexId child;
+    TourId id;
+    std::uint32_t size;  // entries the piece keeps
+  };
+  std::vector<Piece> pieces;
+  pieces.reserve(cuts.size());
+  for (const Edge& e : cuts) {
+    const TourId t = tour_of_[e.u];
+    SMPC_CHECK(t == tour_of_[e.v]);
+    const VertexId child = f_[e.u] > f_[e.v] ? e.u : e.v;
+    SMPC_CHECK(f_[child] >= 1 && l_[child] + 1 < tours_[t].size());
+    pieces.push_back(Piece{t, f_[child], l_[child], child, 0, 0});
+  }
+  // Ids in input order, as a per-edge cut loop allocates them.  All
+  // allocation happens before any reference into tours_ is taken.
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    pieces[i].id = alloc_tour();
+    tree_edges_.erase(cuts[i]);
+  }
+
+  // The removed ranges [lo - 1, hi + 1] of one tree are laminar, so one
+  // left-to-right sweep with a stack of open pieces splits the tour: the
+  // edge pairs are dropped, every other entry goes to the innermost open
+  // piece, or stays in the root piece (compacted in place) when none is
+  // open.  Each piece is the cut child's subtree minus its nested cuts'
+  // subtrees, entries in tour order, which is what cutting the edges one
+  // at a time leaves behind in any order.
+  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
+    return a.tree != b.tree ? a.tree < b.tree : a.lo < b.lo;
+  });
+  std::vector<Piece*> open;
+  for (auto group = pieces.begin(); group != pieces.end();) {
+    const TourId t = group->tree;
+    const auto end = std::find_if(group, pieces.end(),
+                                  [t](const Piece& p) { return p.tree != t; });
+    // Size each child tour exactly, so it is allocated once: a piece keeps
+    // its range less the edge pairs and its directly nested cuts' ranges.
+    for (auto p = group; p != end; ++p) {
+      while (!open.empty() && open.back()->hi < p->lo) open.pop_back();
+      p->size = p->hi - p->lo - 1;
+      if (!open.empty()) open.back()->size -= p->hi - p->lo + 3;
+      open.push_back(&*p);
+    }
+    open.clear();
+    for (auto p = group; p != end; ++p) tours_[p->id].reserve(p->size);
+    std::vector<VertexId>& tour = tours_[t];
+    const VertexId root = tour.front();
+    std::size_t kept = 0;
+    auto next = group;
+    for (std::uint32_t i = 0; i < tour.size(); ++i) {
+      if (next != end && i + 1 == next->lo) {
+        open.push_back(&*next++);
+        ++i;
+      } else if (!open.empty() && i == open.back()->hi) {
+        open.pop_back();
+        ++i;
+      } else if (open.empty()) {
+        tour[kept++] = tour[i];
+      } else {
+        tours_[open.back()->id].push_back(tour[i]);
+      }
+    }
+    tour.resize(kept);
+    reindex(t, root);
+    for (auto p = group; p != end; ++p) reindex(p->id, p->child);
+    group = end;
+  }
 }
 
 }  // namespace streammpc

@@ -99,10 +99,6 @@ void EulerTourForest::make_root_impl(VertexId v) {
 void EulerTourForest::link(VertexId u, VertexId v) {
   charge(cluster_ ? 3 * cluster_->broadcast_rounds() : 0,
          cluster_ ? 3 * cluster_->machines() : 0, "euler/join");
-  link_impl(u, v);
-}
-
-void EulerTourForest::link_impl(VertexId u, VertexId v) {
   SMPC_CHECK(u < n_ && v < n_);
   SMPC_CHECK_MSG(tour_of_[u] != tour_of_[v], "link endpoints in same tree");
   make_root_impl(u);
@@ -126,10 +122,6 @@ void EulerTourForest::link_impl(VertexId u, VertexId v) {
 void EulerTourForest::cut(VertexId u, VertexId v) {
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() : 0,
          cluster_ ? 2 * cluster_->machines() : 0, "euler/split");
-  cut_impl(u, v);
-}
-
-void EulerTourForest::cut_impl(VertexId u, VertexId v) {
   const Edge e = make_edge(u, v);
   SMPC_CHECK_MSG(tree_edges_.count(e), "cut of a non-tree edge");
   const TourId t = tour_of_[u];
@@ -181,14 +173,18 @@ std::vector<Edge> EulerTourForest::identify_path(VertexId u, VertexId v) {
 
 std::vector<std::vector<Edge>> EulerTourForest::batch_identify_paths(
     std::span<const std::pair<VertexId, VertexId>> pairs) {
+  // Validate every pair before the charge and the first re-rooting.
+  for (const auto& [u, v] : pairs) {
+    SMPC_CHECK(u < n_ && v < n_);
+    SMPC_CHECK_MSG(same_tree(u, v),
+                   "batch_identify_paths endpoints in different trees");
+  }
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
          cluster_ ? pairs.size() * (cluster_->machines() + 1) : 0,
          "euler/batch-identify-path");
   std::vector<std::vector<Edge>> paths;
   paths.reserve(pairs.size());
   for (const auto& [u, v] : pairs) {
-    SMPC_CHECK_MSG(same_tree(u, v),
-                   "batch_identify_paths endpoints in different trees");
     std::vector<Edge> path;
     if (u != v) {
       make_root_impl(u);

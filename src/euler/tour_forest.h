@@ -88,7 +88,11 @@ class EulerTourForest {
   // for the whole batch.
   void batch_link(std::span<const Edge> links);
 
-  // Removes a batch of existing tree edges at once.  O(1) rounds.
+  // Removes a batch of existing tree edges at once.  O(1) rounds.  Each
+  // affected tree's tour is swept once, O(|T| + k log k) work for k cuts in
+  // tree T.  The piece holding the tree's root keeps its TourId; each cut's
+  // child piece gets a fresh id, allocated in input order.  The resulting
+  // forest, ids included, equals sequential_cut over the same edges.
   void batch_cut(std::span<const Edge> cuts);
 
   // Batch of Identify-Path operations in O(1) rounds (§7.1: broadcast all
@@ -113,10 +117,8 @@ class EulerTourForest {
   std::uint64_t words() const;
 
  private:
-  // Uncharged implementations shared by single and batch public ops.
+  // Uncharged re-rooting; each caller's own charge covers it.
   void make_root_impl(VertexId v);
-  void link_impl(VertexId u, VertexId v);
-  void cut_impl(VertexId u, VertexId v);
 
   TourId alloc_tour();
   void free_tour(TourId t);

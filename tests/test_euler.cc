@@ -40,6 +40,41 @@ std::vector<Edge> bfs_path(const AdjGraph& forest, VertexId u, VertexId v) {
   return path;
 }
 
+// Both forests hold the same state: TourIds, tours, members and f/l.
+void expect_same_forest(const EulerTourForest& a, const EulerTourForest& b) {
+  ASSERT_EQ(a.n(), b.n());
+  EXPECT_EQ(a.num_trees(), b.num_trees());
+  for (VertexId v = 0; v < a.n() && !::testing::Test::HasFailure(); ++v) {
+    EXPECT_EQ(a.tour_of(v), b.tour_of(v)) << "vertex " << v;
+    EXPECT_EQ(a.tour_sequence(v), b.tour_sequence(v)) << "vertex " << v;
+    EXPECT_EQ(a.tree_members(v), b.tree_members(v)) << "vertex " << v;
+    EXPECT_EQ(a.first_pos(v), b.first_pos(v)) << "vertex " << v;
+    EXPECT_EQ(a.last_pos(v), b.last_pos(v)) << "vertex " << v;
+  }
+}
+
+// Re-roots a few random trees, then cuts every tree edge with probability
+// p: in one batch on `forest`, and one edge at a time on a copy of it.
+// The two results must be identical.
+void expect_batch_cut_matches_sequential(EulerTourForest& forest, double p,
+                                         Rng& rng) {
+  const VertexId n = forest.n();
+  for (int r = 0; r < 4; ++r)
+    forest.make_root(static_cast<VertexId>(rng.below(n)));
+  std::vector<Edge> cuts;
+  for (const Edge& e : forest.tree_edges()) {
+    if (rng.chance(p)) cuts.push_back(e);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  shuffle(cuts, rng);
+  EulerTourForest oracle = forest;
+  forest.batch_cut(cuts);
+  oracle.sequential_cut(cuts);
+  forest.validate();
+  oracle.validate();
+  expect_same_forest(forest, oracle);
+}
+
 TEST(EulerTour, InitialStateIsSingletons) {
   EulerTourForest f(5);
   f.validate();
@@ -261,6 +296,14 @@ TEST(EulerTour, RejectedBatchLeavesForestAndRoundsUnchanged) {
   for (const auto& links : bad_links) {
     EXPECT_THROW(f.batch_link(links), CheckError);
   }
+  using Pairs = std::vector<std::pair<VertexId, VertexId>>;
+  const Pairs bad_pairs[] = {
+      {{3, 0}, {0, 5}},  // (0, 5) spans two trees; (3, 0) would re-root
+      {{3, 0}, {0, 8}},  // 8 is out of range
+  };
+  for (const auto& pairs : bad_pairs) {
+    EXPECT_THROW(f.batch_identify_paths(pairs), CheckError);
+  }
 
   EXPECT_EQ(f.tree_edges(), tree_edges);
   EXPECT_EQ(f.num_trees(), trees);
@@ -274,7 +317,8 @@ TEST(EulerTour, RejectedBatchLeavesForestAndRoundsUnchanged) {
 
 TEST(EulerTour, BatchEqualsSequentialFuzz) {
   // Random batched links/cuts must yield the same partition as performing
-  // them one at a time.
+  // them one at a time; from the same forest, a batched cut must leave the
+  // same forest, byte for byte, as cutting its edges one at a time.
   Rng rng(501);
   for (int trial = 0; trial < 20; ++trial) {
     const VertexId n = 40;
@@ -305,14 +349,41 @@ TEST(EulerTour, BatchEqualsSequentialFuzz) {
     for (const Edge& e : all_edges) {
       if (rng.chance(0.4)) cuts.push_back(e);
     }
+    EulerTourForest oracle = batched;
     batched.batch_cut(cuts);
     sequential.sequential_cut(cuts);
+    oracle.sequential_cut(cuts);
     batched.validate();
     sequential.validate();
     EXPECT_EQ(batched.num_trees(), sequential.num_trees());
     for (VertexId u = 0; u < n; ++u)
       for (VertexId v : {VertexId{0}, VertexId{7}, VertexId{23}})
         EXPECT_EQ(batched.same_tree(u, v), sequential.same_tree(u, v));
+    expect_same_forest(batched, oracle);
+  }
+
+  // Larger forests with random roots and cut probabilities from 0 to 1, so
+  // nested cuts, cuts in several trees and singleton pieces all occur.
+  // The relink between the two cut rounds frees TourIds, so the second
+  // round also checks the reuse order.
+  for (int trial = 0; trial < 300; ++trial) {
+    const VertexId n = static_cast<VertexId>(2 + rng.below(199));
+    EulerTourForest forest(n);
+    Dsu dsu(n);
+    std::vector<Edge> links;
+    for (VertexId i = 0; i < n; ++i) {
+      const VertexId u = static_cast<VertexId>(rng.below(n));
+      const VertexId v = static_cast<VertexId>(rng.below(n));
+      if (u != v && dsu.unite(u, v)) links.push_back(make_edge(u, v));
+    }
+    forest.batch_link(links);
+    expect_batch_cut_matches_sequential(forest, (trial % 6) / 5.0, rng);
+    std::vector<Edge> relinks;
+    for (const Edge& e : links) {
+      if (!forest.is_tree_edge(e)) relinks.push_back(e);
+    }
+    forest.batch_link(relinks);
+    expect_batch_cut_matches_sequential(forest, rng.uniform01(), rng);
   }
 }
 
