@@ -16,8 +16,18 @@
 // invariance cross-check, not the scaling numbers (see ROADMAP's
 // multi-core-runner item).
 //
-// Emits the table on stdout and BENCH_mpc_parallel.json.  `--quick`
-// shrinks the workload for CI smoke runs.
+// A second table times the Simulator's per-delivery resident fold
+// (VertexSketches::resident_words(cluster, out), read from the arenas'
+// resident counters) at bench scale — n = 2^14, 12 banks, 16 and 128
+// machines — next to the page-map scan it replaced
+// (BankArena::resident_words_scan, summed per machine).  Every block's
+// counter answer is checked against the scan and the bench exits 1 on any
+// disagreement; the times are recorded, not gated.  This row runs at full
+// size under `--quick` too.
+//
+// Emits the tables on stdout and BENCH_mpc_parallel.json.  `--quick`
+// shrinks the grid workload for CI smoke runs.
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -54,7 +64,109 @@ std::string key(unsigned threads, const std::string& metric) {
   return os.str();
 }
 
-void run(const ParallelConfig& cfg) {
+// Resident-fold row: times the bulk counter fold and the per-machine scan
+// over one power-law stream's sketches, and checks every block's counters
+// against the scan.  Returns false on any disagreement.
+bool run_resident_fold(bench::BenchJson& json) {
+  constexpr VertexId kN = VertexId{1} << 14;
+  constexpr unsigned kBanks = 12;
+  constexpr std::size_t kUpdates = 8192;
+  constexpr int kFoldRepeats = 50;
+  constexpr int kScanRepeats = 5;
+
+  bench::section(
+      "E13b: resident fold (n = 2^14, banks = 12)",
+      "a machine's resident shard plus its delivered sub-batch must fit in "
+      "s (section 1.2); the probe checks that sum before every delivery from "
+      "per-bank resident counters, one prefix per block boundary");
+
+  GraphSketchConfig sketch;
+  sketch.banks = kBanks;
+  sketch.seed = 13003;
+  sketch.ingest_threads = 1;
+  VertexSketches sketches(kN, sketch);
+  // The first query builds each arena's counters; asking before ingest
+  // makes the ingest maintain them, which is what the check below tests.
+  for (unsigned b = 0; b < kBanks; ++b)
+    sketches.arena(b).resident_words(0, kN);
+  Rng rng(13004);
+  sketches.update_edges(gen::power_law_deltas(kN, kUpdates, rng));
+  json.set("resident_fold.n", static_cast<std::uint64_t>(kN));
+  json.set("resident_fold.banks", static_cast<std::uint64_t>(kBanks));
+  json.set("resident_fold.updates", static_cast<std::uint64_t>(kUpdates));
+  json.set("resident_fold.allocated_words", sketches.allocated_words());
+
+  Table table({"machines", "fold us (best)", "scan us (best)", "blocks",
+               "agree"});
+  bool all_agree = true;
+  for (const std::uint64_t machines : {std::uint64_t{16}, std::uint64_t{128}}) {
+    mpc::MpcConfig mc;
+    mc.n = kN;
+    mc.machines = machines;
+    mc.strict = false;
+    const mpc::Cluster cluster(mc);
+    std::vector<std::uint64_t> fold(machines);
+    double fold_best = 0.0;
+    for (int rep = 0; rep < kFoldRepeats; ++rep) {
+      bench::Timer timer;
+      sketches.resident_words(cluster, fold);
+      const double us = timer.seconds() * 1e6;
+      fold_best = rep == 0 ? us : std::min(fold_best, us);
+    }
+    std::vector<std::uint64_t> scan(machines);
+    double scan_best = 0.0;
+    for (int rep = 0; rep < kScanRepeats; ++rep) {
+      bench::Timer timer;
+      for (std::uint64_t m = 0; m < machines; ++m) {
+        const auto [first, last] = cluster.vertex_block(m, kN);
+        std::uint64_t words = 0;
+        for (unsigned b = 0; b < kBanks; ++b) {
+          words += sketches.arena(b).resident_words_scan(
+              static_cast<VertexId>(first), static_cast<VertexId>(last));
+        }
+        scan[m] = words;
+      }
+      const double us = timer.seconds() * 1e6;
+      scan_best = rep == 0 ? us : std::min(scan_best, us);
+    }
+    // Block by block and bank by bank, then the folded totals.
+    bool agree = fold == scan;
+    std::uint64_t blocks = 0;
+    for (std::uint64_t m = 0; m < machines; ++m) {
+      const auto [first, last] = cluster.vertex_block(m, kN);
+      const auto lo = static_cast<VertexId>(first);
+      const auto hi = static_cast<VertexId>(last);
+      for (unsigned b = 0; b < kBanks; ++b, ++blocks) {
+        const BankArena& arena = sketches.arena(b);
+        if (arena.resident_words(lo, hi) != arena.resident_words_scan(lo, hi))
+          agree = false;
+      }
+    }
+    all_agree = all_agree && agree;
+
+    table.add_row()
+        .cell(static_cast<std::int64_t>(machines))
+        .cell(fold_best, 1)
+        .cell(scan_best, 1)
+        .cell(static_cast<std::int64_t>(blocks))
+        .cell(agree ? "yes" : "NO");
+    const std::string prefix =
+        "resident_fold.machines" + std::to_string(machines) + ".";
+    json.set(prefix + "fold_us", fold_best);
+    json.set(prefix + "scan_us", scan_best);
+    json.set(prefix + "blocks_checked", blocks);
+    json.set(prefix + "agree", agree ? std::uint64_t{1} : std::uint64_t{0});
+  }
+  table.print(std::cout);
+  json.set("resident_fold.ok", all_agree ? std::uint64_t{1} : std::uint64_t{0});
+  if (!all_agree) {
+    std::cout << "\nFAIL: the resident counters disagree with the page-map "
+                 "scan.\n";
+  }
+  return all_agree;
+}
+
+bool run(const ParallelConfig& cfg) {
   bench::BenchJson json("mpc_parallel");
   // The runner's core count gates how the scaling numbers should be read:
   // a 1-core container records ~1.0x by construction, so downstream
@@ -199,6 +311,7 @@ void run(const ParallelConfig& cfg) {
     std::cout << "\nscaling ok: " << widest << " grid threads at "
               << widest_speedup << "x vs serial on " << hw << " cores.\n";
   }
+  return run_resident_fold(json);
 }
 
 }  // namespace
@@ -221,6 +334,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  streammpc::run(cfg);
-  return 0;
+  return streammpc::run(cfg) ? 0 : 1;
 }

@@ -224,8 +224,7 @@ void BatchScheduler::do_grow(const std::string& label,
   // ledger (honest accounting: re-partitioning is not free).
   resident_scratch_.assign(after, 0);
   if (sketches) {
-    for (std::uint64_t m = 0; m < after; ++m)
-      resident_scratch_[m] = sketches->resident_words(m, cluster_);
+    sketches->resident_words(cluster_, resident_scratch_);
   } else {
     target->resident(resident_scratch_);
   }

@@ -14,6 +14,11 @@
 //   fit every machine?) -> if not, charge one control round, bisect the
 //   chunk deterministically, recurse on the halves -> execute once it fits.
 //
+// Every probe folds the resident shards afresh from the arenas' resident
+// counters (VertexSketches::resident_words(cluster, out): one prefix per
+// block boundary per bank), so a split cascade costs O(banks * machines *
+// log n) per probe and never scans a page map.
+//
 // Properties the tests pin down (tests/test_mpc_scheduler.cc):
 //
 //   * Determinism.  The split tree is a pure function of the stream, the
@@ -195,7 +200,8 @@ class BatchScheduler {
                const std::string& label, VertexSketches& sketches);
 
   // Same loop over a generic Target (see above).  The probe folds the
-  // target's self-reported resident words instead of walking sketch pages;
+  // target's self-reported resident words instead of the sketches'
+  // resident counters;
   // everything else — split tree, retry, grow, accounting — is identical.
   void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
                const std::string& label, const Target& target);
@@ -239,7 +245,7 @@ class BatchScheduler {
   Simulator& simulator_;
   SchedulerConfig config_;
   RoutedBatch routed_;   // per-chunk routing scratch, reused
-  std::vector<std::uint64_t> resident_scratch_;  // Target probe fold
+  std::vector<std::uint64_t> resident_scratch_;  // Target probe + grow fold
   Stats stats_;
 };
 

@@ -171,22 +171,11 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
 std::span<const std::uint64_t> Simulator::resident_fold(
     const VertexSketches& sketches, std::uint64_t machines) {
   // Resident fold (pre-mutation): the sketch shard each machine already
-  // hosts, against which a delivery's scratch claim stacks.  Pages are
-  // never freed, so the fold (an O(n) page-map scan) only needs to re-run
-  // when the allocation watermark has grown since the last one — in the
-  // saturated steady state every batch pays just the O(banks) watermark
-  // check.
-  const std::uint64_t allocated = sketches.allocated_words();
-  if (&sketches != resident_cache_sketches_ ||
-      allocated != resident_cache_words_ ||
-      resident_scratch_.size() != machines) {
-    resident_scratch_.resize(machines);
-    for (std::uint64_t m = 0; m < machines; ++m) {
-      resident_scratch_[m] = sketches.resident_words(m, cluster_);
-    }
-    resident_cache_sketches_ = &sketches;
-    resident_cache_words_ = allocated;
-  }
+  // hosts, against which a delivery's scratch claim stacks.  The arenas
+  // keep their resident words as counters, so the fold costs one prefix
+  // per block boundary per bank and runs on every call.
+  resident_scratch_.resize(machines);
+  sketches.resident_words(cluster_, resident_scratch_);
   return resident_scratch_;
 }
 

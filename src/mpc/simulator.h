@@ -29,13 +29,18 @@
 //    local memory s, and a machine's claim on it is not just the delivered
 //    sub-batch (scratch) but the sketch shard it hosts *permanently* —
 //    the arena pages of its vertex block (resident).  Before every
-//    delivery the executor folds resident[m] =
-//    VertexSketches::resident_words(m, cluster) per machine, charges
-//    resident + delivered against the budget, records the peaks on the
-//    CommLedger, and surfaces both components in Stats.  The batch-dynamic
-//    MPC line (Nowicki–Onak, arXiv:2002.07800) and the round-compression
-//    work (arXiv:1807.08745) both size batches so exactly this sum stays
-//    under s; charging only the delivery (PR 3) understated the claim.
+//    delivery (and every probe) the executor folds resident[m] for all
+//    machines at once (VertexSketches::resident_words(cluster, out)),
+//    charges resident + delivered against the budget, records the peaks
+//    on the CommLedger, and surfaces both components in Stats.  Each
+//    arena keeps its resident words as counters updated where pages are
+//    allocated and freed, so the fold is O(banks * machines * log n) and
+//    never scans a page map — nothing is memoized, and insert streams
+//    that allocate pages on every batch pay the same as saturated ones.
+//    The batch-dynamic MPC line (Nowicki–Onak, arXiv:2002.07800) and the
+//    round-compression work (arXiv:1807.08745) both size batches so
+//    exactly this sum stays under s; charging only the delivery, as an
+//    earlier executor did, understated the claim.
 //
 // Determinism of accounting: the budget pre-scan, the resident fold, the
 // delivery charge, and the Stats fold all run serially, in machine-major
@@ -274,8 +279,9 @@ class Simulator {
   // fault fires.
   bool scan_cell_faults(const RoutedBatch& routed, unsigned banks,
                         std::uint64_t* fault_machine, unsigned* fault_bank);
-  // Folds (with memoization) each machine's resident sketch-shard words
-  // into resident_scratch_ and returns it.
+  // Folds each machine's resident sketch-shard words into
+  // resident_scratch_ and returns it: O(banks * machines * log n) from the
+  // arenas' resident counters, so it runs before every delivery and probe.
   std::span<const std::uint64_t> resident_fold(const VertexSketches& sketches,
                                                std::uint64_t machines);
   // Effective per-machine budget: strict clusters are additionally bound
@@ -291,13 +297,6 @@ class Simulator {
   std::vector<std::uint64_t> resident_scratch_;  // [machine], reused
   ExecPlan plan_;  // the shared grid executor, buffers reused
   std::uint64_t fault_step_scratch_ = 0;  // step id of the last fired fault
-  // Resident-fold memo: the per-machine resident distribution changes only
-  // when the allocation watermark moves — growth from ingest, or the exact
-  // restoration of a rollback (which returns both the watermark and the
-  // distribution to the cached pre-batch state) — so the O(n)-scan fold is
-  // re-run only on a changed watermark (O(banks * stores) to check).
-  const VertexSketches* resident_cache_sketches_ = nullptr;
-  std::uint64_t resident_cache_words_ = 0;
 };
 
 }  // namespace mpc

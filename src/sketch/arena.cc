@@ -1,6 +1,7 @@
 #include "sketch/arena.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -26,8 +27,50 @@ std::uint32_t BankArena::page_for(Store& store, VertexId v,
     store.owner.push_back(v);
     // Fresh records value-initialize to the zero cell.
     store.cells.resize(static_cast<std::size_t>(store.pages) * cells);
+    resident_add(v, cells * 4);
   }
   return page;
+}
+
+void BankArena::resident_add(VertexId v, std::uint64_t words) {
+  for (std::size_t i = std::size_t{v} + 1; i < resident_tree_.size();
+       i += i & (~i + 1)) {
+    resident_tree_[i] += words;
+  }
+}
+
+std::uint64_t BankArena::resident_prefix(VertexId end) const {
+  std::uint64_t words = 0;
+  for (std::size_t i = end; i > 0; i -= i & (~i + 1)) {
+    words += resident_tree_[i];
+  }
+  return words;
+}
+
+std::uint64_t BankArena::resident_counters() const {
+  const auto for_each_store = [&](const auto& fn) {
+    fn(hot_, hot_cells_);
+    for (const Store& store : overflow_) fn(store, cells_per_level_);
+  };
+  if (resident_tree_.empty()) {
+    // Point values from the owner lists, then each node pushes its sum to
+    // its Fenwick parent: O(n + pages).
+    resident_tree_.assign(n_ + std::size_t{1}, 0);
+    for_each_store([&](const Store& store, std::size_t cells) {
+      for (const VertexId v : store.owner)
+        resident_tree_[std::size_t{v} + 1] += cells * 4;
+    });
+    for (std::size_t i = 1; i < resident_tree_.size(); ++i) {
+      const std::size_t parent = i + (i & (~i + 1));
+      if (parent < resident_tree_.size())
+        resident_tree_[parent] += resident_tree_[i];
+    }
+  }
+  std::uint64_t mapped = 0;
+  for_each_store([&](const Store& store, std::size_t) {
+    if (!store.page_of.empty()) ++mapped;
+  });
+  return mapped;
 }
 
 BankArena::Store& BankArena::overflow_store(unsigned level) {
@@ -130,6 +173,8 @@ void BankArena::snap_rollback_store(StoreSnap& snap, Store& store,
         store.page_of[v] = kNoPage;
     }
   }
+  for (std::uint32_t p = snap.watermark; p < store.pages; ++p)
+    resident_add(store.owner[p], 0 - cells * 4);
   store.pages = snap.watermark;
   store.cells.resize(static_cast<std::size_t>(store.pages) * cells);
   store.owner.resize(store.pages);
@@ -169,6 +214,13 @@ void BankArena::snapshot_commit() {
 }
 
 std::uint64_t BankArena::resident_words(VertexId lo, VertexId hi) const {
+  std::uint64_t words = 0;
+  add_resident_words(std::span(&words, 1),
+                     [&](std::size_t) { return std::pair(lo, hi); });
+  return words;
+}
+
+std::uint64_t BankArena::resident_words_scan(VertexId lo, VertexId hi) const {
   SMPC_CHECK(lo <= hi && hi <= n_);
   const auto store_words = [&](const Store& store, std::size_t cells) {
     if (store.page_of.empty()) return std::uint64_t{0};
@@ -258,16 +310,20 @@ void BankArena::merge_groups(const L0Params& params,
 
 void BankArena::reset() {
   SMPC_CHECK_MSG(!txn_active_, "reset during an arena transaction");
-  const auto reset_store = [](Store& store) {
+  const auto reset_store = [&](Store& store, std::size_t cells) {
     // The owner reverse map names exactly the populated page-map entries,
-    // so the wipe costs O(pages) instead of O(n).
-    for (const VertexId v : store.owner) store.page_of[v] = kNoPage;
+    // so the wipe costs O(pages) instead of O(n) (O(pages log n) once the
+    // resident counters are built).
+    for (const VertexId v : store.owner) {
+      store.page_of[v] = kNoPage;
+      resident_add(v, 0 - cells * 4);
+    }
     store.owner.clear();
     store.pages = 0;
     store.cells.clear();  // page_for re-zeroes on growth; capacity retained
   };
-  reset_store(hot_);
-  for (Store& store : overflow_) reset_store(store);
+  reset_store(hot_, hot_cells_);
+  for (Store& store : overflow_) reset_store(store, cells_per_level_);
 }
 
 void BankArena::merge_from(const BankArena& src) {

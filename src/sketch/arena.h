@@ -37,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "graph/types.h"
 #include "sketch/l0sampler.h"
 
@@ -112,7 +113,49 @@ class BankArena {
   // charged at the same half-word-per-entry rate as allocated_words(), so
   // summing over a partition of [0, n) reproduces allocated_words() up to
   // one word of rounding per block.
+  //
+  // O(log n), for any block boundary: the arena keeps a Fenwick tree over
+  // vertices of each vertex's cell words (4 per record, summed over
+  // stores), and counts the stores whose page map is populated (O(stores)
+  // per call), so the answer is
+  //   prefix(hi) - prefix(lo) + mapped_stores * ((hi - lo) / 2),
+  // exactly resident_words_scan(lo, hi), rounding included.  The tree is
+  // built from the stores' owner lists on the first resident query, so an
+  // arena nobody asks (a gutter scratch arena, flat or routed ingest) pays
+  // nothing; from then on three places keep it up to date: page_for (a
+  // page allocated), snap_rollback_store (pages past the watermark freed)
+  // and reset() (every page freed).  merge_from allocates through
+  // page_for.  The tree is host bookkeeping — a real machine knows its own
+  // shard size locally — so neither this nor allocated_words() charges it
+  // to the model.  The first call writes the (mutable) tree, so it must
+  // not race with another call on the same arena.
   std::uint64_t resident_words(VertexId lo, VertexId hi) const;
+
+  // Bulk form: adds the words of block block(i) = [lo, hi) (a pair of
+  // vertex ids) to out[i] for every i < out.size().  A block that starts
+  // where the previous one ended reuses that boundary's prefix, so a
+  // tiling (Cluster::vertex_block) costs one prefix per boundary.
+  template <class BlockFn>
+  void add_resident_words(std::span<std::uint64_t> out,
+                          BlockFn&& block) const {
+    const std::uint64_t mapped = resident_counters();
+    VertexId prev_hi = 0;
+    std::uint64_t prev_prefix = 0;  // prefix(0)
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const auto [lo, hi] = block(i);
+      SMPC_CHECK(lo <= hi && hi <= n_);
+      const std::uint64_t lo_prefix =
+          lo == prev_hi ? prev_prefix : resident_prefix(lo);
+      prev_hi = hi;
+      prev_prefix = resident_prefix(hi);
+      out[i] += prev_prefix - lo_prefix + mapped * ((hi - lo) / 2);
+    }
+  }
+
+  // The same quantity by scanning every store's page map over [lo, hi):
+  // O(stores * (hi - lo)).  Test-only oracle for the counters above (and
+  // the bench that times them); no library code calls it.
+  std::uint64_t resident_words_scan(VertexId lo, VertexId hi) const;
 
   // --- transactional ingest (fault tolerance, see mpc/fault_injector.h) -----
   // Brackets one batch's page preparation + apply pipeline so a faulted or
@@ -131,12 +174,13 @@ class BankArena {
   // true pre-batch state) and remembers v as a fresh-page candidate
   // otherwise.  Pages allocated after snapshot_begin are recognized by the
   // watermark, so rollback restores saved images record-wise, truncates
-  // each store back to its watermark, and clears the fresh candidates'
-  // page-map entries — leaving the arena byte-identical to the snapshot
-  // point.  The contract that makes this exact is the grid discipline
-  // prepare_pages already guarantees: every page the batch touches is
-  // allocated during the preparation pass over exactly the (vertex, depth)
-  // set the snapshot walked.
+  // each store back to its watermark (taking the truncated pages out of
+  // the resident counters), and clears the fresh candidates' page-map
+  // entries — leaving the arena byte-identical to the snapshot point and
+  // the counters at their snapshot values.  The contract that makes this
+  // exact is the grid discipline prepare_pages already guarantees: every
+  // page the batch touches is allocated during the preparation pass over
+  // exactly the (vertex, depth) set the snapshot walked.
   void snapshot_begin();
   void snapshot_pages(VertexId v, unsigned depth);
   void rollback_pages();
@@ -171,11 +215,13 @@ class BankArena {
   L0Sampler extract(const L0Params& params, VertexId v) const;
 
   // --- scratch-arena support (the gutter drain path, src/ingest/) -----------
-  // Returns the arena to the all-empty state in O(allocated pages) time:
-  // only the page-map entries of vertices that actually own a page are
-  // cleared (each store tracks its pages' owners), and every cell buffer
-  // keeps its capacity.  This is what makes a per-drain scratch arena
-  // reusable — a full page-map wipe would cost O(n * banks) per drain.
+  // Returns the arena to the all-empty state in O(allocated pages) time
+  // (times log n once the resident counters are built): only the page-map
+  // entries of vertices that actually own a page are cleared and taken
+  // out of the counters (each store tracks its pages' owners), and every
+  // cell buffer keeps its capacity.  This is what makes a per-drain
+  // scratch arena reusable — a full page-map wipe would cost O(n * banks)
+  // per drain.
   // Not allowed inside an arena transaction.
   void reset();
 
@@ -291,8 +337,15 @@ class BankArena {
   static void snap_begin_store(StoreSnap& snap, const Store& store);
   static void snap_save_page(StoreSnap& snap, const Store& store, VertexId v,
                              std::size_t cells);
-  static void snap_rollback_store(StoreSnap& snap, Store& store,
-                                  std::size_t cells);
+  void snap_rollback_store(StoreSnap& snap, Store& store, std::size_t cells);
+  // Resident-word counters (see resident_words): add `words` (modulo 2^64,
+  // so a negated count subtracts) at vertex v — a no-op until the tree is
+  // built — and the tree's sum over [0, end).  resident_counters() builds
+  // the tree if it is not built yet and returns the number of stores whose
+  // page map is populated.
+  void resident_add(VertexId v, std::uint64_t words);
+  std::uint64_t resident_prefix(VertexId end) const;
+  std::uint64_t resident_counters() const;
 
   VertexId n_;
   unsigned levels_;
@@ -303,6 +356,9 @@ class BankArena {
   Store hot_;              // levels 0..hot_levels_-1, map sized on demand
   std::vector<Store> overflow_;  // [level - hot_levels_], maps lazily sized
   CoordPlan plan_;
+  // Fenwick tree (1-based, n_ + 1 entries once built; empty until the
+  // first resident query) over each vertex's cell words.
+  mutable std::vector<std::uint64_t> resident_tree_;
   bool txn_active_ = false;
   StoreSnap hot_snap_;
   std::vector<StoreSnap> overflow_snap_;  // lazily sized to overflow_.size()

@@ -1,6 +1,7 @@
 #include "sketch/graphsketch.h"
 
 #include <algorithm>
+#include <array>
 #include <thread>
 #include <utility>
 
@@ -232,6 +233,29 @@ std::uint64_t VertexSketches::resident_words(std::uint64_t machine,
                                   static_cast<VertexId>(last));
   }
   return total;
+}
+
+void VertexSketches::resident_words(const mpc::Cluster& cluster,
+                                    std::span<std::uint64_t> out) const {
+  SMPC_CHECK_MSG(out.size() == cluster.machines(),
+                 "resident vector does not match the machine count");
+  std::fill(out.begin(), out.end(), 0);
+  // Block bounds in stack-sized chunks: each machine's vertex_block (a
+  // 128-bit division) is computed once rather than once per bank, and
+  // nothing is allocated.
+  constexpr std::size_t kChunk = 64;
+  std::array<std::pair<VertexId, VertexId>, kChunk> blocks;
+  for (std::size_t base = 0; base < out.size(); base += kChunk) {
+    const std::size_t count = std::min(kChunk, out.size() - base);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto [first, last] = cluster.vertex_block(base + i, n_);
+      blocks[i] = {static_cast<VertexId>(first), static_cast<VertexId>(last)};
+    }
+    for (const BankArena& arena : arenas_) {
+      arena.add_resident_words(out.subspan(base, count),
+                               [&](std::size_t i) { return blocks[i]; });
+    }
+  }
 }
 
 void VertexSketches::merged_into(unsigned bank,

@@ -188,6 +188,13 @@ class VertexSketches {
   // for the block is n().
   std::uint64_t resident_words(std::uint64_t machine,
                                const mpc::Cluster& cluster) const;
+  // Every machine's resident words at once: out[m] = resident_words(m,
+  // cluster), with one counter prefix per block boundary per bank
+  // (O(banks * machines * log n)).  out.size() must be cluster.machines().
+  // The fold the Simulator runs before every delivery and the scheduler
+  // runs after a grow.
+  void resident_words(const mpc::Cluster& cluster,
+                      std::span<std::uint64_t> out) const;
 
   // Merged sampler of bank `bank` over a vertex set (Lemma 3.5's S_A).
   // The _into variant reuses `out`'s buffer across calls.

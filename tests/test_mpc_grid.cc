@@ -6,7 +6,8 @@
 // canonical machine-major serial order of the single-thread fallback;
 // pre-mutation rejection by strict clusters even
 // under a concurrent schedule; the resident-memory accounting
-// (vertex blocks, resident sums, ledger peaks, resident-driven rejection);
+// (vertex blocks, resident sums, ledger peaks, resident-driven rejection,
+// the resident counters against the page-map scan);
 // and the process-wide pool: the thread budget of serial and nested front
 // ends, and one shared pool driven from two threads at once.
 #include <gtest/gtest.h>
@@ -26,10 +27,12 @@
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
+#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
 #include "msf/approx_msf.h"
+#include "sketch/delta_sketch.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
 
@@ -508,6 +511,227 @@ TEST(GridRollback, MidGridFaultRestoresExactBytesAcrossThreadsAndMachines) {
       expect_identical_samples(after2, run.sketches, cfg.banks, sets);
       EXPECT_EQ(run.sketches.allocated_words(), after2.allocated_words());
     }
+  }
+}
+
+// ---------------- resident counters vs the page-map scan ---------------------
+
+// kMachineCounts, plus `extra_machines` when nonzero.
+std::vector<std::uint64_t> machine_counts(std::uint64_t extra_machines) {
+  std::vector<std::uint64_t> counts(std::begin(kMachineCounts),
+                                    std::end(kMachineCounts));
+  if (extra_machines != 0) counts.push_back(extra_machines);
+  return counts;
+}
+
+// Every block's counter answer equals the page-map scan oracle, for each
+// vertex block at each of machine_counts(extra_machines).
+void expect_arena_matches_scan(const BankArena& arena, VertexId n,
+                               const std::string& stage,
+                               std::uint64_t extra_machines = 0) {
+  for (const std::uint64_t machines : machine_counts(extra_machines)) {
+    const mpc::Cluster cluster = test::make_cluster(n, machines);
+    for (std::uint64_t m = 0; m < machines; ++m) {
+      const auto [first, last] = cluster.vertex_block(m, n);
+      const auto lo = static_cast<VertexId>(first);
+      const auto hi = static_cast<VertexId>(last);
+      EXPECT_EQ(arena.resident_words(lo, hi),
+                arena.resident_words_scan(lo, hi))
+          << stage << " machines=" << machines << " block=" << m;
+    }
+  }
+}
+
+// The same per bank, and the bulk fold (and the per-machine overload)
+// against the summed scan.
+void expect_counters_match_scan(const VertexSketches& vs,
+                                const std::string& stage,
+                                std::uint64_t extra_machines = 0) {
+  for (unsigned b = 0; b < vs.banks(); ++b)
+    expect_arena_matches_scan(vs.arena(b), vs.n(), stage, extra_machines);
+  for (const std::uint64_t machines : machine_counts(extra_machines)) {
+    const mpc::Cluster cluster = test::make_cluster(vs.n(), machines);
+    std::vector<std::uint64_t> bulk(machines, 7);  // overwritten, not added
+    vs.resident_words(cluster, bulk);
+    for (std::uint64_t m = 0; m < machines; ++m) {
+      const auto [first, last] = cluster.vertex_block(m, vs.n());
+      std::uint64_t scan = 0;
+      for (unsigned b = 0; b < vs.banks(); ++b) {
+        scan += vs.arena(b).resident_words_scan(static_cast<VertexId>(first),
+                                                static_cast<VertexId>(last));
+      }
+      EXPECT_EQ(bulk[m], scan)
+          << stage << " machines=" << machines << " machine=" << m;
+      EXPECT_EQ(vs.resident_words(m, cluster), scan)
+          << stage << " machines=" << machines << " machine=" << m;
+    }
+  }
+}
+
+// Levels (over all banks) holding at least one page.  On an arena that was
+// never reset or rolled back, an overflow store's map is populated exactly
+// when its level holds a page.
+std::size_t populated_levels(const VertexSketches& vs) {
+  std::size_t populated = 0;
+  for (unsigned b = 0; b < vs.banks(); ++b) {
+    const BankArena& arena = vs.arena(b);
+    for (unsigned level = 0; level < arena.levels(); ++level) {
+      for (VertexId v = 0; v < vs.n(); ++v) {
+        if (!arena.level_records(level, v).empty()) {
+          ++populated;
+          break;
+        }
+      }
+    }
+  }
+  return populated;
+}
+
+TEST(ResidentAccounting, CountersMatchScan) {
+  const VertexId n = 96;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 85001;
+  const auto deltas = random_deltas(n, 300, 85002);
+  const std::span<const EdgeDelta> all(deltas);
+
+  // Random flat ingest: the counters track every chunk's page growth.
+  VertexSketches flat(n, cfg);
+  expect_counters_match_scan(flat, "empty");
+  for (std::size_t start = 0; start < all.size(); start += 75) {
+    flat.update_edges(all.subspan(start, 75));
+    expect_counters_match_scan(flat, "flat");
+  }
+
+  // Simulated ingest at every machine count.
+  for (const std::uint64_t machines : kMachineCounts) {
+    SimRun run(n, cfg, machines, /*threads=*/2);
+    run.ingest(deltas, 50);
+    expect_counters_match_scan(run.sketches, "simulated");
+  }
+
+  // Fault rollback of a batch that first populates overflow maps: the
+  // rollback frees the batch's pages and clears those maps (the !had_map
+  // path), and the counters must drop back with them.
+  {
+    const auto batch1 = all.first(2);
+    const auto batch2 = all.subspan(2);
+    VertexSketches after1(n, cfg);
+    after1.update_edges(batch1);
+    VertexSketches after2(n, cfg);
+    after2.update_edges(batch1);
+    after2.update_edges(batch2);
+    ASSERT_GT(populated_levels(after2), populated_levels(after1))
+        << "batch 2 must populate an overflow map batch 1 left empty";
+
+    mpc::FaultInjector injector;
+    SimRun run(n, cfg, 4, /*threads=*/2);
+    run.sim.attach_fault_injector(&injector);
+    mpc::RoutedBatch routed;
+    run.cluster.route_batch(batch1, n, routed);
+    run.sim.execute(routed, "counters-b1", run.sketches);
+    injector.add_cell_fault(run.sim.stats().cell_steps + 3);
+    run.cluster.route_batch(batch2, n, routed);
+    EXPECT_THROW(run.sim.execute(routed, "counters-b2", run.sketches),
+                 mpc::TransientFault);
+    EXPECT_EQ(run.sketches.allocated_words(), after1.allocated_words());
+    expect_counters_match_scan(run.sketches, "rollback");
+    for (std::uint64_t m = 0; m < 4; ++m) {
+      EXPECT_EQ(run.sketches.resident_words(m, run.cluster),
+                after1.resident_words(m, run.cluster));
+    }
+    run.sim.execute(routed, "counters-b2", run.sketches);
+    expect_counters_match_scan(run.sketches, "redelivered");
+  }
+
+  // The gutter drain: a scratch DeltaSketch merged into the resident
+  // arenas, both through merge_delta and by a direct merge_from that
+  // allocates through page_for.  The resident arenas' counters are built
+  // (by the first query) before the merges, so the merges maintain them.
+  {
+    VertexSketches resident(n, cfg);
+    resident.update_edges(all.first(100));
+    expect_counters_match_scan(resident, "resident fill");
+    DeltaSketch delta(resident);
+    const mpc::Cluster cluster = test::make_cluster(n, 4);
+    mpc::RoutedBatch routed;
+    cluster.route_batch(all.subspan(100), n, routed);
+    delta.accumulate(routed);
+    // Never queried during the drain, the scratch arenas build their
+    // counters on this first query.
+    for (unsigned b = 0; b < cfg.banks; ++b)
+      expect_arena_matches_scan(delta.arena(b), n, "scratch first query");
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+      BankArena merged = resident.arena(b);
+      merged.merge_from(delta.arena(b));
+      expect_arena_matches_scan(merged, n, "merge_from");
+    }
+    resident.merge_delta(routed, delta);
+    expect_counters_match_scan(resident, "merge_delta");
+  }
+
+  // A queried arena through the scratch cycle: fill, merge into another
+  // queried arena, reset, refill.
+  {
+    const L0Params params = VertexSketches(n, cfg).params(0);
+    BankArena target(n, params);
+    BankArena scratch(n, params);
+    Rng rng(85003);
+    const auto fill = [&](BankArena& arena, int vertices) {
+      for (int i = 0; i < vertices; ++i) {
+        arena.prepare_pages(static_cast<VertexId>(rng.below(n)),
+                            static_cast<unsigned>(rng.below(arena.levels())));
+      }
+    };
+    fill(target, 40);
+    expect_arena_matches_scan(target, n, "target fill");
+    fill(scratch, 120);
+    expect_arena_matches_scan(scratch, n, "scratch fill");
+    target.merge_from(scratch);
+    expect_arena_matches_scan(target, n, "scratch merge_from");
+    scratch.reset();
+    expect_arena_matches_scan(scratch, n, "scratch reset");
+    // Only the (still sized) page maps remain.
+    EXPECT_EQ(scratch.resident_words(0, n), scratch.allocated_words());
+    fill(scratch, 60);
+    expect_arena_matches_scan(scratch, n, "scratch reuse");
+  }
+
+  // A kDouble grow: the blocks halve, the counters answer any boundary.
+  {
+    const VertexId gn = 128;
+    const std::uint64_t machines = 4;
+    const auto star = test::star_deltas(gn);
+    const auto max_resident = [&](std::uint64_t p) {
+      const mpc::Cluster sizing = test::make_cluster(gn, p);
+      VertexSketches vs(gn, cfg);
+      vs.update_edges(star);
+      std::uint64_t peak = 0;
+      for (std::uint64_t m = 0; m < p; ++m)
+        peak = std::max(peak, vs.resident_words(m, sizing));
+      return peak;
+    };
+    // Fits the final shards at 2P machines but not at P: only growing can
+    // complete the stream.
+    const std::uint64_t budget =
+        max_resident(2 * machines) + 16 * mpc::RoutedBatch::kWordsPerDelta;
+    ASSERT_GT(max_resident(machines), budget);
+
+    mpc::Cluster cluster = test::make_cluster(gn, machines, 0.5, true);
+    mpc::Simulator sim(cluster, budget);
+    mpc::SchedulerConfig sc;
+    sc.policy = mpc::SplitPolicy::kBisect;
+    sc.grow = mpc::GrowPolicy::kDouble;
+    mpc::BatchScheduler sched(cluster, sim, sc);
+    VertexSketches vs(gn, cfg);
+    for (std::size_t start = 0; start < star.size(); start += 8) {
+      const std::size_t len = std::min<std::size_t>(8, star.size() - start);
+      sched.execute(std::span<const EdgeDelta>(star).subspan(start, len), gn,
+                    "counters-grow", vs);
+    }
+    ASSERT_EQ(sched.stats().grows, 1u);
+    ASSERT_EQ(cluster.machines(), 2 * machines);
+    expect_counters_match_scan(vs, "grow", cluster.machines());
   }
 }
 
