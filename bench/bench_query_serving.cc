@@ -13,7 +13,13 @@
 //     repairs, rebuilds, and served queries/sec, and checks every
 //     published snapshot's labels against the AdjGraph oracle;
 //   * concurrent readers — T threads hammering snapshot()->connected()
-//     with no writer interference, reporting aggregate reads/sec.
+//     with no writer interference, reporting aggregate reads/sec;
+//   * boundary sampling — one AGM Boruvka level over singletons (n = 2^13)
+//     through the fused top-down kernel (sample_boundaries) and through
+//     the materializing oracle (merged_into + decode_sample per group),
+//     timed side by side; any disagreement fails the bench
+//     ("sample.agree": 0, exit 1).  The times are recorded, not gated:
+//     speed depends on the host.
 //
 // Every timed cached answer is cross-checked against the uncached answer
 // in-harness — the bench fails (exit 1, "correct.ok": 0) on any mismatch.
@@ -29,8 +35,10 @@
 #include "bench_util.h"
 #include "core/agm_static.h"
 #include "graph/adjacency.h"
+#include "graph/generators.h"
 #include "graph/reference.h"
 #include "sketch/graphsketch.h"
+#include "sketch/l0sampler.h"
 
 namespace streammpc {
 namespace {
@@ -45,6 +53,7 @@ struct ServeConfig {
   std::size_t cached_queries = 200000; // snapshot queries to time
   unsigned reader_threads = 4;
   std::size_t reads_per_thread = 200000;
+  std::size_t sample_levels = 24;  // timed Boruvka levels, one bank each
 };
 
 GraphSketchConfig sketch_config(VertexId n, std::uint64_t seed) {
@@ -103,6 +112,69 @@ bool uncached_connected(AgmStaticConnectivity& agm, VertexId u, VertexId v) {
   Dsu dsu(agm.n());
   for (const Edge& e : fresh.forest) dsu.unite(e.u, e.v);
   return dsu.same(u, v);
+}
+
+// Section 4: times sample_boundaries over n = 2^13 singletons against
+// the materializing oracle, one bank per timed level, and returns the
+// number of groups on which they disagree.
+std::uint64_t sampling_section(const ServeConfig& cfg, bench::BenchJson& json) {
+  const VertexId n = 1u << 13;
+  Rng rng(0x5a3e);
+  VertexSketches sketches(n, sketch_config(n, 0x5a3f));
+  std::vector<EdgeDelta> deltas;
+  for (const Edge& e : gen::connected_gnm(n, 2 * std::size_t{n}, rng))
+    deltas.push_back({e, +1});
+  sketches.update_edges(deltas);
+  std::vector<VertexId> members(n);
+  std::vector<std::uint32_t> offsets(n + 1);
+  for (VertexId v = 0; v < n; ++v) {
+    members[v] = v;
+    offsets[v + 1] = v + 1;
+  }
+  std::vector<std::optional<Edge>> fused;
+  std::vector<std::optional<Edge>> materialized(n);
+  L0Sampler scratch;
+  double fused_sec = 0.0;
+  double materialized_sec = 0.0;
+  std::uint64_t disagreements = 0;
+  std::uint64_t hits = 0;
+  for (std::size_t level = 0; level < cfg.sample_levels; ++level) {
+    const unsigned bank = static_cast<unsigned>(level % sketches.banks());
+    bench::Timer fused_timer;
+    sketches.sample_boundaries(bank, members, offsets, fused);
+    fused_sec += fused_timer.seconds();
+    bench::Timer materialized_timer;
+    for (VertexId v = 0; v < n; ++v) {
+      sketches.merged_into(bank, std::span<const VertexId>(&members[v], 1),
+                           scratch);
+      materialized[v] = sketches.decode_sample(bank, scratch);
+    }
+    materialized_sec += materialized_timer.seconds();
+    for (VertexId v = 0; v < n; ++v) {
+      disagreements += fused[v] != materialized[v];
+      hits += fused[v].has_value();
+    }
+  }
+  const double levels = static_cast<double>(cfg.sample_levels);
+  const double fused_us = fused_sec / levels * 1e6;
+  const double materialized_us = materialized_sec / levels * 1e6;
+  std::cout << "n = " << n << " singletons, " << cfg.sample_levels
+            << " levels: fused " << fused_us << " us/level, materialized "
+            << materialized_us << " us/level ("
+            << (fused_us > 0 ? materialized_us / fused_us : 0.0)
+            << "x); hit rate "
+            << static_cast<double>(hits) / (levels * n) << ", "
+            << disagreements << " disagreements\n";
+  json.set("sample.n", static_cast<std::uint64_t>(n));
+  json.set("sample.levels", static_cast<std::uint64_t>(cfg.sample_levels));
+  json.set("sample.fused_us", fused_us);
+  json.set("sample.materialized_us", materialized_us);
+  json.set("sample.agree", disagreements == 0 ? 1 : 0);
+  if (disagreements != 0) {
+    std::cerr << "FAIL: " << disagreements
+              << " fused samples disagreed with the materializing oracle\n";
+  }
+  return disagreements;
 }
 
 int run(const ServeConfig& cfg) {
@@ -227,15 +299,23 @@ int run(const ServeConfig& cfg) {
   json.set("readers.threads", static_cast<std::uint64_t>(cfg.reader_threads));
   json.set("readers.qps", reader_qps);
 
+  // --- section 4: boundary sampling, fused vs materialized -------------------
+  bench::section("boundary sampling",
+                 "one AGM Boruvka level: one boundary sample per supernode "
+                 "(Lemma 3.5), here over singletons");
+  const std::uint64_t sample_disagreements = sampling_section(cfg, json);
+  mismatches += sample_disagreements;
+
   json.set("correct.mismatches", mismatches);
   json.set("correct.ok", mismatches == 0 ? 1 : 0);
   if (mismatches != 0) {
     std::cerr << "FAIL: " << mismatches
-              << " cached answers disagreed with the uncached oracle\n";
+              << " answers disagreed with their oracle\n";
     return 1;
   }
-  std::cout << "all cached answers matched the uncached oracle (sink " << sink
-            << ")\n";
+  std::cout << "all cached answers matched the uncached oracle and all fused "
+               "samples the materializing one (sink "
+            << sink << ")\n";
   return 0;
 }
 
@@ -252,6 +332,7 @@ int main(int argc, char** argv) {
       cfg.uncached_samples = 4;
       cfg.cached_queries = 40000;
       cfg.reads_per_thread = 50000;
+      cfg.sample_levels = 4;
     } else {
       std::cerr << "unknown flag: " << argv[i]
                 << "\nusage: bench_query_serving [--quick]\n";

@@ -66,8 +66,7 @@ AgmStaticConnectivity::query_spanning_forest() {
           return std::span<const VertexId>(&vertex_ids[v], 1);
         });
     sketches_.sample_boundaries(level, group_csr_.members(),
-                                group_csr_.offsets(), group_scratch_,
-                                group_samples_);
+                                group_csr_.offsets(), group_samples_);
     bool progress = false;
     for (const auto& e : group_samples_) {
       if (e && dsu.unite(e->u, e->v)) {

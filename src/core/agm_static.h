@@ -104,7 +104,6 @@ class AgmStaticConnectivity {
   SketchFrontend ingest_;
   // Reused buffers for the level-at-a-time Boruvka queries.
   GroupCsr group_csr_;
-  std::vector<L0Sampler> group_scratch_;
   std::vector<std::optional<Edge>> group_samples_;
 };
 

@@ -222,7 +222,7 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
       group_class_[item_groups[i]] = fragment_class_[i];
     sketches_.sample_boundaries(bank, group_csr_.members(),
                                 group_csr_.offsets(), group_class_,
-                                group_scratch_, group_samples_);
+                                group_samples_);
 
     bool any_edge = false;
     bool any_union = false;

@@ -201,7 +201,6 @@ class DynamicConnectivity {
   GroupCsr group_csr_;
   std::vector<std::uint32_t> fragment_class_;  // [fragment] -> zero-sum class
   std::vector<std::uint32_t> group_class_;     // [group] -> zero-sum class
-  std::vector<L0Sampler> group_scratch_;
   std::vector<std::optional<Edge>> group_samples_;
   Stats stats_;
 };

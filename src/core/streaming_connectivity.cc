@@ -147,10 +147,8 @@ void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
   // (Observation 4.3); rotate banks so consecutive deletions use fresh
   // randomness.
   const unsigned bank = next_bank_++ % sketches_.banks();
-  const auto replacement =
-      sketches_.sample_boundary(bank,
-                                std::span<const VertexId>(zu.data(), zu.size()),
-                                cut_query_scratch_);
+  const auto replacement = sketches_.sample_boundary(
+      bank, std::span<const VertexId>(zu.data(), zu.size()));
   if (replacement.has_value()) {
     ++stats_.replacements_found;
     forest_adj_[replacement->u].insert(replacement->v);

@@ -153,7 +153,6 @@ class StreamingConnectivity {
   std::size_t components_;
   std::size_t forest_edges_ = 0;
   unsigned next_bank_ = 0;
-  L0Sampler cut_query_scratch_;  // reused merged sampler for deletions
   Stats stats_;
 };
 

@@ -242,70 +242,36 @@ std::uint64_t BankArena::resident_words_scan(VertexId lo, VertexId hi) const {
 void BankArena::merge_into(const L0Params& params,
                            std::span<const VertexId> vertices,
                            L0Sampler& out) const {
-  const std::uint32_t offsets[2] = {0,
-                                    static_cast<std::uint32_t>(vertices.size())};
-  merge_groups(params, vertices, std::span<const std::uint32_t>(offsets, 2),
-               std::span<L0Sampler>(&out, 1));
+  out.reset(params);
+  const std::span<OneSparseCell> cells = out.mutable_cells(params);
+  for (unsigned j = 0; j < levels_; ++j) {
+    if (add_level(j, vertices,
+                  cells.subspan(j * cells_per_level_, cells_per_level_)))
+      out.set_active_levels(j + 1);
+  }
 }
 
-void BankArena::merge_groups(const L0Params& params,
-                             std::span<const VertexId> members,
-                             std::span<const std::uint32_t> offsets,
-                             std::span<L0Sampler> outs,
-                             std::span<const std::uint8_t> skip) const {
-  const std::size_t groups = outs.size();
-  SMPC_CHECK(offsets.size() == groups + 1);
-  SMPC_CHECK(offsets[groups] == members.size());
-  SMPC_CHECK(skip.empty() || skip.size() == groups);
-  const auto skipped = [&](std::size_t g) { return !skip.empty() && skip[g]; };
-  for (L0Sampler& out : outs) out.reset(params);
-  // Hot store first (it mirrors levels 0..hot-1), then each overflow level:
-  // level-major order means every store is walked exactly once for all
-  // groups, and the active-level watermarks rise monotonically.
-  if (!hot_.page_of.empty()) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (skipped(g)) continue;
-      OneSparseCell* dst = outs[g].mutable_cells(params).data();
-      bool touched = false;
-      for (std::uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
-        const VertexId v = members[i];
-        SMPC_CHECK(v < n_);
-        const std::uint32_t page = hot_.page_of[v];
-        if (page == kNoPage) continue;
-        const ArenaCell* cells =
-            hot_.cells.data() + static_cast<std::size_t>(page) * hot_cells_;
-        for (std::size_t c = 0; c < hot_cells_; ++c) {
-          dst[c].add_raw(cells[c].w, cells[c].s(), cells[c].fp);
-        }
-        touched = true;
-      }
-      if (touched) outs[g].set_active_levels(hot_levels_);
-    }
+bool BankArena::add_level(unsigned level, std::span<const VertexId> vertices,
+                          std::span<OneSparseCell> out) const {
+  SMPC_CHECK(level < levels_ && out.size() == cells_per_level_);
+  const Store& store = store_of(level);
+  if (store.page_of.empty()) return false;
+  const bool hot = level < hot_levels_;
+  const std::size_t page_cells = hot ? hot_cells_ : cells_per_level_;
+  const ArenaCell* level_cells =
+      store.cells.data() + (hot ? level * cells_per_level_ : 0);
+  bool touched = false;
+  for (const VertexId v : vertices) {
+    SMPC_CHECK(v < n_);
+    const std::uint32_t page = store.page_of[v];
+    if (page == kNoPage) continue;
+    const ArenaCell* cells =
+        level_cells + static_cast<std::size_t>(page) * page_cells;
+    for (std::size_t c = 0; c < cells_per_level_; ++c)
+      out[c].add_raw(cells[c].w, cells[c].s(), cells[c].fp);
+    touched = true;
   }
-  for (unsigned j = hot_levels_; j < levels_; ++j) {
-    const Store& store = overflow_[j - hot_levels_];
-    if (store.page_of.empty()) continue;
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (skipped(g)) continue;
-      OneSparseCell* dst =
-          outs[g].mutable_cells(params).data() + j * cells_per_level_;
-      bool touched = false;
-      for (std::uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
-        const VertexId v = members[i];
-        SMPC_CHECK(v < n_);
-        const std::uint32_t page = store.page_of[v];
-        if (page == kNoPage) continue;
-        const ArenaCell* cells = store.cells.data() +
-                                 static_cast<std::size_t>(page) *
-                                     cells_per_level_;
-        for (std::size_t c = 0; c < cells_per_level_; ++c) {
-          dst[c].add_raw(cells[c].w, cells[c].s(), cells[c].fp);
-        }
-        touched = true;
-      }
-      if (touched) outs[g].set_active_levels(j + 1);
-    }
-  }
+  return touched;
 }
 
 void BankArena::reset() {
@@ -386,8 +352,7 @@ std::uint64_t BankArena::allocated_words() const {
 std::span<const ArenaCell> BankArena::level_records(unsigned level,
                                                     VertexId v) const {
   SMPC_CHECK(level < levels_ && v < n_);
-  const Store& store =
-      level < hot_levels_ ? hot_ : overflow_[level - hot_levels_];
+  const Store& store = store_of(level);
   if (store.page_of.empty() || store.page_of[v] == kNoPage) return {};
   const std::size_t page_cells =
       level < hot_levels_ ? hot_cells_ : cells_per_level_;

@@ -186,30 +186,32 @@ class BankArena {
   void rollback_pages();
   void snapshot_commit();
 
-  // Element-wise sum of the vertices' cells into `out` (Lemma 3.5's S_A).
-  // Resets `out` first and reuses its buffer — no allocation after the
-  // first call with the same scratch sampler.
+  // Element-wise sum of the vertices' cells into `out` (Lemma 3.5's S_A),
+  // every level materialized.  Resets `out` first and reuses its buffer —
+  // no allocation after the first call with the same scratch sampler.
+  // The materializing path behind VertexSketches::merged / sampler, and
+  // the oracle the fused sampling kernel is tested against; Boruvka
+  // queries go through add_level instead.
   void merge_into(const L0Params& params, std::span<const VertexId> vertices,
                   L0Sampler& out) const;
 
-  // Multi-set merge: merges several vertex groups at once, one *level store*
-  // at a time — the outer loop walks the hot store and then each overflow
-  // level, and within a store all groups are resolved together, so one
-  // Boruvka level's worth of groups costs one pass over the arena instead
-  // of one arena walk per group (untouched deep levels are skipped once for
-  // everybody, and each store's page map and cell records stay
-  // cache-resident across groups).  `members` concatenates the groups'
-  // vertex lists; `offsets` is the CSR boundary array (offsets.size() ==
-  // outs.size() + 1, offsets.back() == members.size()).  Each outs[g] is
-  // reset first and its buffer reused.  Cell sums commute, so the result
-  // equals merge_into per group exactly.  A non-empty `skip` mask (one
-  // entry per group) leaves every group g with skip[g] != 0 unwalked: its
-  // outs[g] stays the zero sampler (the zero-sum complement of
-  // VertexSketches::sample_boundaries fills it afterwards).
-  void merge_groups(const L0Params& params, std::span<const VertexId> members,
-                    std::span<const std::uint32_t> offsets,
-                    std::span<L0Sampler> outs,
-                    std::span<const std::uint8_t> skip = {}) const;
+  // Adds the level-`level` records of every vertex in `vertices` into
+  // `out` (cells_per_level cells, row-major [row][bucket]): w and s by
+  // integer addition, fp in the field, exactly merge_into's arithmetic for
+  // that level.  Vertices without a page at the level add nothing.
+  // Returns whether any vertex owns a page there; on false `out` is
+  // untouched.  VertexSketches::sample_boundaries, the fused Boruvka
+  // kernel, calls it once per live group per level, from the sparsest
+  // level down, so a group stops costing anything at the first level that
+  // recovers.
+  bool add_level(unsigned level, std::span<const VertexId> vertices,
+                 std::span<OneSparseCell> out) const;
+  // Whether any vertex owns a page at `level` (its store's page map is
+  // populated).  A level nobody reaches is all zero for every vertex set,
+  // so the kernel skips it for all groups at once.
+  bool level_mapped(unsigned level) const {
+    return !store_of(level).page_of.empty();
+  }
 
   // Copy of one vertex's sampler (zero sampler if the vertex is untouched).
   L0Sampler extract(const L0Params& params, VertexId v) const;
@@ -334,6 +336,10 @@ class BankArena {
 
   std::uint32_t page_for(Store& store, VertexId v, std::size_t cells);
   Store& overflow_store(unsigned level);
+  // The store holding `level` (the hot store for level < hot_levels_).
+  const Store& store_of(unsigned level) const {
+    return level < hot_levels_ ? hot_ : overflow_[level - hot_levels_];
+  }
   static void snap_begin_store(StoreSnap& snap, const Store& store);
   static void snap_save_page(StoreSnap& snap, const Store& store, VertexId v,
                              std::size_t cells);

@@ -280,60 +280,117 @@ std::optional<Edge> VertexSketches::decode_sample(unsigned bank,
 }
 
 std::optional<Edge> VertexSketches::sample_boundary(
-    unsigned bank, std::span<const VertexId> vertices,
-    L0Sampler& scratch) const {
-  merged_into(bank, vertices, scratch);
-  return decode_sample(bank, scratch);
-}
-
-std::optional<Edge> VertexSketches::sample_boundary(
     unsigned bank, std::span<const VertexId> vertices) const {
-  L0Sampler scratch;
-  return sample_boundary(bank, vertices, scratch);
+  const std::uint32_t offsets[2] = {
+      0, static_cast<std::uint32_t>(vertices.size())};
+  std::optional<Edge> out;
+  sample_groups(bank, vertices, offsets, {}, std::span(&out, 1));
+  return out;
 }
 
 void VertexSketches::sample_boundaries(
     unsigned bank, std::span<const VertexId> members,
     std::span<const std::uint32_t> offsets,
-    std::span<const std::uint32_t> classes, std::vector<L0Sampler>& scratch,
+    std::span<const std::uint32_t> classes,
     std::vector<std::optional<Edge>>& out) const {
-  SMPC_CHECK(bank < banks());
   SMPC_CHECK(!offsets.empty());
+  out.resize(offsets.size() - 1);
+  sample_groups(bank, members, offsets, classes, out);
+}
+
+void VertexSketches::sample_groups(unsigned bank,
+                                   std::span<const VertexId> members,
+                                   std::span<const std::uint32_t> offsets,
+                                   std::span<const std::uint32_t> classes,
+                                   std::span<std::optional<Edge>> out) const {
+  SMPC_CHECK(bank < banks());
+  SMPC_CHECK(!offsets.empty() && offsets.back() == members.size());
   const std::size_t groups = offsets.size() - 1;
+  SMPC_CHECK(out.size() == groups);
   SMPC_CHECK(classes.empty() || classes.size() == groups);
-  if (scratch.size() < groups) scratch.resize(groups);
-  out.resize(groups);
-  const std::span<L0Sampler> samplers(scratch.data(), groups);
-  // Per class, the complement group: most members, ties to the lowest g.
-  // Thread-local so the const query stays reentrant without allocating.
+  const BankArena& arena = arenas_[bank];
+  const L0Params& params = params_[bank];
+  const std::size_t cells = params.cells_per_level();
+  std::fill(out.begin(), out.end(), std::nullopt);
+  // Thread-local so the const query stays reentrant without allocating
+  // once warm.  `sum` is all zero between uses.
   constexpr std::uint32_t kNone = ~0u;
+  thread_local std::vector<OneSparseCell> sum;
+  thread_local std::vector<OneSparseCell> class_sum;   // [class][cell]
   thread_local std::vector<std::uint32_t> complement;  // [class] -> group
-  thread_local std::vector<std::uint8_t> skip;         // [group]
-  skip.assign(classes.empty() ? 0 : groups, 0);
+  thread_local std::vector<std::uint8_t> open;  // [class] complement unsampled
+  thread_local std::vector<std::uint8_t> done;  // [group] sample decided
+  thread_local std::vector<std::uint32_t> live;         // groups to walk
+  thread_local std::vector<std::uint32_t> open_classes;
+  sum.assign(cells, OneSparseCell{});
+  done.assign(groups, 0);
+  live.clear();
+  open_classes.clear();
+  // Per class, the complement group: most members, ties to the lowest g.
+  // It is never walked; every other group is.  A class is open while its
+  // complement may still recover, which needs at least one class-mate.
+  const auto size_of = [&](std::uint32_t g) {
+    return offsets[g + 1] - offsets[g];
+  };
   if (!classes.empty()) {
-    complement.assign(*std::max_element(classes.begin(), classes.end()) + 1,
-                      kNone);
-    const auto size_of = [&](std::uint32_t g) {
-      return offsets[g + 1] - offsets[g];
-    };
+    const std::size_t class_count =
+        *std::max_element(classes.begin(), classes.end()) + std::size_t{1};
+    complement.assign(class_count, kNone);
+    open.assign(class_count, 0);
     for (std::uint32_t g = 0; g < groups; ++g) {
       std::uint32_t& best = complement[classes[g]];
       if (best == kNone || size_of(g) > size_of(best)) best = g;
     }
-    for (const std::uint32_t g : complement) {
-      if (g != kNone) skip[g] = 1;
-    }
-  }
-  arenas_[bank].merge_groups(params_[bank], members, offsets, samplers, skip);
-  if (!classes.empty()) {
-    // The class sums to zero, so its complement is minus everyone else.
     for (std::uint32_t g = 0; g < groups; ++g) {
-      if (!skip[g])
-        samplers[complement[classes[g]]].subtract(params_[bank], samplers[g]);
+      if (complement[classes[g]] == g) continue;
+      live.push_back(g);
+      if (!open[classes[g]]) {
+        open[classes[g]] = 1;
+        open_classes.push_back(classes[g]);
+      }
     }
+    class_sum.resize(class_count * cells);
+  } else {
+    for (std::uint32_t g = 0; g < groups; ++g) live.push_back(g);
   }
-  for (std::size_t g = 0; g < groups; ++g)
-    out[g] = decode_sample(bank, samplers[g]);
+  // Top-down level walk: the first level that recovers anything is the
+  // level L0Sampler::sample would pick on the full merge (every level above
+  // it is zero or undecodable for the group either way), so a group
+  // retires there.  A class-mate stays live until its class's complement
+  // has recovered, because the complement's level sum is minus theirs.
+  for (unsigned j = params.levels(); j-- > 0 && !live.empty();) {
+    if (!arena.level_mapped(j)) continue;
+    for (const std::uint32_t c : open_classes) {
+      std::fill_n(class_sum.begin() + c * cells, cells, OneSparseCell{});
+    }
+    for (const std::uint32_t g : live) {
+      if (!arena.add_level(j, members.subspan(offsets[g], size_of(g)), sum))
+        continue;
+      if (!done[g]) {
+        if (const auto r = params.sample_level(j, sum)) {
+          out[g] = codec_.decode(r->coord);
+          done[g] = 1;
+        }
+      }
+      if (!classes.empty() && open[classes[g]]) {
+        OneSparseCell* dst = class_sum.data() + classes[g] * cells;
+        for (std::size_t c = 0; c < cells; ++c) dst[c].subtract(sum[c]);
+      }
+      std::fill(sum.begin(), sum.end(), OneSparseCell{});
+    }
+    std::erase_if(open_classes, [&](std::uint32_t c) {
+      const auto r = params.sample_level(
+          j, std::span<const OneSparseCell>(class_sum.data() + c * cells,
+                                            cells));
+      if (!r) return false;
+      out[complement[c]] = codec_.decode(r->coord);
+      open[c] = 0;
+      return true;
+    });
+    std::erase_if(live, [&](std::uint32_t g) {
+      return done[g] && (classes.empty() || !open[classes[g]]);
+    });
+  }
 }
 
 std::uint64_t VertexSketches::allocated_words() const {

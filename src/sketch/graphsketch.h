@@ -22,8 +22,9 @@
 //     (ingest_cell).  A flat batch is simply the 1-machine grid.  Cells
 //     share no mutable state after preparation, so any thread count and
 //     any schedule gives bit-identical sketches;
-//   * merged()/sample_boundary() take an optional scratch sampler so
-//     delete-time cut queries stop allocating per call.
+//   * boundary queries (sample_boundary / sample_boundaries) never build a
+//     merged sampler: one fused kernel sums each group one level at a time
+//     from the sparsest down and stops at the first level that recovers.
 #pragma once
 
 #include <algorithm>
@@ -196,34 +197,48 @@ class VertexSketches {
   void resident_words(const mpc::Cluster& cluster,
                       std::span<std::uint64_t> out) const;
 
-  // Merged sampler of bank `bank` over a vertex set (Lemma 3.5's S_A).
-  // The _into variant reuses `out`'s buffer across calls.
+  // Merged sampler of bank `bank` over a vertex set (Lemma 3.5's S_A),
+  // every level materialized.  The _into variant reuses `out`'s buffer
+  // across calls.  merged_into + decode_sample is the materializing oracle
+  // of the sampling kernel below: same sample, byte for byte.
   L0Sampler merged(unsigned bank, std::span<const VertexId> vertices) const;
   void merged_into(unsigned bank, std::span<const VertexId> vertices,
                    L0Sampler& out) const;
 
   // Samples a boundary edge of the vertex set from bank `bank`; nullopt if
-  // the boundary is (w.h.p.) empty or the sampler failed.  The scratch
-  // overload avoids allocating a fresh merged sampler per query.
+  // the boundary is (w.h.p.) empty or the sampler failed.  The one-group
+  // case of sample_boundaries: no merged sampler is built, and the answer
+  // equals decode_sample(bank, merged(bank, vertices)).
   std::optional<Edge> sample_boundary(unsigned bank,
                                       std::span<const VertexId> vertices) const;
-  std::optional<Edge> sample_boundary(unsigned bank,
-                                      std::span<const VertexId> vertices,
-                                      L0Sampler& scratch) const;
 
   // Batched group queries (the Boruvka inner loop): `members` is the
   // concatenation of every group's vertex list, `offsets` the CSR group
-  // boundaries ([group g] = members[offsets[g]..offsets[g+1])).  Merges
-  // bank `bank` over all groups in ONE level-at-a-time pass over the arena
-  // (each level store is scanned once for every group together, instead of
-  // once per group) and decodes one boundary-edge sample per group into
-  // out[g].  `scratch` samplers are grown and reused across calls.
-  // Results are identical to calling sample_boundary per group.
+  // boundaries ([group g] = members[offsets[g]..offsets[g+1]), an empty
+  // group allowed).  Decodes one boundary-edge sample per group into
+  // out[g] (resized to the group count) with one fused kernel: levels are
+  // visited from the sparsest (L-1) down, levels no vertex reaches are
+  // skipped for every group at once, and each still-live group sums its
+  // members' level records into one cells_per_level buffer
+  // (BankArena::add_level) and tries recovery.  The first level that
+  // recovers gives the min-rank coordinate (L0Params::sample_level) — the
+  // level L0Sampler::sample picks on the full merge — and the group
+  // retires.  Cell sums commute, so out[g] equals
+  // decode_sample(bank, merged(bank, group g)) exactly.  Buffers are
+  // thread-local, so concurrent calls on one const object are safe.
   void sample_boundaries(unsigned bank, std::span<const VertexId> members,
                          std::span<const std::uint32_t> offsets,
-                         std::vector<L0Sampler>& scratch,
                          std::vector<std::optional<Edge>>& out) const {
-    sample_boundaries(bank, members, offsets, {}, scratch, out);
+    sample_boundaries(bank, members, offsets, {}, out);
+  }
+  // The same call with a `scratch` argument that is never read or written.
+  // Kept only for callers that still pass a scratch sampler vector (the
+  // bench/e2e replay); new code uses the overload above.
+  void sample_boundaries(unsigned bank, std::span<const VertexId> members,
+                         std::span<const std::uint32_t> offsets,
+                         std::vector<L0Sampler>& /*scratch, unread*/,
+                         std::vector<std::optional<Edge>>& out) const {
+    sample_boundaries(bank, members, offsets, {}, out);
   }
 
   // Zero-sum complement variant.  `classes[g]` is group g's class id (keep
@@ -231,16 +246,16 @@ class VertexSketches {
   // of one class together cover whole connected components of the
   // sketched graph, so by linearity (Remark 3.2) their sketches sum to
   // exactly the zero sketch.  Per class, the group with the most members
-  // (ties to the lowest g) is therefore never walked: its sampler is
-  // filled as the cell-wise negated sum of its class-mates, and a class of
-  // one group stays the zero sampler.  Under the precondition every
-  // sampler's cells — hence every sample — equal the class-free call's;
-  // only active_levels() may differ, above cells that are zero either way.
-  // An empty `classes` is the class-free call.
+  // (ties to the lowest g) — the complement — is therefore never walked:
+  // at each level its cells are one per-class buffer into which the
+  // class-mates' level sums are subtracted (OneSparseCell::subtract).
+  // Class-mates stay live, even after their own sample is decided, until
+  // the complement recovers; a class of one group stays zero and samples
+  // nothing.  Under the precondition every sample equals the class-free
+  // call's.  An empty `classes` is the class-free call.
   void sample_boundaries(unsigned bank, std::span<const VertexId> members,
                          std::span<const std::uint32_t> offsets,
                          std::span<const std::uint32_t> classes,
-                         std::vector<L0Sampler>& scratch,
                          std::vector<std::optional<Edge>>& out) const;
 
   // Decodes a sampler's output into an edge.
@@ -279,6 +294,13 @@ class VertexSketches {
   std::uint64_t nominal_words_per_vertex() const;
 
  private:
+  // The fused kernel behind sample_boundary / sample_boundaries, writing
+  // one sample per group into `out` (out.size() == groups).
+  void sample_groups(unsigned bank, std::span<const VertexId> members,
+                     std::span<const std::uint32_t> offsets,
+                     std::span<const std::uint32_t> classes,
+                     std::span<std::optional<Edge>> out) const;
+
   VertexId n_;
   EdgeCoordCodec codec_;
   ThreadPool* pool_;  // ThreadPool::shared(ingest_threads); null = serial

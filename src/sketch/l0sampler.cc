@@ -71,6 +71,24 @@ std::uint64_t L0Params::nominal_words() const {
   return static_cast<std::uint64_t>(levels_) * sh.rows * sh.buckets * 4 + 8;
 }
 
+std::optional<OneSparseResult> L0Params::sample_level(
+    unsigned level, std::span<const OneSparseCell> cells) const {
+  const SSparseParams& lp = level_params_[level];
+  std::optional<OneSparseResult> best;
+  std::uint64_t best_rank = 0;
+  for (const OneSparseCell& cell : cells) {
+    const auto r = cell.decode(lp);
+    if (!r) continue;
+    const std::uint64_t rank = rank_of(r->coord);
+    if (!best || rank < best_rank ||
+        (rank == best_rank && r->coord < best->coord)) {
+      best = r;
+      best_rank = rank;
+    }
+  }
+  return best;
+}
+
 void L0Sampler::ensure_levels(const L0Params& params, unsigned levels) {
   cells_per_level_ = params.cells_per_level();
   const std::size_t needed = levels * cells_per_level_;
@@ -123,16 +141,6 @@ void L0Sampler::merge(const L0Params& params, const L0Sampler& other) {
     active_levels_ = other.active_levels_;
 }
 
-void L0Sampler::subtract(const L0Params& params, const L0Sampler& other) {
-  if (!other.allocated() || other.active_levels_ == 0) return;
-  ensure_levels(params, other.active_levels_);
-  const std::size_t limit = other.active_levels_ * cells_per_level_;
-  SMPC_CHECK(limit <= cells_.size() && limit <= other.cells_.size());
-  for (std::size_t i = 0; i < limit; ++i) cells_[i].subtract(other.cells_[i]);
-  if (other.active_levels_ > active_levels_)
-    active_levels_ = other.active_levels_;
-}
-
 std::optional<OneSparseResult> L0Sampler::sample(const L0Params& params) const {
   if (!allocated()) return std::nullopt;
   // Scan from the sparsest (active) level down; the first level with a
@@ -140,21 +148,10 @@ std::optional<OneSparseResult> L0Sampler::sample(const L0Params& params) const {
   // the watermark are all-zero and recover nothing, exactly like the
   // seed's unallocated levels.
   for (unsigned j = active_levels_; j-- > 0;) {
-    const auto recovered = recover_cells(
-        params.level_params(j),
-        std::span<const OneSparseCell>(cells_.data() + j * cells_per_level_,
-                                       cells_per_level_));
-    if (recovered.empty()) continue;
-    const OneSparseResult* best = &recovered.front();
-    std::uint64_t best_rank = params.rank_of(best->coord);
-    for (const auto& r : recovered) {
-      const std::uint64_t rank = params.rank_of(r.coord);
-      if (rank < best_rank) {
-        best_rank = rank;
-        best = &r;
-      }
-    }
-    return *best;
+    if (auto r = params.sample_level(
+            j, std::span<const OneSparseCell>(
+                   cells_.data() + j * cells_per_level_, cells_per_level_)))
+      return r;
   }
   return std::nullopt;
 }

@@ -76,6 +76,15 @@ class L0Params {
   // Rank used for min-wise uniform selection among recovered coordinates.
   std::uint64_t rank_of(Coord c) const { return rank_hash_(c); }
 
+  // One level of a sample: decodes every cell of `cells` (that level's
+  // cells_per_level() cells) and returns the recovered coordinate of
+  // minimum rank, ties to the lower coordinate, or nullopt when no cell
+  // decodes.  Allocates nothing.  L0Sampler::sample and the fused group
+  // kernel (VertexSketches::sample_boundaries) both call it, from the
+  // sparsest level down.
+  std::optional<OneSparseResult> sample_level(
+      unsigned level, std::span<const OneSparseCell> cells) const;
+
   // Nominal sketch size in words (for MPC memory accounting): matches the
   // O(log^2 N) bound of Lemma 3.1 for the configured shape.
   std::uint64_t nominal_words() const;
@@ -96,9 +105,6 @@ class L0Sampler {
 
   void update(const L0Params& params, Coord c, std::int64_t delta);
   void merge(const L0Params& params, const L0Sampler& other);
-  // Cell-wise this -= other (OneSparseCell::subtract); the watermark rises
-  // to other's, exactly like merge().
-  void subtract(const L0Params& params, const L0Sampler& other);
 
   // Zeroes the sampler while keeping (and, on first use, allocating) its
   // cell buffer — the scratch-reuse hook for repeated merged() queries.

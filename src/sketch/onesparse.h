@@ -25,7 +25,10 @@ struct OneSparseResult {
   std::int64_t weight = 0;
 };
 
-// Maps a signed delta into GF(p = 2^61 - 1).
+class SSparseParams;
+
+// Maps a signed delta into GF(p = 2^61 - 1).  Defined for every int64_t,
+// INT64_MIN included (the magnitude is taken in unsigned arithmetic).
 std::uint64_t field_encode_delta(std::int64_t delta);
 
 class OneSparseCell {
@@ -68,10 +71,17 @@ class OneSparseCell {
   // vector; returns nullopt for zero or multi-element states.
   std::optional<OneSparseResult> decode(std::uint64_t z,
                                         std::uint64_t dimension) const;
+  // The same decode with z^c read from `params`' power table
+  // (SSparseParams::pow_z) — the sampling paths' form.
+  std::optional<OneSparseResult> decode(const SSparseParams& params) const;
 
   std::int64_t weight_sum() const { return w_; }
 
  private:
+  // The coordinate an exactly-1-sparse state would hold (w and s checks
+  // only; the caller verifies the fingerprint).
+  std::optional<Coord> candidate(std::uint64_t dimension) const;
+
   std::int64_t w_ = 0;
   __int128 s_ = 0;
   std::uint64_t fp_ = 0;

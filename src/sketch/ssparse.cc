@@ -60,7 +60,7 @@ std::vector<OneSparseResult> recover_cells(
     const SSparseParams& params, std::span<const OneSparseCell> cells) {
   std::vector<OneSparseResult> out;
   for (const OneSparseCell& cell : cells) {
-    if (auto r = cell.decode(params.z(), params.dimension())) {
+    if (auto r = cell.decode(params)) {
       out.push_back(*r);
     }
   }

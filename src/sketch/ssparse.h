@@ -59,9 +59,9 @@ class SSparseParams {
 };
 
 // Decodes every 1-sparse cell of a grid slice and returns the recovered
-// coordinates sorted and deduplicated.  Shared by SSparseRecovery and the
-// flat L0Sampler/arena storage, which hold the same row-major cell layout
-// without the per-level heap object.
+// coordinates sorted and deduplicated (SSparseRecovery::recover).  The
+// L0 samplers need only the min-rank coordinate of a level and take it
+// without allocating through L0Params::sample_level.
 std::vector<OneSparseResult> recover_cells(const SSparseParams& params,
                                            std::span<const OneSparseCell> cells);
 

@@ -4,10 +4,12 @@
 // properties the connectivity algorithm depends on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_set>
 
+#include "common/field.h"
 #include "common/random.h"
 #include "graph/generators.h"
 #include "sketch/coord.h"
@@ -153,6 +155,48 @@ TEST(OneSparse, ManyUpdatesFuzzAgainstDenseVector) {
     } else {
       EXPECT_FALSE(cell.decode(z, kDim).has_value());
     }
+  }
+}
+
+TEST(OneSparse, FieldEncodeDeltaCoversInt64Min) {
+  // |INT64_MIN| = 2^63 is taken modulo 2^64, never by signed negation.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(field_encode_delta(kMin),
+            Mersenne61::sub(0, Mersenne61::reduce(1ULL << 63)));
+  EXPECT_EQ(field_encode_delta(kMin + 1),
+            Mersenne61::sub(0, Mersenne61::reduce((1ULL << 63) - 1)));
+  EXPECT_EQ(field_encode_delta(-1), Mersenne61::kPrime - 1);
+  EXPECT_EQ(field_encode_delta(0), 0u);
+  // Encoding is additive: enc(a) + enc(-a) == 0 in the field.
+  for (const std::int64_t d : {std::int64_t{1}, std::int64_t{12345},
+                               std::numeric_limits<std::int64_t>::max()}) {
+    EXPECT_EQ(Mersenne61::add(field_encode_delta(d), field_encode_delta(-d)),
+              0u)
+        << d;
+  }
+}
+
+TEST(OneSparse, DecodeThroughPowerTableMatchesPow) {
+  // The sampling paths decode with SSparseParams::pow_z; the raw-z decode
+  // uses Mersenne61::pow.  Both must name the same field element for every
+  // coordinate, so both decodes agree.
+  const std::uint64_t dimension = (1ULL << 40) + 17;
+  const SSparseParams params({2, 8}, dimension, 0x5eed);
+  const std::uint64_t z = params.z();
+  Rng rng(77);
+  std::vector<Coord> coords{0, 1, 2, dimension - 1, dimension / 2};
+  for (int i = 0; i < 200; ++i) coords.push_back(rng.below(dimension));
+  for (const Coord c : coords) {
+    ASSERT_EQ(params.pow_z(c), Mersenne61::pow(z, c)) << "c = " << c;
+    OneSparseCell cell;
+    cell.update(c, -3, z);
+    const auto via_table = cell.decode(params);
+    ASSERT_TRUE(via_table.has_value()) << "c = " << c;
+    EXPECT_EQ(via_table->coord, c);
+    EXPECT_EQ(via_table->weight, -3);
+    EXPECT_EQ(cell.decode(z, dimension)->coord, c);
+    cell.update(c + 1 < dimension ? c + 1 : 0, 1, z);  // now 2-sparse
+    EXPECT_FALSE(cell.decode(params).has_value());
   }
 }
 

@@ -2,6 +2,9 @@
 //   * batched update_edges == the same updates applied one-by-one;
 //   * multi-threaded ingest is deterministic for any thread count;
 //   * merged() scratch reuse returns identical samples;
+//   * the fused group-sampling kernel (sample_boundaries / sample_boundary)
+//     equals the materializing oracle, merged() + decode_sample(), with and
+//     without the zero-sum complement;
 //   * the whole engine is byte-identical to the frozen seed implementation
 //     (legacy_sketch_ref.h) for a fixed seed;
 //   * the closed-form depth_of matches the seed's linear scan.
@@ -119,7 +122,7 @@ TEST(BatchedIngest, MergedScratchReuseMatchesFreshMerge) {
         EXPECT_EQ(r->weight, s->weight);
       }
       EXPECT_EQ(vs.sample_boundary(bank, span),
-                vs.sample_boundary(bank, span, scratch));
+                vs.decode_sample(bank, scratch));
     }
   }
 }
@@ -203,9 +206,59 @@ TEST(RoutedIngest, ByteIdenticalToFlatAcrossMachineCounts) {
   }
 }
 
+// The materializing oracle of the fused sampling kernel: every level of
+// the group merged into one sampler, then L0Sampler::sample.
+std::optional<Edge> oracle_sample(const VertexSketches& vs, unsigned bank,
+                                  std::span<const VertexId> group) {
+  return vs.decode_sample(bank, vs.merged(bank, group));
+}
+
+// CSR layout of a list of groups, plus their classes when given.
+struct GroupLayout {
+  std::vector<VertexId> members;
+  std::vector<std::uint32_t> offsets{0};
+
+  void add(std::span<const VertexId> group) {
+    members.insert(members.end(), group.begin(), group.end());
+    offsets.push_back(static_cast<std::uint32_t>(members.size()));
+  }
+  std::span<const VertexId> group(std::size_t g) const {
+    return std::span<const VertexId>(members).subspan(
+        offsets[g], offsets[g + 1] - offsets[g]);
+  }
+  std::size_t groups() const { return offsets.size() - 1; }
+};
+
+// Class-free (and, when `classes` is non-empty, class-aware) samples of
+// every group in every bank equal the materializing oracle.
+void expect_groups_match_oracle(const VertexSketches& vs,
+                                const GroupLayout& layout,
+                                std::span<const std::uint32_t> classes) {
+  std::vector<std::optional<Edge>> fused;
+  std::vector<std::optional<Edge>> zero_sum;
+  for (unsigned bank = 0; bank < vs.banks(); ++bank) {
+    vs.sample_boundaries(bank, layout.members, layout.offsets, fused);
+    ASSERT_EQ(fused.size(), layout.groups());
+    if (!classes.empty()) {
+      vs.sample_boundaries(bank, layout.members, layout.offsets, classes,
+                           zero_sum);
+      ASSERT_EQ(zero_sum.size(), layout.groups());
+    }
+    for (std::size_t g = 0; g < layout.groups(); ++g) {
+      const auto expected = oracle_sample(vs, bank, layout.group(g));
+      EXPECT_EQ(fused[g], expected) << "bank " << bank << " group " << g;
+      if (!classes.empty()) {
+        EXPECT_EQ(zero_sum[g], expected)
+            << "class-aware, bank " << bank << " group " << g;
+      }
+    }
+  }
+}
+
 TEST(GroupQueries, SampleBoundariesMatchesPerGroupQueries) {
-  // The level-at-a-time multi-set merge must answer exactly like one
-  // merged_into walk per group.
+  // The fused top-down kernel must answer exactly like the materializing
+  // oracle (merged + decode_sample) per group, and sample_boundary — its
+  // one-group case — likewise.
   const VertexId n = 128;
   GraphSketchConfig cfg;
   cfg.banks = 5;
@@ -217,30 +270,40 @@ TEST(GroupQueries, SampleBoundariesMatchesPerGroupQueries) {
   // Random partition of [0, n) into ~8 groups, CSR layout.
   std::vector<std::vector<VertexId>> groups(8);
   for (VertexId v = 0; v < n; ++v) groups[rng.below(groups.size())].push_back(v);
-  std::vector<VertexId> members;
-  std::vector<std::uint32_t> offsets{0};
-  for (const auto& g : groups) {
-    members.insert(members.end(), g.begin(), g.end());
-    offsets.push_back(static_cast<std::uint32_t>(members.size()));
-  }
+  GroupLayout layout;
+  for (const auto& g : groups) layout.add(g);
 
-  std::vector<L0Sampler> scratch;
+  std::vector<L0Sampler> unread;  // the scratch overload must not touch it
   std::vector<std::optional<Edge>> batched;
+  std::vector<std::optional<Edge>> via_scratch_overload;
   for (unsigned bank = 0; bank < cfg.banks; ++bank) {
-    vs.sample_boundaries(bank, members, offsets, scratch, batched);
+    vs.sample_boundaries(bank, layout.members, layout.offsets, batched);
+    vs.sample_boundaries(bank, layout.members, layout.offsets, unread,
+                         via_scratch_overload);
     ASSERT_EQ(batched.size(), groups.size());
+    EXPECT_EQ(via_scratch_overload, batched);
+    EXPECT_TRUE(unread.empty());
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const std::span<const VertexId> span(groups[g].data(), groups[g].size());
-      EXPECT_EQ(batched[g], vs.sample_boundary(bank, span))
+      const auto expected = oracle_sample(vs, bank, span);
+      EXPECT_EQ(batched[g], expected) << "bank " << bank << " group " << g;
+      EXPECT_EQ(vs.sample_boundary(bank, span), expected)
           << "bank " << bank << " group " << g;
     }
   }
+  // Singletons (one AGM Boruvka level) as well.
+  GroupLayout singletons;
+  for (VertexId v = 0; v < n; ++v) singletons.add(std::span(&v, 1));
+  expect_groups_match_oracle(vs, singletons, {});
 }
 
 TEST(GroupQueries, ZeroSumComplementMatchesClassFree) {
-  // The class-aware call skips each class's largest group and rebuilds its
-  // sampler as the negated sum of its class-mates; when every class covers
-  // whole components it must agree cell for cell with the full merge.
+  // The class-aware call never walks each class's largest group: its level
+  // cells are the negated level sums of its class-mates.  When every class
+  // covers whole components, every group's sample — class-free and
+  // class-aware — must equal the materializing oracle, and the linearity
+  // identity behind the complement must hold cell for cell on the
+  // materialized samplers.
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE(trial);
     Rng rng(9100 + trial);
@@ -304,31 +367,135 @@ TEST(GroupQueries, ZeroSumComplementMatchesClassFree) {
         if (!g.members.empty()) groups.push_back(std::move(g));
     }
     shuffle(groups, rng);
-    std::vector<VertexId> members;
-    std::vector<std::uint32_t> offsets{0};
+    GroupLayout layout;
     std::vector<std::uint32_t> classes;
     for (const Group& g : groups) {
-      members.insert(members.end(), g.members.begin(), g.members.end());
-      offsets.push_back(static_cast<std::uint32_t>(members.size()));
+      layout.add(g.members);
       classes.push_back(g.cls);
     }
 
-    std::vector<L0Sampler> full_scratch, zs_scratch;
-    std::vector<std::optional<Edge>> full, zs;
+    expect_groups_match_oracle(vs, layout, classes);
+
+    // Linearity: within a class, each group's materialized cells equal the
+    // negated sum of its class-mates' (OneSparseCell::subtract), so the
+    // complement buffer the kernel builds is that group's exact merge.
     for (unsigned bank = 0; bank < cfg.banks; ++bank) {
-      vs.sample_boundaries(bank, members, offsets, full_scratch, full);
-      vs.sample_boundaries(bank, members, offsets, classes, zs_scratch, zs);
-      ASSERT_EQ(zs.size(), groups.size());
-      EXPECT_EQ(zs, full) << "bank " << bank;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const auto a = full_scratch[g].cells();
-        const auto b = zs_scratch[g].cells();
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+      std::vector<L0Sampler> merged;
+      for (std::size_t g = 0; g < layout.groups(); ++g)
+        merged.push_back(vs.merged(bank, layout.group(g)));
+      for (std::size_t g = 0; g < layout.groups(); ++g) {
+        const auto cells = merged[g].cells();
+        std::vector<OneSparseCell> negated(cells.size());
+        for (std::size_t h = 0; h < layout.groups(); ++h) {
+          if (h == g || classes[h] != classes[g]) continue;
+          const auto mate = merged[h].cells();
+          ASSERT_EQ(mate.size(), cells.size());
+          for (std::size_t c = 0; c < cells.size(); ++c)
+            negated[c].subtract(mate[c]);
+        }
+        EXPECT_TRUE(std::equal(cells.begin(), cells.end(), negated.begin()))
             << "bank " << bank << " group " << g;
       }
     }
   }
+}
+
+TEST(GroupQueries, AdversarialGroupsMatchMaterializingOracle) {
+  // Cases the top-down walk could get wrong if it retired a group early,
+  // skipped a level wrongly or mis-built a complement: a group whose
+  // sparsest populated level holds only an internal (cancelling) edge,
+  // untouched vertices, an empty group, a one-group class and a
+  // complement size tie.
+  const VertexId n = 64;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 4711;
+  VertexSketches vs(n, cfg);
+  const auto depth = [&](VertexId x, VertexId y) {
+    return vs.params(0).depth_of(vs.codec().encode(make_edge(x, y)));
+  };
+  // Component A = [0, 16): {a, b} is its deepest pair in bank 0, and every
+  // other edge at a or b is strictly shallower, so the group {a, b} holds
+  // only the cancelling edge {a, b} at its sparsest populated level.
+  constexpr VertexId kA = 16;
+  VertexId a = 0;
+  VertexId b = 1;
+  for (VertexId x = 0; x < kA; ++x) {
+    for (VertexId y = x + 1; y < kA; ++y) {
+      if (depth(x, y) > depth(a, b)) {
+        a = x;
+        b = y;
+      }
+    }
+  }
+  const unsigned top = depth(a, b);
+  std::vector<EdgeDelta> deltas{{make_edge(a, b), +1}};
+  Rng rng(4712);
+  for (VertexId x = 0; x < kA; ++x) {
+    for (VertexId y = x + 1; y < kA; ++y) {
+      if (make_edge(x, y) == make_edge(a, b)) continue;
+      const bool at_pair = x == a || x == b || y == a || y == b;
+      if (at_pair ? depth(x, y) < top : rng.chance(0.3))
+        deltas.push_back({make_edge(x, y), +1});
+    }
+  }
+  // Component B = [16, 24): a path, plus an edge inserted and deleted.
+  for (VertexId v = 16; v + 1 < 24; ++v) deltas.push_back({make_edge(v, v + 1), +1});
+  deltas.push_back({make_edge(16, 23), +1});
+  deltas.push_back({make_edge(16, 23), -1});
+  // [24, 64) stays untouched.
+  vs.update_edges(deltas);
+
+  // The setup really is adversarial in bank 0: at level `top` the pair's
+  // cells cancel to zero although each endpoint holds the edge there.
+  const std::vector<VertexId> pair{a, b};
+  const L0Sampler pair_merged = vs.merged(0, pair);
+  const std::size_t cells = vs.params(0).cells_per_level();
+  const auto top_cells = pair_merged.cells().subspan(top * cells, cells);
+  EXPECT_TRUE(std::all_of(top_cells.begin(), top_cells.end(),
+                          [](const OneSparseCell& c) { return c.is_zero(); }));
+  EXPECT_FALSE(vs.arena(0).level_records(top, a).empty());
+  const auto pair_sample = oracle_sample(vs, 0, pair);
+  ASSERT_TRUE(pair_sample.has_value());
+  EXPECT_NE(*pair_sample, make_edge(a, b));
+
+  // Groups, with dense class ids (each class a union of whole components;
+  // an untouched vertex is a component of its own):
+  //   class 0: {a, b}, and the two 7-vertex halves of A \ {a, b}, each
+  //            padded with one untouched vertex (a complement size tie);
+  //   class 1: B whole (a one-group class with edges);
+  //   class 2: untouched {40..47} whole (a one-group class, all zero);
+  //   class 3: an empty group, untouched {48, 49} and untouched {50}.
+  GroupLayout layout;
+  std::vector<std::uint32_t> classes;
+  const auto add = [&](std::vector<VertexId> group, std::uint32_t cls) {
+    layout.add(group);
+    classes.push_back(cls);
+  };
+  std::vector<VertexId> half[2];
+  for (VertexId v = 0; v < kA; ++v) {
+    if (v == a || v == b) continue;
+    half[half[0].size() < 7 ? 0 : 1].push_back(v);
+  }
+  half[0].push_back(60);
+  half[1].push_back(61);
+  add({}, 3);
+  add(half[1], 0);
+  add(pair, 0);
+  add({16, 17, 18, 19, 20, 21, 22, 23}, 1);
+  add({48, 49}, 3);
+  add(half[0], 0);
+  add({40, 41, 42, 43, 44, 45, 46, 47}, 2);
+  add({50}, 3);
+  expect_groups_match_oracle(vs, layout, classes);
+
+  // Class-free singletons over every vertex, touched or not, and a layout
+  // that opens with empty groups.
+  GroupLayout singletons;
+  singletons.add({});
+  for (VertexId v = 0; v < n; ++v) singletons.add(std::span(&v, 1));
+  singletons.add({});
+  expect_groups_match_oracle(vs, singletons, {});
 }
 
 TEST(GroupQueries, OneSparseSubtractIsExactInverse) {
