@@ -22,7 +22,7 @@ ThreadPool::ThreadPool(unsigned threads) {
   // The calling thread works too, so spawn one fewer worker.
   workers_.reserve(n - 1);
   for (unsigned i = 0; i + 1 < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, i] { worker_main(i); });
   }
 }
 
@@ -35,7 +35,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::worker_loop(std::size_t id) {
+void ThreadPool::worker_main(std::size_t id) {
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {

@@ -77,7 +77,7 @@ class ThreadPool {
     std::size_t end = 0;
   };
 
-  void worker_loop(std::size_t id);
+  void worker_main(std::size_t id);
   // Shared core of both entry points: serial when workerless or busy with
   // another caller's job, otherwise range-stealing dispatch over [0, count).
   void dispatch(std::size_t count, const std::function<void(std::size_t)>& fn);

@@ -47,10 +47,11 @@ class AgmStaticConnectivity {
   void apply_batch(const Batch& batch);
 
   // Async ingest front door (ingest/gutter_ingest.h): after this, updates
-  // buffer in per-vertex-block gutters and drain through worker-built
-  // delta sketches; flushed automatically before every query.  A
-  // default-constructed label becomes "agm/sketch-update" so ledger
-  // charges land exactly where direct ingest puts them.
+  // buffer in per-vertex-block gutters, and each full gutter is delivered
+  // as one batch through the same routed ingest as apply_batch; flushed
+  // automatically before every query.  A default-constructed label
+  // becomes "agm/sketch-update" so ledger charges land exactly where
+  // direct ingest puts them.
   void enable_async_ingest(const GutterIngestConfig& config = {}) {
     ingest_.enable_async(config, "agm/sketch-update");
   }

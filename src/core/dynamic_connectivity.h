@@ -86,15 +86,16 @@ struct ConnectivityConfig {
   // ledger sums rather than overwrites.
   std::string ledger_prefix = "connectivity";
   // Async ingest front door (ingest/gutter_ingest.h): sketch deltas are
-  // buffered in per-vertex-block gutters and drained through worker-built
-  // delta sketches instead of one synchronous ExecPlan::run per batch.
+  // buffered in per-vertex-block gutters, and each full gutter is
+  // delivered as one batch through the same routed ingest (in this
+  // structure's ExecMode) instead of one delivery per apply_batch.
   // Flushed automatically before any sketch read (replacement-edge
   // sampling, snapshot()) and by flush_ingest(); the resident sketch state
   // after a flush is byte-identical to synchronous ingest of the same
   // drain batches.  Labels/forest/queries are unaffected — only the sketch
   // delta delivery is deferred.
   bool async_ingest = false;
-  // Geometry/thread knobs for the gutter (used iff async_ingest).  A
+  // Buffering geometry for the gutter (used iff async_ingest).  A
   // default-constructed label is replaced by "connectivity/sketch-update"
   // so ledger charges land exactly where direct ingest puts them.
   GutterIngestConfig gutter;

@@ -73,7 +73,7 @@ void SketchFrontend::flush() {
 
 QueryCache::SnapshotPtr SketchFrontend::serve(
     const std::function<QueryCache::Rebuilt()>& rebuild) {
-  // Flush-on-query: pending drains bump the mutation epoch as they merge,
+  // Flush-on-query: pending drains bump the mutation epoch as they apply,
   // so the epoch must be settled before acquire/repair/publish read it.
   flush();
   return cache_.serve(sketches_->mutation_epoch(), rebuild);

@@ -80,12 +80,13 @@ class StreamingConnectivity {
   void apply_stream(std::span<const Update> updates);
 
   // Async ingest front door (ingest/gutter_ingest.h): after this, sketch
-  // deltas buffer in per-vertex-block gutters and drain through
-  // worker-built delta sketches; flushed automatically before every
-  // sketch read (cut queries, snapshot()).  Forest/label bookkeeping is
-  // unaffected — it never reads the sketches between flushes.  A
-  // default-constructed label becomes "streaming/sketch-update" so ledger
-  // charges land exactly where direct ingest puts them.
+  // deltas buffer in per-vertex-block gutters, and each full gutter is
+  // delivered as one batch through the same routed ingest as
+  // apply_stream; flushed automatically before every sketch read (cut
+  // queries, snapshot()).  Forest/label bookkeeping is unaffected — it
+  // never reads the sketches between flushes.  A default-constructed label
+  // becomes "streaming/sketch-update" so ledger charges land exactly where
+  // direct ingest puts them.
   void enable_async_ingest(const GutterIngestConfig& config = {}) {
     ingest_.enable_async(config, "streaming/sketch-update");
   }

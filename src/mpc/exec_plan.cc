@@ -23,20 +23,11 @@ ExecPlan& ExecPlan::lower_flat(std::span<const EdgeDelta> deltas) {
   staged_.load_words.assign(
       1, RoutedBatch::kWordsPerDelta * staged_.items.size());
   view_ = &staged_;
-  delta_ = nullptr;
   return *this;
 }
 
 ExecPlan& ExecPlan::lower_routed(const RoutedBatch& routed) {
   view_ = &routed;
-  delta_ = nullptr;
-  return *this;
-}
-
-ExecPlan& ExecPlan::lower_delta(const RoutedBatch& routed,
-                                const DeltaSketch& delta) {
-  view_ = &routed;
-  delta_ = &delta;
   return *this;
 }
 
@@ -56,16 +47,6 @@ std::uint64_t ExecPlan::run(VertexSketches& sketches,
   // share no mutable state and allocate nothing, so the schedule below is
   // unobservable in the resulting bytes.
   sketches.begin_routed_cells(routed);
-  if (delta_ != nullptr) {
-    // Gutter-drain merge: the cells were precomputed into a scratch delta
-    // sketch off-thread; fold them in per bank instead of re-hashing.  The
-    // preparation pass above already allocated — in canonical order —
-    // every page the merge touches, so the resident layout matches direct
-    // ingest of `routed` exactly.
-    SMPC_CHECK_MSG(skip_machine == kNoSkip,
-                   "fault injection is not supported on the delta-merge path");
-    return sketches.merge_delta_cells(*delta_);
-  }
   const std::size_t cells = static_cast<std::size_t>(machines) * banks;
   cell_scratch_.assign(cells, 0);
   const auto run_cell = [&](std::size_t row, std::size_t bank) {

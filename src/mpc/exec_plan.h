@@ -1,8 +1,9 @@
 // The unified ingest pipeline: every path that mutates the vertex
-// sketches — flat update_edges, routed (cluster-accounted) ingest, and the
-// per-machine simulation executor — lowers to ONE form, an ExecPlan, and
-// executes through the same (machine x bank) cell grid
-// (VertexSketches::begin_routed_cells + ingest_cell).
+// sketches — flat update_edges, routed (cluster-accounted) ingest, the
+// per-machine simulation executor, and the async gutter's drains (which
+// deliver through routed_ingest like any synchronous batch) — lowers to
+// ONE form, an ExecPlan, and executes through the same (machine x bank)
+// cell grid (VertexSketches::begin_routed_cells + ingest_cell).
 //
 // Before this pipeline the repo had three divergent ingest code paths:
 // the PR-1 bank-parallel flat walk, the PR-3 per-machine slice
@@ -42,7 +43,6 @@
 #include "mpc/comm_ledger.h"
 
 namespace streammpc {
-class DeltaSketch;
 class VertexSketches;
 }  // namespace streammpc
 
@@ -59,21 +59,6 @@ class ExecPlan {
   // Borrows `routed` as the grid's CSR — zero copy; `routed` must stay
   // alive and unmutated until run() returns.
   ExecPlan& lower_routed(const RoutedBatch& routed);
-
-  // Gutter-drain lowering (src/ingest/gutter_ingest.h): borrows `routed`
-  // PLUS a scratch delta sketch a worker thread already accumulated from
-  // exactly those items.  run() then executes the same epoch bump and the
-  // same canonical-order page-preparation pass as direct ingest of
-  // `routed` — so the resident page numbering comes out identical — but
-  // replaces the per-cell hashing with a cell-wise merge of the scratch
-  // arenas (BankArena::merge_from, one independent task per bank).  Cell
-  // values are linear in the deltas, so the resulting arenas are
-  // byte-identical to lower_routed(routed) + run().  Fault injection
-  // (skip_machine) is not supported on this path: faults live in the
-  // simulated executor, which drains gutters through routed_ingest
-  // instead of precomputed delta sketches.  Both referents must stay
-  // alive and unmutated until run() returns.
-  ExecPlan& lower_delta(const RoutedBatch& routed, const DeltaSketch& delta);
 
   bool lowered() const { return view_ != nullptr; }
   const RoutedBatch& routed() const { return *view_; }
@@ -112,7 +97,6 @@ class ExecPlan {
  private:
   RoutedBatch staged_;                 // lower_flat's 1-machine CSR
   const RoutedBatch* view_ = nullptr;  // the grid to execute
-  const DeltaSketch* delta_ = nullptr;  // lower_delta's precomputed cells
   std::vector<std::uint64_t> cell_scratch_;  // [machine * banks + bank]
 };
 

@@ -274,56 +274,6 @@ bool BankArena::add_level(unsigned level, std::span<const VertexId> vertices,
   return touched;
 }
 
-void BankArena::reset() {
-  SMPC_CHECK_MSG(!txn_active_, "reset during an arena transaction");
-  const auto reset_store = [&](Store& store, std::size_t cells) {
-    // The owner reverse map names exactly the populated page-map entries,
-    // so the wipe costs O(pages) instead of O(n) (O(pages log n) once the
-    // resident counters are built).
-    for (const VertexId v : store.owner) {
-      store.page_of[v] = kNoPage;
-      resident_add(v, 0 - cells * 4);
-    }
-    store.owner.clear();
-    store.pages = 0;
-    store.cells.clear();  // page_for re-zeroes on growth; capacity retained
-  };
-  reset_store(hot_, hot_cells_);
-  for (Store& store : overflow_) reset_store(store, cells_per_level_);
-}
-
-void BankArena::merge_from(const BankArena& src) {
-  SMPC_CHECK_MSG(src.n_ == n_ && src.levels_ == levels_ &&
-                     src.hot_levels_ == hot_levels_ && src.rows_ == rows_ &&
-                     src.cells_per_level_ == cells_per_level_,
-                 "merge_from requires identical arena geometry");
-  const auto merge_store = [&](Store& dst, const Store& source,
-                               std::size_t cells) {
-    for (std::uint32_t p = 0; p < source.pages; ++p) {
-      const VertexId v = source.owner[p];
-      // page_for may grow dst.cells — take the dst pointer after it.  The
-      // source walk is sequential, so hint the next page's first record
-      // one fold ahead (dst pages land wherever v hashes; the source side
-      // is the predictable stream).
-      const std::uint32_t dst_page = page_for(dst, v, cells);
-      const ArenaCell* src_cells =
-          source.cells.data() + static_cast<std::size_t>(p) * cells;
-      ArenaCell* dst_cells =
-          dst.cells.data() + static_cast<std::size_t>(dst_page) * cells;
-      if (p + 1 < source.pages) {
-        __builtin_prefetch(source.cells.data() +
-                           static_cast<std::size_t>(p + 1) * cells);
-      }
-      for (std::size_t c = 0; c < cells; ++c) {
-        dst_cells[c].accumulate(src_cells[c]);
-      }
-    }
-  };
-  merge_store(hot_, src.hot_, hot_cells_);
-  for (std::size_t i = 0; i < overflow_.size(); ++i)
-    merge_store(overflow_[i], src.overflow_[i], cells_per_level_);
-}
-
 L0Sampler BankArena::extract(const L0Params& params, VertexId v) const {
   SMPC_CHECK(v < n_);
   L0Sampler out;

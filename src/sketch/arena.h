@@ -72,13 +72,6 @@ struct alignas(32) ArenaCell {
     set_s(s() + ds);
     fp = Mersenne61::add(fp, term);
   }
-  // Cell-wise sum (the merge_from fold).  Cells are linear, so this
-  // commutes with add_delta in any interleaving.
-  void accumulate(const ArenaCell& other) {
-    w += other.w;
-    set_s(s() + other.s());
-    fp = Mersenne61::add(fp, other.fp);
-  }
 };
 static_assert(sizeof(ArenaCell) == 32, "cell record must stay 32B packed");
 static_assert(alignof(ArenaCell) == 32,
@@ -121,11 +114,10 @@ class BankArena {
   //   prefix(hi) - prefix(lo) + mapped_stores * ((hi - lo) / 2),
   // exactly resident_words_scan(lo, hi), rounding included.  The tree is
   // built from the stores' owner lists on the first resident query, so an
-  // arena nobody asks (a gutter scratch arena, flat or routed ingest) pays
-  // nothing; from then on three places keep it up to date: page_for (a
-  // page allocated), snap_rollback_store (pages past the watermark freed)
-  // and reset() (every page freed).  merge_from allocates through
-  // page_for.  The tree is host bookkeeping — a real machine knows its own
+  // arena nobody asks (flat or routed ingest) pays nothing; from then on
+  // two places keep it up to date: page_for (a page allocated) and
+  // snap_rollback_store (pages past the watermark freed).  The tree is
+  // host bookkeeping — a real machine knows its own
   // shard size locally — so neither this nor allocated_words() charges it
   // to the model.  The first call writes the (mutable) tree, so it must
   // not race with another call on the same arena.
@@ -216,30 +208,6 @@ class BankArena {
   // Copy of one vertex's sampler (zero sampler if the vertex is untouched).
   L0Sampler extract(const L0Params& params, VertexId v) const;
 
-  // --- scratch-arena support (the gutter drain path, src/ingest/) -----------
-  // Returns the arena to the all-empty state in O(allocated pages) time
-  // (times log n once the resident counters are built): only the page-map
-  // entries of vertices that actually own a page are cleared and taken
-  // out of the counters (each store tracks its pages' owners), and every
-  // cell buffer keeps its capacity.  This is what makes a per-drain
-  // scratch arena reusable — a full page-map wipe would cost O(n * banks)
-  // per drain.
-  // Not allowed inside an arena transaction.
-  void reset();
-
-  // Cell-wise merge of `src` (same geometry: same n and L0 shape/levels)
-  // into this arena: every page src holds is added into the owning
-  // vertex's page here — w and s by integer addition, fp by Mersenne-61
-  // addition, exactly apply()'s arithmetic.  Cell values are linear in the
-  // applied deltas, so ingesting batch A and then merging a scratch arena
-  // that absorbed batch B yields cell values identical to ingesting A ∪ B
-  // directly, in any order.  Pages missing here are allocated in src's
-  // first-touch order (after a begin_routed_cells preparation pass over
-  // the same items, no allocation happens and the page numbering matches
-  // direct ingest exactly).  Arenas of different banks share nothing, so
-  // per-bank merges may run concurrently.
-  void merge_from(const BankArena& src);
-
   // Hints an upcoming edge's hot-path lines into cache; the ingest loop
   // calls this one edge ahead so the loads overlap with the current
   // edge's hash computation.  Two-stage: the page-map entries first, then
@@ -268,11 +236,10 @@ class BankArena {
   // makes worthwhile: one 32-byte record per (level, row) is one line, so
   // the plan's offsets name the exact lines — under SoA the same
   // information cost three lines per cell and the hint was left at the
-  // page map.  The pipelined ingest loops (ingest_cell /
-  // DeltaSketch::accumulate) call prefetch_hot for item i+1 BEFORE
-  // hashing its plan and this AFTER, so the map demand-reads here land on
-  // lines already in flight and the record lines arrive while item i
-  // applies.
+  // page map.  The pipelined ingest loop (ingest_cell) calls prefetch_hot
+  // for item i+1 BEFORE hashing its plan and this AFTER, so the map
+  // demand-reads here land on lines already in flight and the record
+  // lines arrive while item i applies.
   // Deepening this hint from "overflow map only" to the exact overflow
   // records is what moved the measured layout speedup from ~1.2x to
   // ~1.7x: about half the items carry depth >= 1, and their overflow

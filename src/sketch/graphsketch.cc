@@ -11,7 +11,6 @@
 #include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
-#include "sketch/delta_sketch.h"
 
 namespace streammpc {
 
@@ -60,30 +59,6 @@ void VertexSketches::update_edges(std::span<const EdgeDelta> batch) {
 void VertexSketches::update_edges(const mpc::RoutedBatch& routed) {
   if (routed.items.empty()) return;
   exec_plan_.lower_routed(routed).run(*this);
-}
-
-std::uint64_t VertexSketches::merge_delta(const mpc::RoutedBatch& routed,
-                                          const DeltaSketch& delta) {
-  if (routed.items.empty()) return 0;
-  return exec_plan_.lower_delta(routed, delta).run(*this);
-}
-
-std::uint64_t VertexSketches::merge_delta_cells(const DeltaSketch& delta) {
-  SMPC_CHECK_MSG(delta.banks() == banks(),
-                 "delta sketch bank count mismatch");
-  const auto merge_bank = [&](std::size_t b) {
-    arenas_[b].merge_from(delta.arena(static_cast<unsigned>(b)));
-  };
-  if (ThreadPool* p = pool(delta.applied())) {
-    p->parallel_for(banks(), merge_bank);
-  } else {
-    for (unsigned b = 0; b < banks(); ++b) merge_bank(b);
-  }
-  // The prepared-cells state was consumed by this batch; require a fresh
-  // preparation pass before any further cell ingest.
-  cells_ready_batch_ = nullptr;
-  cells_ready_items_ = kCellsNotReady;
-  return delta.applied();
 }
 
 void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed) {

@@ -44,7 +44,6 @@
 
 namespace streammpc {
 
-class DeltaSketch;
 class ThreadPool;
 
 namespace mpc {
@@ -58,7 +57,7 @@ struct GraphSketchConfig {
   L0Shape shape{2, 8};  // per-level s-sparse geometry
   std::uint64_t seed = 0x5eedULL;
   // Width of the cell grid's thread pool, shared by every ingest path
-  // (flat, routed, simulated, transactions, gutter merges) and by every
+  // (flat, routed, simulated, transactions, gutter drains) and by every
   // structure of the same width (ThreadPool::shared): 0 = hardware
   // concurrency, 1 = serial.  The sketch contents never depend on it.
   unsigned ingest_threads = 0;
@@ -101,24 +100,6 @@ class VertexSketches {
   // routing changes the accounting, never the sketches.  Same
   // preconditions, thread-safety, and determinism as the flat overload.
   void update_edges(const mpc::RoutedBatch& routed);
-
-  // Gutter-drain delivery (src/ingest/gutter_ingest.h): merges a scratch
-  // delta sketch a worker thread accumulated from exactly the items of
-  // `routed`, through the same ExecPlan::run choke point as every other
-  // ingest path (epoch bump, canonical page preparation, then a cell-wise
-  // per-bank BankArena::merge_from instead of re-hashing).  Byte-identical
-  // to update_edges(routed) — merging is how the drained path stays
-  // conformant with direct ingest.  Returns the applied count (the
-  // ExecPlan::run fold, precomputed by DeltaSketch::accumulate).  Same
-  // thread-safety contract as update_edges.
-  std::uint64_t merge_delta(const mpc::RoutedBatch& routed,
-                            const DeltaSketch& delta);
-
-  // The merge half of merge_delta, called back by ExecPlan::run after the
-  // epoch bump and page preparation: folds every bank's scratch arena into
-  // the resident arena (banks share nothing, so the fold fans across the
-  // ingest pool).  Public for ExecPlan; front ends use merge_delta.
-  std::uint64_t merge_delta_cells(const DeltaSketch& delta);
 
   // The ingest pool for a batch of `items`: null when serial (width 1, or
   // a batch too small to be worth waking the workers).

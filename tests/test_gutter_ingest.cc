@@ -1,24 +1,24 @@
-// Async ingest front door suite (ingest/gutter_ingest.h, ISSUE 8):
+// Async ingest front door suite (ingest/gutter_ingest.h):
 //   * gutter-drained ingest is equivalent to flat synchronous ingest of
 //     the same delta sequence — the full observable sketch surface (every
 //     bank's boundary sample over every probe set, every per-vertex
 //     sampler, the allocated-words footprint) matches across every
-//     capacity x drain-thread x gutter-count cell, for insert-only and
-//     mixed streams;
+//     capacity x gutter-count x ingest-width x delivery-mode cell, for a
+//     mixed stream and a toggle-cancel stream;
 //   * under kRouted mode the drains charge the CommLedger exactly what
 //     direct routed ingest of the same drain batches charges;
 //   * flush semantics: flush-on-query, explicit flush(), destructor
 //     flush, and the empty flush delivering (and charging) nothing;
-//   * under kSimulated mode drains deliver synchronously through the
-//     batch scheduler (a gutter flush is one scheduled batch), so
-//     bisect/retry composes unchanged;
+//   * under kSimulated mode drains deliver through the batch scheduler (a
+//     gutter drain is one scheduled batch), so bisect/retry composes
+//     unchanged;
 //   * the three connectivity front ends produce byte-identical snapshots
 //     with async_ingest on and off, across interleaved insert/delete
-//     streams and drain thread counts {1, 2, 8};
-//   * concurrent snapshot readers run against a submitting/flushing
-//     writer (the TSan gate for the drain-worker hand-off: resident
-//     mutation stays writer-side, the AtomicSharedPtr slot stays the only
-//     publication point).
+//     streams and ingest widths {1, 2, 8};
+//   * concurrent snapshot readers run against a writer that submits,
+//     flushes and delivers drains through the cell grid (the TSan gate:
+//     resident mutation stays inside the writer's ingest call, the
+//     AtomicSharedPtr slot stays the only publication point).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,7 +35,6 @@
 #include "graph/streams.h"
 #include "ingest/gutter_ingest.h"
 #include "mpc/simulator.h"
-#include "sketch/delta_sketch.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
 
@@ -83,55 +82,11 @@ void expect_identical_vertex_state(const VertexSketches& a,
 
 // --- gutter vs flat equivalence ----------------------------------------------
 
-TEST(GutterIngest, DrainedStateMatchesFlatAcrossGeometryAndThreads) {
-  const VertexId n = 96;
-  const GraphSketchConfig cfg = sketch_config(n, 8301, 6);
-  const auto deltas = random_deltas(n, 600, 8302);
-  const auto sets = probe_sets(n, 8303);
-
-  VertexSketches flat(n, cfg);
-  flat.update_edges(std::span<const EdgeDelta>(deltas));
-
-  for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
-                                     std::size_t{64}, std::size_t{1024}}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      for (const std::size_t gutters : {std::size_t{1}, std::size_t{4}}) {
-        const std::string where = "capacity=" + std::to_string(capacity) +
-                                  "/threads=" + std::to_string(threads) +
-                                  "/gutters=" + std::to_string(gutters);
-        VertexSketches vs(n, cfg);
-        GutterIngestConfig gc;
-        gc.gutter_capacity = capacity;
-        gc.drain_threads = threads;
-        gc.gutters = gutters;
-        GutterIngest gutter(n, vs, gc);
-        EXPECT_EQ(gutter.drain_threads(), threads) << where;
-        EXPECT_EQ(gutter.gutters(), gutters) << where;
-        gutter.submit(std::span<const EdgeDelta>(deltas));
-        gutter.flush();
-        EXPECT_EQ(gutter.buffered(), 0u) << where;
-        const auto& st = gutter.stats();
-        EXPECT_EQ(st.submitted, deltas.size()) << where;
-        EXPECT_EQ(st.direct_batches, 0u) << where;
-        EXPECT_EQ(st.delta_batches, st.capacity_drains + st.flush_drains)
-            << where;
-        EXPECT_EQ(st.applied, deltas.size() * cfg.banks) << where;
-        expect_identical_samples(flat, vs, cfg.banks, sets);
-        expect_identical_vertex_state(flat, vs, where);
-      }
-    }
-  }
-}
-
-TEST(GutterIngest, ChurnCoalescingStaysByteIdenticalToFlat) {
-  // The drain path folds same-edge deltas within one batch to their net
-  // weight before any hashing (DeltaSketch::accumulate).  Cells are linear
-  // in the delta, so the folded application must stay byte-identical to
-  // flat ingest of the raw stream — including resident page allocation
-  // for edges whose deltas cancel to zero inside a single drain (the
-  // writer's begin_routed_cells pass walks the uncoalesced batch).
-  const VertexId n = 64;
-  const GraphSketchConfig cfg = sketch_config(n, 8501, 6);
+// Toggle-cancel stream: hot edges inserted and deleted back to back, so
+// whole runs cancel inside one drain, interleaved with never-cancelled
+// cold inserts.  Resident pages must still be allocated exactly as flat
+// ingest of the raw stream allocates them (allocated_words).
+std::vector<EdgeDelta> toggle_cancel_deltas() {
   const Edge hot[3] = {make_edge(3, 9), make_edge(3, 17), make_edge(40, 41)};
   std::vector<EdgeDelta> deltas;
   for (unsigned round = 0; round < 40; ++round) {
@@ -139,25 +94,79 @@ TEST(GutterIngest, ChurnCoalescingStaysByteIdenticalToFlat) {
       deltas.push_back(EdgeDelta{e, +1});
       deltas.push_back(EdgeDelta{e, -1});
     }
-    // Cold inserts interleaved with the toggles, never cancelled.
     deltas.push_back(EdgeDelta{make_edge(round % 31, 31 + round % 33), +1});
   }
   deltas.push_back(EdgeDelta{hot[0], +1});  // one hot edge stays live
+  return deltas;
+}
 
-  VertexSketches flat(n, cfg);
-  flat.update_edges(std::span<const EdgeDelta>(deltas));
+// The drain delivery modes: no cluster (flat ingest), kRouted, kSimulated.
+struct Delivery {
+  const char* name;
+  bool cluster;
+  mpc::ExecMode mode;
+};
+constexpr Delivery kDeliveries[] = {
+    {"flat", false, mpc::ExecMode::kRouted},
+    {"routed", true, mpc::ExecMode::kRouted},
+    {"simulated", true, mpc::ExecMode::kSimulated}};
 
-  // Capacity 256: whole toggle runs land inside one drain and cancel.
-  VertexSketches vs(n, cfg);
-  GutterIngestConfig gc;
-  gc.gutter_capacity = 256;
-  gc.drain_threads = 2;
-  GutterIngest gutter(n, vs, gc);
-  gutter.submit(std::span<const EdgeDelta>(deltas));
-  gutter.flush();
-  // The delivery count reports the full batch, however much cancelled.
-  EXPECT_EQ(gutter.stats().applied, deltas.size() * cfg.banks);
-  expect_identical_vertex_state(flat, vs, "churn-coalescing");
+TEST(GutterIngest, DrainedStateMatchesFlatAcrossGeometryAndThreads) {
+  const VertexId n = 96;
+  const GraphSketchConfig cfg = sketch_config(n, 8301, 6);
+  const auto sets = probe_sets(n, 8303);
+  const std::vector<EdgeDelta> streams[] = {random_deltas(n, 600, 8302),
+                                            toggle_cancel_deltas()};
+  const char* const stream_names[] = {"mixed", "toggle-cancel"};
+
+  for (int si = 0; si < 2; ++si) {
+    const std::vector<EdgeDelta>& deltas = streams[si];
+    VertexSketches flat(n, cfg);
+    flat.update_edges(std::span<const EdgeDelta>(deltas));
+    for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
+                                       std::size_t{64}, std::size_t{1024}}) {
+      for (const std::size_t gutters : {std::size_t{1}, std::size_t{4}}) {
+        for (const unsigned threads : {1u, 2u, 8u}) {
+          for (const Delivery& delivery : kDeliveries) {
+            const std::string where =
+                std::string(stream_names[si]) + "/" + delivery.name +
+                "/capacity=" + std::to_string(capacity) +
+                "/gutters=" + std::to_string(gutters) +
+                "/threads=" + std::to_string(threads);
+            mpc::Cluster cluster = test::make_cluster(n, 4);
+            mpc::Simulator sim(cluster);
+            VertexSketches vs(n, test::with_threads(cfg, threads));
+            GutterIngestConfig gc;
+            gc.gutter_capacity = capacity;
+            gc.gutters = gutters;
+            GutterIngest gutter(n, vs, gc,
+                                delivery.cluster ? &cluster : nullptr,
+                                delivery.mode, &sim);
+            EXPECT_EQ(gutter.gutters(), gutters) << where;
+            gutter.submit(std::span<const EdgeDelta>(deltas));
+            gutter.flush();
+            EXPECT_EQ(gutter.buffered(), 0u) << where;
+            const auto& st = gutter.stats();
+            EXPECT_EQ(st.submitted, deltas.size()) << where;
+            EXPECT_GT(st.delta_batches, 0u) << where;
+            EXPECT_EQ(st.delta_batches, st.capacity_drains + st.flush_drains)
+                << where;
+            // One ledger round per drain on the accounted paths, and
+            // every simulated drain went through the simulator.
+            if (delivery.cluster) {
+              EXPECT_EQ(cluster.comm_ledger().rounds(), st.delta_batches)
+                  << where;
+            }
+            if (delivery.mode == mpc::ExecMode::kSimulated) {
+              EXPECT_EQ(sim.stats().batches, st.delta_batches) << where;
+            }
+            expect_identical_samples(flat, vs, cfg.banks, sets);
+            expect_identical_vertex_state(flat, vs, where);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GutterIngest, SingleAndSpanSubmissionDrainAtTheSameBoundaries) {
@@ -172,7 +181,6 @@ TEST(GutterIngest, SingleAndSpanSubmissionDrainAtTheSameBoundaries) {
   GutterIngestConfig gc;
   gc.gutter_capacity = 16;
   gc.gutters = 3;
-  gc.drain_threads = 2;
   GutterIngest ga(n, a, gc);
   GutterIngest gb(n, b, gc);
   ga.submit(std::span<const EdgeDelta>(deltas));
@@ -280,7 +288,6 @@ TEST(GutterIngest, DestructorFlushesBufferedDeltas) {
   {
     GutterIngestConfig gc;
     gc.gutter_capacity = 1024;  // nothing drains by capacity
-    gc.drain_threads = 2;
     GutterIngest gutter(n, vs, gc);
     gutter.submit(std::span<const EdgeDelta>(deltas));
     EXPECT_EQ(gutter.buffered(), deltas.size());
@@ -321,11 +328,11 @@ TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
   gc.gutter_capacity = 40;
   GutterIngest gutter(n, vs, gc, &run_cluster, mpc::ExecMode::kSimulated,
                       &sim, &sched);
-  EXPECT_EQ(gutter.drain_threads(), 0u);  // direct path: no workers
   gutter.submit(std::span<const EdgeDelta>(deltas));
   gutter.flush();
-  EXPECT_GT(gutter.stats().direct_batches, 0u);
-  EXPECT_EQ(gutter.stats().delta_batches, 0u);
+  EXPECT_GT(gutter.stats().delta_batches, 0u);
+  EXPECT_EQ(gutter.stats().delta_batches,
+            gutter.stats().capacity_drains + gutter.stats().flush_drains);
   EXPECT_GT(sched.stats().splits, 0u);  // the drains really got scheduled
   expect_identical_vertex_state(flat, vs, "simulated-drain");
 }
@@ -353,9 +360,9 @@ TEST(GutterFrontEnds, DynamicConnectivityAsyncMatchesSyncByteIdentically) {
     DynamicConnectivity sync_dc(n, sync_cc);
 
     ConnectivityConfig async_cc = sync_cc;
+    async_cc.sketch.ingest_threads = threads;
     async_cc.async_ingest = true;
     async_cc.gutter.gutter_capacity = 17;
-    async_cc.gutter.drain_threads = threads;
     async_cc.gutter.gutters = 3;
     DynamicConnectivity async_dc(n, async_cc, nullptr);
     ASSERT_NE(async_dc.gutter(), nullptr);
@@ -384,10 +391,10 @@ TEST(GutterFrontEnds, StreamingConnectivityAsyncMatchesSyncByteIdentically) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     const std::string where = "streaming/threads=" + std::to_string(threads);
     StreamingConnectivity sync_sc(n, sketch_config(n, 9000));
-    StreamingConnectivity async_sc(n, sketch_config(n, 9000));
+    StreamingConnectivity async_sc(
+        n, test::with_threads(sketch_config(n, 9000), threads));
     GutterIngestConfig gc;
     gc.gutter_capacity = 13;
-    gc.drain_threads = threads;
     gc.gutters = 2;
     async_sc.enable_async_ingest(gc);
     ASSERT_NE(async_sc.gutter(), nullptr);
@@ -416,10 +423,10 @@ TEST(GutterFrontEnds, AgmAsyncMatchesSyncAndFlushesOnQuery) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     const std::string where = "agm/threads=" + std::to_string(threads);
     AgmStaticConnectivity sync_agm(n, sketch_config(n, 9100));
-    AgmStaticConnectivity async_agm(n, sketch_config(n, 9100));
+    AgmStaticConnectivity async_agm(
+        n, test::with_threads(sketch_config(n, 9100), threads));
     GutterIngestConfig gc;
     gc.gutter_capacity = 29;
-    gc.drain_threads = threads;
     async_agm.enable_async_ingest(gc);
 
     AdjGraph ref(n);
@@ -453,17 +460,18 @@ TEST(GutterFrontEnds, AgmAsyncMatchesSyncAndFlushesOnQuery) {
 TEST(GutterConcurrency, SnapshotReadersRunCleanAgainstADrainingWriter) {
   // Reader threads hammer the query cache's lock-free snapshot slot while
   // the writer submits through the gutter, flushes, and republishes.  All
-  // resident-sketch mutation happens on the writer thread (the gutter
-  // workers only fill job-local scratch), so under TSan this pins the
-  // AtomicSharedPtr slot as the only writer/reader publication point.
+  // resident-sketch mutation happens inside the writer's drain deliveries
+  // (cells fanned across the shared ingest pool and joined before the
+  // call returns), so under TSan this pins the AtomicSharedPtr slot as
+  // the only writer/reader publication point.
   const VertexId n = 129;
   constexpr std::uint64_t kBatches = 16;
   constexpr VertexId kEdgesPerBatch = 8;
   ConnectivityConfig cc;
   cc.sketch = sketch_config(n, 9201);
   cc.async_ingest = true;
+  cc.sketch.ingest_threads = 4;
   cc.gutter.gutter_capacity = 5;
-  cc.gutter.drain_threads = 4;
   cc.gutter.gutters = 2;
   DynamicConnectivity dc(n, cc);
   dc.snapshot();  // publish the all-singletons snapshot

@@ -32,7 +32,6 @@
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
 #include "msf/approx_msf.h"
-#include "sketch/delta_sketch.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
 
@@ -644,59 +643,6 @@ TEST(ResidentAccounting, CountersMatchScan) {
     expect_counters_match_scan(run.sketches, "redelivered");
   }
 
-  // The gutter drain: a scratch DeltaSketch merged into the resident
-  // arenas, both through merge_delta and by a direct merge_from that
-  // allocates through page_for.  The resident arenas' counters are built
-  // (by the first query) before the merges, so the merges maintain them.
-  {
-    VertexSketches resident(n, cfg);
-    resident.update_edges(all.first(100));
-    expect_counters_match_scan(resident, "resident fill");
-    DeltaSketch delta(resident);
-    const mpc::Cluster cluster = test::make_cluster(n, 4);
-    mpc::RoutedBatch routed;
-    cluster.route_batch(all.subspan(100), n, routed);
-    delta.accumulate(routed);
-    // Never queried during the drain, the scratch arenas build their
-    // counters on this first query.
-    for (unsigned b = 0; b < cfg.banks; ++b)
-      expect_arena_matches_scan(delta.arena(b), n, "scratch first query");
-    for (unsigned b = 0; b < cfg.banks; ++b) {
-      BankArena merged = resident.arena(b);
-      merged.merge_from(delta.arena(b));
-      expect_arena_matches_scan(merged, n, "merge_from");
-    }
-    resident.merge_delta(routed, delta);
-    expect_counters_match_scan(resident, "merge_delta");
-  }
-
-  // A queried arena through the scratch cycle: fill, merge into another
-  // queried arena, reset, refill.
-  {
-    const L0Params params = VertexSketches(n, cfg).params(0);
-    BankArena target(n, params);
-    BankArena scratch(n, params);
-    Rng rng(85003);
-    const auto fill = [&](BankArena& arena, int vertices) {
-      for (int i = 0; i < vertices; ++i) {
-        arena.prepare_pages(static_cast<VertexId>(rng.below(n)),
-                            static_cast<unsigned>(rng.below(arena.levels())));
-      }
-    };
-    fill(target, 40);
-    expect_arena_matches_scan(target, n, "target fill");
-    fill(scratch, 120);
-    expect_arena_matches_scan(scratch, n, "scratch fill");
-    target.merge_from(scratch);
-    expect_arena_matches_scan(target, n, "scratch merge_from");
-    scratch.reset();
-    expect_arena_matches_scan(scratch, n, "scratch reset");
-    // Only the (still sized) page maps remain.
-    EXPECT_EQ(scratch.resident_words(0, n), scratch.allocated_words());
-    fill(scratch, 60);
-    expect_arena_matches_scan(scratch, n, "scratch reuse");
-  }
-
   // A kDouble grow: the blocks halve, the counters answer any boundary.
   {
     const VertexId gn = 128;
@@ -771,24 +717,33 @@ TEST(ThreadBudget, SerialSimulatedFrontEndAddsNoThread) {
 }
 
 TEST(ThreadBudget, NestedLevelsShareOnePool) {
+  // Synchronous simulated levels, and async levels under kRouted whose
+  // gutters drain on the writer: either way every level's cells run on
+  // the one shared pool of the default width, so the nested instances
+  // add at most that pool's hw - 1 workers however many levels there are.
   if (!live_threads()) GTEST_SKIP() << "/proc/self/task is unavailable";
   const VertexId n = 96;
   const std::size_t hw =
       std::max(1u, std::thread::hardware_concurrency());
-  mpc::Cluster cluster = test::make_cluster(n, 8);
-  ApproxMsfConfig cfg;
-  cfg.connectivity.exec_mode = mpc::ExecMode::kSimulated;
-  const std::size_t before = *live_threads();
-  ApproxMsf msf(n, cfg, &cluster);
-  ASSERT_GE(msf.instances(), 8u);
-  Rng rng(90002);
-  const auto stream = gen::insert_stream(
-      gen::with_random_weights(gen::gnm(n, 3 * n, rng), 1, cfg.w_max, rng),
-      rng);
-  for (const Batch& batch : gen::into_batches(stream, 64)) {
-    msf.apply_batch(batch);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async kRouted" : "sync kSimulated");
+    mpc::Cluster cluster = test::make_cluster(n, 8);
+    ApproxMsfConfig cfg;
+    cfg.connectivity.exec_mode =
+        async ? mpc::ExecMode::kRouted : mpc::ExecMode::kSimulated;
+    cfg.connectivity.async_ingest = async;
+    const std::size_t before = *live_threads();
+    ApproxMsf msf(n, cfg, &cluster);
+    ASSERT_GE(msf.instances(), 8u);
+    Rng rng(90002);
+    const auto stream = gen::insert_stream(
+        gen::with_random_weights(gen::gnm(n, 3 * n, rng), 1, cfg.w_max, rng),
+        rng);
+    for (const Batch& batch : gen::into_batches(stream, 64)) {
+      msf.apply_batch(batch);
+    }
+    EXPECT_LE(*live_threads(), before + (hw - 1));
   }
-  EXPECT_LE(*live_threads(), before + (hw - 1));
 }
 
 TEST(SharedPool, TwoFrontEndsOnTwoThreadsMatchSerial) {

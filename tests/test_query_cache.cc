@@ -656,7 +656,6 @@ TEST(QueryCacheFrontEndSeams, ThrowingFlushPoisonsRepairState) {
   sched.grow = mpc::GrowPolicy::kNone;
   GutterIngestConfig gc;
   gc.gutter_capacity = 1024;
-  gc.drain_threads = 1;
 
   const auto check = [&](auto& fe, const char* where) {
     SCOPED_TRACE(where);
