@@ -18,8 +18,10 @@
 // budget, the scheduler doubles the cluster, and the one-off shuffle cost
 // is reported next to the rounds the stream still needed.
 //
-// Emits the table on stdout and BENCH_fault_recovery.json.  `--quick`
-// shrinks the workload for CI smoke runs.
+// Emits the table on stdout and BENCH_fault_recovery.json.  "correct.ok" is
+// 1 iff every E14 row's final allocated words match the fault-free run and
+// the E14b grow run's match flat ingest of the star; the bench exits 1
+// otherwise.  `--quick` shrinks the workload for CI smoke runs.
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -67,7 +69,7 @@ RunResult run_stream(const RecoveryConfig& cfg,
   mpc::FaultInjector injector = std::move(plan);
   sim.attach_fault_injector(&injector);
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.policy = mpc::SplitPolicy::kProportional;
   sc.max_retries = 8;  // dense plans can stack several faults per window
   mpc::BatchScheduler sched(cluster, sim, sc);
 
@@ -92,7 +94,7 @@ RunResult run_stream(const RecoveryConfig& cfg,
   return r;
 }
 
-void run(const RecoveryConfig& cfg) {
+int run(const RecoveryConfig& cfg) {
   bench::BenchJson json("fault_recovery");
   json.set("config.n", static_cast<std::uint64_t>(cfg.n));
   json.set("config.edges", static_cast<std::uint64_t>(cfg.edges));
@@ -125,6 +127,7 @@ void run(const RecoveryConfig& cfg) {
                "retries", "retry rounds", "rollbacks", "undone words",
                "bytes ok", "seconds"});
   const std::uint64_t fault_counts[] = {0, 4, 16, 64};
+  std::uint64_t mismatches = 0;
   for (const std::uint64_t faults : fault_counts) {
     mpc::FaultInjector::RandomPlanConfig rc;
     rc.seed = 13000 + faults;
@@ -145,6 +148,7 @@ void run(const RecoveryConfig& cfg) {
                                 : static_cast<double>(r.rounds) /
                                       static_cast<double>(base.rounds);
     const bool bytes_ok = r.allocated_words == base.allocated_words;
+    if (!bytes_ok) ++mismatches;
     table.add_row()
         .cell(faults)
         .cell(static_cast<std::uint64_t>(rc.crashes))
@@ -216,7 +220,7 @@ void run(const RecoveryConfig& cfg) {
   mpc::Cluster cluster(mc);
   mpc::Simulator sim(cluster, budget);
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kDouble;
   mpc::BatchScheduler sched(cluster, sim, sc);
   VertexSketches vs(cfg.star_n, gcfg);
@@ -250,12 +254,25 @@ void run(const RecoveryConfig& cfg) {
   json.set("grow.total_rounds", cluster.rounds());
   json.set("grow.budget_words", budget);
   json.set("grow.seconds", grow_seconds);
+  VertexSketches flat(cfg.star_n, gcfg);
+  flat.update_edges(star_deltas);
+  const bool grow_bytes_ok = vs.allocated_words() == flat.allocated_words();
+  json.set("grow.bytes_identical",
+           static_cast<std::uint64_t>(grow_bytes_ok ? 1 : 0));
+  if (!grow_bytes_ok) ++mismatches;
+  json.set("correct.ok", mismatches == 0 ? 1 : 0);
 
   std::cout << "\nreading: overhead is the charged-round ratio vs the "
                "fault-free run — pure\nrecovery cost, since every row's "
                "final sketches are byte-identical.  The star\nrow shows the "
                "one-off shuffle price of doubling the cluster when the\n"
                "resident shard, not the batch, is what outgrew s.\n";
+  if (mismatches != 0) {
+    std::cerr << "FAIL: " << mismatches
+              << " runs left different allocated words than their reference\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -275,6 +292,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  streammpc::run(cfg);
-  return 0;
+  return streammpc::run(cfg);
 }

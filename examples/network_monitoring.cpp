@@ -13,9 +13,10 @@
 // as a (machine x bank) cell grid under each machine's memory budget —
 // resident sketch shard plus delivered sub-batch charged against a scratch
 // budget sized just above the resident watermark, so the adaptive batch
-// scheduler (mpc::BatchScheduler, SplitPolicy::kBisect) has real work to
-// do: batches that would overflow a machine are deterministically bisected
-// and retried, every split and retry charged honestly on the CommLedger.
+// scheduler (mpc::BatchScheduler, SplitPolicy::kProportional) has real work
+// to do: a batch that would overflow a machine is cut where that machine's
+// load crosses its headroom and delivered in fitting pieces, every split
+// and delivery charged honestly on the CommLedger.
 #include <algorithm>
 #include <iostream>
 #include <unordered_set>
@@ -37,7 +38,7 @@ using namespace streammpc;
 // measures how many words of sketch shard the busiest machine will host,
 // and the margin (2 words — a single routed delta) is deliberately smaller
 // than a batch's per-machine load once the shards saturate — so whole
-// batches overflow the busiest machine and the scheduler's bisect loop is
+// batches overflow the busiest machine and the scheduler's split loop is
 // visible end to end, while a 1-delta leaf always fits (never exhausts).
 static std::uint64_t measure_scratch_budget(VertexId n,
                                             const ConnectivityConfig& conn,
@@ -74,11 +75,11 @@ int main() {
   conn_config.sketch.banks = 10;
   conn_config.sketch.seed = 11;
   conn_config.exec_mode = mpc::ExecMode::kSimulated;
-  conn_config.scheduler.policy = mpc::SplitPolicy::kBisect;
+  conn_config.scheduler.policy = mpc::SplitPolicy::kProportional;
   conn_config.simulator_scratch_words =
       measure_scratch_budget(n, conn_config, grid_links);
   DynamicConnectivity backbone(n, conn_config, &cluster);
-  std::cout << "scheduler: bisect policy, per-machine budget "
+  std::cout << "scheduler: proportional split policy, per-machine budget "
             << conn_config.simulator_scratch_words
             << " words (resident watermark + one routed delta)\n";
 
@@ -87,7 +88,7 @@ int main() {
   msf_config.w_max = 32;  // link costs in [1, 32]
   msf_config.connectivity.sketch.banks = 6;
   msf_config.connectivity.exec_mode = mpc::ExecMode::kSimulated;
-  msf_config.connectivity.scheduler.policy = mpc::SplitPolicy::kBisect;
+  msf_config.connectivity.scheduler.policy = mpc::SplitPolicy::kProportional;
   ApproxMsf spanning_cost(n, msf_config, &cluster);
 
   BipartitenessConfig bip_config;
@@ -133,7 +134,7 @@ int main() {
             << (overlay.is_bipartite() ? "yes" : "no") << "\n\n";
 
   // Failure/recovery phases.  The "splits" column shows the adaptive loop
-  // at work: bisections the backbone's batch scheduler performed in that
+  // at work: splits the backbone's batch scheduler performed in that
   // phase to keep every machine's resident + delivered claim under budget.
   Table table({"phase", "failed", "recovered", "partitions", "approx cost",
                "overlay 2-colorable", "rounds", "splits"});
@@ -207,12 +208,12 @@ int main() {
             << sim.peak_machine_words << " words, overruns: "
             << sim.budget_overruns << "\n";
 
-  // The adaptive loop, end to end: every bisect decision the backbone's
+  // The adaptive loop, end to end: every split decision the backbone's
   // scheduler took (which chunk, at what depth, which machine overflowed
   // and by how much), then the ledger the split-and-retry discipline
   // actually charged.
   const mpc::BatchScheduler::Stats& sched = backbone.scheduler()->stats();
-  std::cout << "\nbatch scheduler (bisect): " << sched.batches
+  std::cout << "\nbatch scheduler (proportional): " << sched.batches
             << " batches -> " << sched.subbatches << " deliveries via "
             << sched.splits << " splits (" << sched.split_rounds
             << " control rounds, max depth " << sched.max_depth
@@ -223,7 +224,7 @@ int main() {
     std::cout << "  split[" << i << "] chunk @" << s.offset << "+" << s.size
               << " depth " << s.depth << ": machine " << s.machine
               << " needed " << s.needed_words << " / " << s.budget_words
-              << " words -> bisect\n";
+              << " words -> split\n";
   }
   if (sched.split_log.size() > shown) {
     std::cout << "  ... " << (sched.split_log.size() - shown)

@@ -26,8 +26,9 @@ class AgmStaticConnectivity {
  public:
   // `mode` selects how update batches execute against the cluster
   // (routed-with-accounting / per-machine simulation); ignored when
-  // `cluster` is null (flat ingest).  `scheduler` opts the simulated mode
-  // into adaptive batch bisection (see mpc::BatchScheduler).
+  // `cluster` is null (flat ingest).  `scheduler` configures the simulated
+  // mode's batch scheduler: splitting, fault retry and machine-growing
+  // (see mpc::BatchScheduler).
   // `fault_injector` (not owned, may be null) attaches a deterministic
   // fault plan to the simulated executor (see mpc::FaultInjector).
   AgmStaticConnectivity(VertexId n, const GraphSketchConfig& sketch,
@@ -91,7 +92,7 @@ class AgmStaticConnectivity {
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff constructed with kSimulated mode and a cluster.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
-  // Non-null under the same condition (see BatchScheduler::enabled()).
+  // Non-null under the same condition.
   const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
  private:

@@ -61,10 +61,11 @@ struct ConnectivityConfig {
   // per-machine scratch budgets (see mpc::ExecMode / mpc::Simulator).
   // Ignored when no cluster is attached (flat ingest).
   mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
-  // Adaptive batch scheduling (kSimulated mode only): when the split
-  // policy is active, over-budget update batches are deterministically
-  // bisected and retried instead of throwing MemoryBudgetExceeded (see
-  // mpc::BatchScheduler; default kNone = never split).
+  // Adaptive batch scheduling (kSimulated mode only): every update batch
+  // goes through the scheduler, which retries transient faults and, with a
+  // split policy active, splits over-budget batches instead of throwing
+  // MemoryBudgetExceeded (see mpc::BatchScheduler; default kNone = never
+  // split).
   mpc::SchedulerConfig scheduler;
   // Per-machine scratch budget for the simulated executor, in words
   // (0 = the cluster's local memory s) — the Simulator ctor's
@@ -154,8 +155,7 @@ class DynamicConnectivity {
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
-  // Non-null under the same condition; splits only when its resolved
-  // policy is active (scheduler()->enabled()).
+  // Non-null under the same condition.
   const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
   // Non-null iff config.async_ingest; exposes buffered()/stats().
   const GutterIngest* gutter() const { return ingest_.gutter(); }

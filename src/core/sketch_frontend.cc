@@ -36,10 +36,10 @@ void SketchFrontend::deliver(std::span<const EdgeDelta> deltas,
   // Route the batch to the machines hosting the affected endpoint sketches
   // and charge the actual per-machine loads on the CommLedger; under
   // kSimulated each machine's resident shard + delivered sub-batch is
-  // budgeted against s, with the scheduler splitting over-budget batches
-  // when enabled.
+  // budgeted against s by the scheduler, which splits, retries or grows
+  // as configured.
   routed_ingest(cluster_, universe_, deltas, label, *sketches_,
-                routed_scratch_, mode_, simulator_.get(), scheduler_.get());
+                routed_scratch_, mode_, scheduler_.get());
 }
 
 void SketchFrontend::deliver(std::span<const Update> updates,
@@ -58,8 +58,7 @@ void SketchFrontend::enable_async(const GutterIngestConfig& config,
   if (gcfg.label == GutterIngestConfig{}.label)
     gcfg.label = default_label;  // ledger parity with sync ingest
   gutter_ = std::make_unique<GutterIngest>(universe_, *sketches_, gcfg,
-                                           cluster_, mode_, simulator_.get(),
-                                           scheduler_.get());
+                                           cluster_, mode_, scheduler_.get());
 }
 
 void SketchFrontend::flush() {

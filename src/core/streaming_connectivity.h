@@ -46,8 +46,9 @@ class StreamingConnectivity {
   // sketch state, so results are identical either way.  `mode` selects how
   // buffered delta flushes execute against the cluster (routed /
   // machine-by-machine simulation); ignored when `cluster` is null.
-  // `scheduler` opts the simulated mode into adaptive batch bisection
-  // (see mpc::BatchScheduler).  `fault_injector` (not owned, may be null)
+  // `scheduler` configures the simulated mode's batch scheduler: splitting,
+  // fault retry and machine-growing (see mpc::BatchScheduler).
+  // `fault_injector` (not owned, may be null)
   // attaches a deterministic fault plan to the simulated executor (see
   // mpc::FaultInjector).
   explicit StreamingConnectivity(VertexId n, GraphSketchConfig sketch = {},
@@ -128,7 +129,7 @@ class StreamingConnectivity {
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff constructed with kSimulated mode and a cluster.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
-  // Non-null under the same condition (see BatchScheduler::enabled()).
+  // Non-null under the same condition.
   const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
  private:

@@ -13,20 +13,18 @@ namespace streammpc {
 GutterIngest::GutterIngest(VertexId universe, VertexSketches& sketches,
                            const GutterIngestConfig& config,
                            mpc::Cluster* cluster, mpc::ExecMode mode,
-                           mpc::Simulator* simulator,
                            mpc::BatchScheduler* scheduler)
     : universe_(universe),
       sketches_(sketches),
       cluster_(cluster),
       mode_(mode),
-      simulator_(simulator),
       scheduler_(scheduler),
       label_(config.label),
       capacity_(std::max<std::size_t>(config.gutter_capacity, 1)) {
   SMPC_CHECK(universe >= 1);
   SMPC_CHECK_MSG(cluster_ == nullptr || mode_ != mpc::ExecMode::kSimulated ||
-                     simulator_ != nullptr,
-                 "simulated gutter drains require a Simulator");
+                     scheduler_ != nullptr,
+                 "simulated gutter drains require a BatchScheduler");
   std::size_t gutters = config.gutters;
   if (gutters == 0)
     gutters = cluster_ != nullptr
@@ -77,12 +75,12 @@ void GutterIngest::drain(std::size_t g) {
   if (gutter.empty()) return;
   buffered_ -= gutter.size();
   // A drain is ONE front-end batch: routing, ledger charges, the
-  // scheduler's probe/bisect/retry/grow loop and the fault injector see
+  // scheduler's probe/split/retry/grow loop and the fault injector see
   // exactly what a synchronous front end would have delivered.  A failed
   // delivery is dropped: the gutter is emptied either way.
   try {
     routed_ingest(cluster_, universe_, gutter, label_, sketches_,
-                  routed_scratch_, mode_, simulator_, scheduler_);
+                  routed_scratch_, mode_, scheduler_);
   } catch (...) {
     gutter.clear();
     throw;

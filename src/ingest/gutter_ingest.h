@@ -11,8 +11,8 @@
 //     without a cluster).  Each delta is stored ONCE;
 //   * a full gutter drains: the writer hands its contents to routed_ingest
 //     as one batch, in the gutter's mode — flat ingest without a cluster,
-//     route + charge + cell grid under kRouted, the simulator (and the
-//     batch scheduler's probe/bisect/retry/grow loop and fault injector)
+//     route + charge + cell grid under kRouted, the batch scheduler's
+//     probe/split/retry/grow loop (and the simulator's fault injector)
 //     under kSimulated.  A drain is therefore exactly one synchronous
 //     front-end batch: the CommLedger charges, the mutation epoch and the
 //     resident arenas come out identical to direct ingest of the same
@@ -53,7 +53,6 @@ class VertexSketches;
 namespace mpc {
 class BatchScheduler;
 class Cluster;
-class Simulator;
 }  // namespace mpc
 
 struct GutterIngestConfig {
@@ -72,17 +71,15 @@ struct GutterIngestConfig {
 
 class GutterIngest {
  public:
-  // `sketches` (and the optional cluster/simulator/scheduler, all
-  // unowned) must outlive this object.  Drains deliver through
-  // routed_ingest with these arguments: a null cluster = flat ingest
-  // (whatever the mode); kRouted = route + charge per machine;
-  // kSimulated = delivery through the simulator/scheduler (`simulator`
-  // must be non-null then).
+  // `sketches` (and the optional cluster/scheduler, both unowned) must
+  // outlive this object.  Drains deliver through routed_ingest with these
+  // arguments: a null cluster = flat ingest (whatever the mode); kRouted =
+  // route + charge per machine; kSimulated = delivery through the
+  // scheduler (`scheduler` must be non-null then).
   GutterIngest(VertexId universe, VertexSketches& sketches,
                const GutterIngestConfig& config = {},
                mpc::Cluster* cluster = nullptr,
                mpc::ExecMode mode = mpc::ExecMode::kRouted,
-               mpc::Simulator* simulator = nullptr,
                mpc::BatchScheduler* scheduler = nullptr);
   ~GutterIngest();
 
@@ -131,7 +128,6 @@ class GutterIngest {
   VertexSketches& sketches_;
   mpc::Cluster* cluster_;
   mpc::ExecMode mode_;
-  mpc::Simulator* simulator_;
   mpc::BatchScheduler* scheduler_;
   std::string label_;
   std::size_t capacity_;

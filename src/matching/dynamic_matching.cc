@@ -70,36 +70,26 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
           }
         };
     if (simulator != nullptr) {
+      // The sampler shards report their per-machine resident words
+      // through a scheduler Target, so every batch is probed, split,
+      // retried or grown by the same loop as the vertex-sketch front ends.
+      // Routing happens inside the scheduler, per chunk.
       const auto step = [&](std::uint64_t,
                             std::span<const mpc::RoutedBatch::Item> items) {
         apply_owned(items);
       };
-      if (exec_.scheduler()->enabled()) {
-        // Scheduler path: the sampler shards report their per-machine
-        // resident words through a Target, so an over-budget batch is
-        // probed, bisected, retried, or grown instead of throwing — the
-        // same adaptive loop as the vertex-sketch front ends.  Routing
-        // happens inside the scheduler, per chunk.
-        mpc::BatchScheduler::Target target;
-        target.resident = [&](std::span<std::uint64_t> out) {
-          for (auto& inst : guesses_)
-            inst.sparsifier->add_resident_words(out);
-        };
-        target.deliver = [&](const mpc::RoutedBatch& routed,
-                             const std::string& label) {
-          resident_scratch_.assign(cluster->machines(), 0);
-          for (auto& inst : guesses_)
-            inst.sparsifier->add_resident_words(resident_scratch_);
-          simulator->execute(routed, label, step, resident_scratch_);
-        };
-        exec_.scheduler()->execute(delta_scratch_, n_,
-                                   "matching/sketch-update", target);
-      } else {
-        // Default path, unchanged from pre-scheduler behavior: one flat
-        // delivery with resident = 0.
-        cluster->route_batch(delta_scratch_, n_, routed_scratch_);
-        simulator->execute(routed_scratch_, "matching/sketch-update", step);
-      }
+      mpc::BatchScheduler::Target target;
+      target.resident = [&](std::span<std::uint64_t> out) {
+        for (auto& inst : guesses_) inst.sparsifier->add_resident_words(out);
+      };
+      target.deliver = [&](const mpc::RoutedBatch& routed,
+                           const std::string& label) {
+        resident_scratch_.assign(cluster->machines(), 0);
+        target.resident(resident_scratch_);
+        simulator->execute(routed, label, step, resident_scratch_);
+      };
+      exec_.scheduler()->execute(delta_scratch_, n_, "matching/sketch-update",
+                                 target);
     } else {
       cluster->route_batch(delta_scratch_, n_, routed_scratch_);
       cluster->charge_routed(routed_scratch_, "matching/sketch-update");

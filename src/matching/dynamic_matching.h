@@ -38,15 +38,12 @@ struct DynamicMatchingConfig {
   // state (samplers are linear), and hence the matching, identical to flat
   // in-process ingest, which runs when no cluster is attached.
   mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
-  // Adaptive batch scheduling (kSimulated mode only): with the split
-  // policy active, the AKLY sampler shards report their per-machine
-  // resident words (AklySparsifier::add_resident_words) through a
-  // scheduler Target, so over-budget update batches are probed,
-  // bisected, and retried exactly like the vertex-sketch front ends —
-  // including fault retry and machine-growing — instead of throwing
-  // MemoryBudgetExceeded.  With the scheduler disabled (the default
-  // kNone), the path is byte-identical to the pre-scheduler behavior: the
-  // Simulator's sketch-free MachineStep overload with resident = 0.
+  // Adaptive batch scheduling (kSimulated mode only): every batch goes
+  // through the scheduler, with the AKLY sampler shards reporting their
+  // per-machine resident words (AklySparsifier::add_resident_words)
+  // through a scheduler Target: the budget charges them, transient faults
+  // are retried, and with a split policy or growing on an over-budget
+  // batch is split or grown exactly like the vertex-sketch front ends'.
   mpc::SchedulerConfig scheduler;
   // Per-machine scratch budget for the simulated executor, in words
   // (0 = the cluster's local memory s).
@@ -75,8 +72,7 @@ class DynamicApproxMatching {
 
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
   const mpc::Simulator* simulator() const { return exec_.simulator(); }
-  // Non-null under the same condition; splits only when its resolved
-  // policy is active (scheduler()->enabled()).
+  // Non-null under the same condition.
   const mpc::BatchScheduler* scheduler() const { return exec_.scheduler(); }
 
   struct Instance {
@@ -94,7 +90,7 @@ class DynamicApproxMatching {
   SketchFrontend exec_;
   std::vector<EdgeDelta> delta_scratch_;       // reused batch-ingest buffer
   mpc::RoutedBatch routed_scratch_;  // reused per-machine sub-batches
-  std::vector<std::uint64_t> resident_scratch_;  // scheduler Target fold
+  std::vector<std::uint64_t> resident_scratch_;  // per-delivery resident fold
   std::vector<Instance> guesses_;
 };
 

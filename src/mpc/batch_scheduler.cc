@@ -10,19 +10,19 @@ namespace streammpc::mpc {
 
 BatchScheduler::BatchScheduler(Cluster& cluster, Simulator& simulator,
                                const SchedulerConfig& config)
-    : cluster_(cluster),
-      simulator_(simulator),
-      config_(config) {
-  SMPC_CHECK(config_.min_chunk >= 1);
-}
+    : cluster_(cluster), simulator_(simulator), config_(config) {}
 
 void BatchScheduler::execute(std::span<const EdgeDelta> deltas,
                              std::uint64_t universe, const std::string& label,
                              VertexSketches& sketches) {
-  if (deltas.empty()) return;
-  ++stats_.batches;
-  execute_chunk(deltas, universe, label, &sketches, /*target=*/nullptr,
-                /*offset=*/0, /*depth=*/0);
+  Target target;
+  target.resident = [&](std::span<std::uint64_t> out) {
+    sketches.resident_words(cluster_, out);
+  };
+  target.deliver = [&](const RoutedBatch& routed, const std::string& l) {
+    simulator_.execute(routed, l, sketches);
+  };
+  execute(deltas, universe, label, target);
 }
 
 void BatchScheduler::execute(std::span<const EdgeDelta> deltas,
@@ -32,44 +32,40 @@ void BatchScheduler::execute(std::span<const EdgeDelta> deltas,
                  "scheduler Target needs both a resident and a deliver hook");
   if (deltas.empty()) return;
   ++stats_.batches;
-  execute_chunk(deltas, universe, label, /*sketches=*/nullptr, &target,
-                /*offset=*/0, /*depth=*/0);
+  execute_chunk(deltas, universe, label, target, /*offset=*/0, /*depth=*/0);
 }
 
-Simulator::BudgetProbe BatchScheduler::probe_target(const Target& target) {
+void BatchScheduler::fold_resident(const Target& target) {
   resident_scratch_.assign(cluster_.machines(), 0);
   target.resident(resident_scratch_);
-  return simulator_.probe(routed_, resident_scratch_);
 }
 
 void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
                                    std::uint64_t universe,
                                    const std::string& label,
-                                   VertexSketches* sketches,
-                                   const Target* target, std::uint64_t offset,
+                                   const Target& target, std::uint64_t offset,
                                    std::uint32_t depth) {
+  const bool split = config_.policy == SplitPolicy::kProportional;
   for (;;) {
     cluster_.route_batch(deltas, universe, routed_);
-    if (!enabled()) break;
+    if (!split && !grow_enabled()) break;
+    fold_resident(target);
     const Simulator::BudgetProbe report =
-        sketches ? simulator_.probe(routed_, *sketches)
-                 : probe_target(*target);
+        simulator_.probe(routed_, resident_scratch_);
     if (report.fits) break;
-    // Splitting shrinks only the *delivered* half of the claim; the
+    // Splitting shrinks only the *delivered* part of the claim; the
     // resident shard rides along into every leaf, and any leaf that
     // still carries one of the machine's deltas delivers at least
-    // kWordsPerDelta to it.  So an overflow is fixable by re-splitting
-    // only when the minimal leaf claim — spike-scaled resident + one
-    // delta — fits; otherwise bisection would charge a cascade of
-    // control and delivery rounds and every leaf would overflow anyway
-    // (the geometry, not the batch size, is the problem: grow the
-    // machine count or phi).
+    // kWordsPerDelta to it.  So an overflow is fixable by splitting only
+    // when the minimal leaf claim — spike-scaled resident + one delta —
+    // fits; otherwise a split cascade would charge control and delivery
+    // rounds and every leaf would overflow anyway (the geometry, not the
+    // batch size, is the problem: grow the machine count or phi).
     const bool fixable = report.min_leaf_words <= report.budget_words;
-    if (fixable && deltas.size() > config_.min_chunk &&
-        depth < config_.max_depth) {
+    if (split && fixable && deltas.size() > 1) {
       // One control round per split: the over-budget machines report
       // their geometry up the broadcast tree and the re-split schedule
-      // comes back down.  Charged BEFORE the halves deliver, so the
+      // comes back down.  Charged BEFORE the parts deliver, so the
       // ledger reads in causal order: detect, re-split, retry.
       const std::uint64_t control =
           std::max<std::uint64_t>(1, cluster_.broadcast_rounds());
@@ -83,63 +79,45 @@ void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
                                          report.machine, report.needed_words,
                                          report.budget_words});
       }
-      if (config_.policy == SplitPolicy::kProportional) {
-        // Load-proportional cut: size the left chunk so the offending
-        // machine's delivered load fits its remaining budget, then keep
-        // walking the remainder at the SAME depth — the split tree is a
-        // comb whose spine is this loop, so a skewed batch costs
-        // ~load/budget deliveries instead of a binary descent.  The left
-        // chunk re-probes (other machines, or resident growth, may still
-        // split it further).
-        const std::size_t cut = proportional_cut(deltas, universe, report);
-        execute_chunk(deltas.first(cut), universe, label, sketches, target,
-                      offset, depth + 1);
-        deltas = deltas.subspan(cut);
-        offset += cut;
-        continue;
-      }
-      // Deterministic bisection at floor(size / 2).  The left half runs
+      // Size the left chunk so the offending machine's delivered load
+      // fits its remaining budget, then keep walking the remainder at the
+      // SAME depth — the comb's spine is this loop.  The left chunk runs
       // to completion (its pages allocate, growing the resident shards)
-      // before the right half is routed and probed — the probe therefore
-      // sees the true resident state each retry would see on a real
-      // cluster.
-      const std::size_t mid = deltas.size() / 2;
-      execute_chunk(deltas.first(mid), universe, label, sketches, target,
-                    offset, depth + 1);
-      execute_chunk(deltas.subspan(mid), universe, label, sketches, target,
-                    offset + mid, depth + 1);
-      return;
+      // and re-probes (other machines, or resident growth, may still split
+      // it further) before the remainder is routed and probed, so every
+      // probe sees the resident state a real cluster would see.
+      const std::size_t cut = proportional_cut(deltas, universe, report);
+      execute_chunk(deltas.first(cut), universe, label, target, offset,
+                    depth + 1);
+      deltas = deltas.subspan(cut);
+      offset += cut;
+      continue;
     }
-    if (!fixable && grow_enabled() && stats_.grows < config_.max_grows) {
+    if (!fixable && grow_enabled() && stats_.grows < kMaxGrows) {
       // The resident shard alone is (within one delta of) the budget:
       // no batch sizing helps, but halving every vertex block does.
       // Grow, then loop — the chunk re-routes and re-probes under the
-      // new geometry (possibly growing again, up to max_grows).
-      do_grow(label, sketches, target, offset, deltas.size(), report);
+      // new geometry (possibly growing again, up to kMaxGrows).
+      do_grow(label, target, offset, deltas.size(), report);
       continue;
     }
-    // Exhausted — unfixable overflow, min_chunk, or max_depth: execute
+    // Exhausted — splitting off, unfixable, or a single delta: execute
     // regardless, without charging any split round.  Strict clusters
     // throw from the executor's preflight (before any charge, keeping
     // the reject-before-charge contract), non-strict record the overrun.
     ++stats_.exhausted;
     break;
   }
-  deliver_chunk(label, sketches, target);
+  deliver_chunk(label, target);
 }
 
 void BatchScheduler::deliver_chunk(const std::string& label,
-                                   VertexSketches* sketches,
-                                   const Target* target) {
+                                   const Target& target) {
   for (unsigned attempt = 0;; ++attempt) {
     const std::string attempt_label =
         attempt == 0 ? label : label + "/retry";
     try {
-      if (sketches) {
-        simulator_.execute(routed_, attempt_label, *sketches);
-      } else {
-        target->deliver(routed_, attempt_label);
-      }
+      target.deliver(routed_, attempt_label);
       ++stats_.subbatches;
       return;
     } catch (const TransientFault& fault) {
@@ -206,8 +184,7 @@ std::size_t BatchScheduler::proportional_cut(
   return std::clamp<std::size_t>(cut, 1, deltas.size() - 1);
 }
 
-void BatchScheduler::do_grow(const std::string& label,
-                             VertexSketches* sketches, const Target* target,
+void BatchScheduler::do_grow(const std::string& label, const Target& target,
                              std::uint64_t offset, std::uint64_t size,
                              const Simulator::BudgetProbe& probe) {
   // Control rounds at the OLD geometry: the over-budget machine reports up
@@ -222,12 +199,7 @@ void BatchScheduler::do_grow(const std::string& label,
   // Fold the resident distribution at the NEW count — those are exactly
   // the words each new machine receives — and put the full volume on the
   // ledger (honest accounting: re-partitioning is not free).
-  resident_scratch_.assign(after, 0);
-  if (sketches) {
-    sketches->resident_words(cluster_, resident_scratch_);
-  } else {
-    target->resident(resident_scratch_);
-  }
+  fold_resident(target);
   std::uint64_t moved = 0;
   for (const std::uint64_t w : resident_scratch_) moved += w;
   cluster_.add_rounds(control + 1, label + "/grow-shuffle");

@@ -1,83 +1,83 @@
 // Resident-aware adaptive batch scheduler — the closed control loop over
-// the Simulator's memory-budget diagnostics.
+// the Simulator's memory-budget diagnostics, and the one delivery path of
+// every ExecMode::kSimulated batch.
 //
-// PR 4 made the model's binding constraint *observable*: before every
-// delivery the Simulator folds each machine's resident sketch shard,
-// charges resident + delivered against local memory s, and rejects (strict)
-// or records (non-strict) the overflow.  The sweep (bench_mpc_sweep) shows
-// resident headroom dip below 1 at small phi / few machines — exactly the
-// regime where the batch-dynamic MPC line (Nowicki–Onak, arXiv:2002.07800)
-// says the *front end* must adapt: batches are sized so the per-machine
-// claim stays under s, not fixed a priori.  This class closes the loop:
+// Before every delivery the Simulator folds each machine's resident sketch
+// shard, charges resident + delivered against local memory s, and rejects
+// (strict) or records (non-strict) the overflow.  At small phi / few
+// machines resident headroom dips below 1 (bench_mpc_sweep) — the regime
+// where the batch-dynamic MPC line (Nowicki–Onak, arXiv:2002.07800) says
+// the *front end* must adapt: batches are sized so the per-machine claim
+// stays under s, not fixed a priori.  This class closes the loop:
 //
-//   route the chunk -> probe (Simulator::probe: would resident + delivered
-//   fit every machine?) -> if not, charge one control round, bisect the
-//   chunk deterministically, recurse on the halves -> execute once it fits.
+//   route the chunk -> probe (would resident + delivered fit every
+//   machine?) -> if not, charge one control round, cut the chunk where the
+//   offending machine's prefix load crosses its headroom, deliver the left
+//   part (re-probing it) and walk the remainder the same way -> deliver
+//   once it fits.
 //
-// Every probe folds the resident shards afresh from the arenas' resident
-// counters (VertexSketches::resident_words(cluster, out): one prefix per
-// block boundary per bank), so a split cascade costs O(banks * machines *
-// log n) per probe and never scans a page map.
+// The split tree is a comb: its spine is the walk over one chunk, its
+// leaves the deliveries, so a skewed batch (one hot machine) costs
+// ~load/budget deliveries.  Under SplitPolicy::kNone the loop routes and
+// delivers without probing (unless growing is on, see below).
+//
+// Every probe folds the resident shards afresh (for sketches,
+// VertexSketches::resident_words(cluster, out): one prefix per block
+// boundary per bank), so a split cascade costs O(banks * machines * log n)
+// per probe and never scans a page map.
 //
 // Properties the tests pin down (tests/test_mpc_scheduler.cc):
 //
 //   * Determinism.  The split tree is a pure function of the stream, the
 //     budgets, and the geometry: probes read only deterministic state
 //     (loads from the content-independent partitioner, resident from the
-//     deterministic page allocation), and bisection is always at
-//     floor(size / 2).  Same stream + same budgets => identical split
-//     trees, rounds, and final sketches for every ingest thread count and
-//     for strict and non-strict clusters alike (with the default budget,
-//     strict and non-strict probe against the same limit).
+//     deterministic page allocation), and each cut is a pure function of
+//     the chunk and the probe.  Same stream + same budgets => identical
+//     split trees, rounds, and final sketches for every ingest thread
+//     count and for strict and non-strict clusters alike.
 //   * Honest accounting (the round-compression concern, arXiv:1807.08745:
 //     compressing work into fewer rounds must not hide communication).
-//     Every retried half pays its own full delivery round through
-//     Cluster::charge_routed — 2^depth leaves cost 2^depth ledger rounds —
-//     and every split additionally charges a broadcast-tree control round
-//     under "<label>/scheduler-split" (the machines must report the
-//     overflow geometry and receive the re-split schedule).  Nothing is
-//     retroactively un-charged: probes precede charges, so a rejected
-//     attempt costs no phantom round, matching the strict executor's
-//     reject-before-charge contract.
+//     Every leaf pays its own full delivery round, and every split
+//     additionally charges a broadcast-tree control round under
+//     "<label>/scheduler-split" (the machines must report the overflow
+//     geometry and receive the re-split schedule).  Probes precede
+//     charges, so a rejected attempt costs no phantom round, matching the
+//     strict executor's reject-before-charge contract.
 //   * Equivalence.  Splitting a batch never changes the sketch state
 //     (linearity) — only the accounting.  A run that never overflows is
-//     charge-for-charge identical to the bare Simulator.
+//     charge-for-charge identical to one Simulator::execute per batch.
 //
 // When splitting cannot help — the offending machine's *resident shard*
 // plus a single unavoidable delta already exceeds the budget (geometry,
-// not batch size, is the problem: the machine count or phi must grow) —
-// or when bisection bottoms out at min_chunk / max_depth, the chunk
+// not batch size, is the problem) — or the chunk is one delta, the chunk
 // executes immediately with NO split round charged: a strict cluster then
 // throws MemoryBudgetExceeded from the executor's preflight (before any
 // charge FOR THAT LEAF), and a non-strict cluster records the overrun and
 // proceeds.  The unfixable case is detected up front from
-// BudgetProbe::resident_words so a permanently-over-budget stream costs
-// one probe per batch, never a futile bisection cascade.
+// BudgetProbe::min_leaf_words, so a permanently-over-budget stream costs
+// one probe per batch, never a futile split cascade.
 //
-// Recovery (PR 6).  Two reactions close the loop the fault-injection layer
+// Recovery.  Two reactions close the loop the fault-injection layer
 // (mpc/fault_injector.h) opens:
 //
 //   * Transient faults.  A leaf delivery that throws TransientFault (cell
 //     failure rolled back by the executor, or a machine in a crash window
 //     rejected pre-charge) is retried up to SchedulerConfig::max_retries
-//     times.  Each retry first charges deterministic backoff-in-rounds
-//     under "<label>/retry" — max(remaining crash window, attempt number)
-//     idle rounds, which advances the exact round clock crash windows are
-//     keyed on — and then redelivers under the same "<label>/retry" label,
-//     so every attempt's rounds are visible on the ledger.  Exhausted
-//     retries propagate the fault.
+//     times, under every split policy.  Each retry first charges
+//     deterministic backoff-in-rounds under "<label>/retry" —
+//     max(remaining crash window, attempt number) idle rounds, which
+//     advances the exact round clock crash windows are keyed on — and then
+//     redelivers under the same "<label>/retry" label.  Exhausted retries
+//     propagate the fault.
 //   * Machine-growing.  When the probe says the overflow is UNFIXABLE by
-//     splitting (resident + one delta > budget) and SchedulerConfig::grow
-//     allows it, the scheduler requests a cluster of 2x machines
-//     (Cluster::grow()), charges a broadcast control round plus one
-//     shuffle round under "<label>/grow-shuffle" — with the full resident
-//     state as the shuffle's communication volume, recorded per NEW
-//     machine on the ledger — then re-routes the chunk under the new
-//     geometry and resumes.  This closes the ROADMAP machine-growing open
-//     item: a resident shard that can no longer fit is *re-partitioned*
-//     (each old vertex block splits in half), not given up on.  Growing is
-//     strictly opt-in (SchedulerConfig::grow defaults to kNone), so default
-//     runs keep the throw-on-exhaustion contract.
+//     splitting and SchedulerConfig::grow allows it, the scheduler
+//     requests a cluster of 2x machines (Cluster::grow()), charges a
+//     broadcast control round plus one shuffle round under
+//     "<label>/grow-shuffle" — with the full resident state as the
+//     shuffle's communication volume, recorded per NEW machine on the
+//     ledger — then re-routes the chunk under the new geometry and
+//     resumes, at most kMaxGrows times per scheduler.  Growing is opt-in
+//     (SchedulerConfig::grow defaults to kNone).
 //
 // Determinism of both reactions follows from the determinism of their
 // inputs: faults fire off the plan's deterministic clocks, backoff is a
@@ -86,17 +86,16 @@
 // and recovery stats are byte-identical for every ingest thread count
 // (tests/test_mpc_fault.cc).
 //
-// Atomicity caveat: under kBisect the reject-whole guarantee holds per
-// LEAF DELIVERY, not per top-level execute() call.  Leaves that landed
+// Atomicity caveat: once a batch splits, the reject-whole guarantee holds
+// per comb LEAF, not per top-level execute() call.  Leaves that landed
 // before a later leaf throws stay applied and charged — they were genuine
-// in-budget rounds a real cluster could not unsend either (exactly the
-// round-compression honesty point: retries must not rewrite history).  A
-// strict-mode caller that catches mid-batch MemoryBudgetExceeded must
-// treat the batch as partially applied (the split_log + subbatch counters
-// say precisely how far it got), unlike the bare Simulator whose single
-// delivery is all-or-nothing.  In practice an unfixable leaf is almost
-// always unfixable at the top-level probe too (resident only grows), so
-// the throw usually happens before anything was delivered.
+// in-budget rounds a real cluster could not unsend either (retries must
+// not rewrite history).  A strict-mode caller that catches mid-batch
+// MemoryBudgetExceeded must treat the batch as partially applied (the
+// split_log + subbatch counters say precisely how far it got).  In
+// practice an unfixable leaf is almost always unfixable at the top-level
+// probe too (resident only grows), so the throw usually happens before
+// anything was delivered.
 #pragma once
 
 #include <cstdint>
@@ -118,7 +117,7 @@ namespace streammpc::mpc {
 
 class BatchScheduler {
  public:
-  // One bisection, in deterministic pre-order: the chunk (as an offset +
+  // One split, in deterministic pre-order: the chunk (as an offset +
   // length into the top-level batch), its depth in the split tree, and the
   // probe geometry that triggered the split.
   struct Split {
@@ -149,12 +148,12 @@ class BatchScheduler {
   struct Stats {
     std::uint64_t batches = 0;      // top-level batches submitted
     std::uint64_t subbatches = 0;   // leaf chunks actually executed
-    std::uint64_t splits = 0;       // bisections performed
+    std::uint64_t splits = 0;       // comb cuts performed
     std::uint64_t split_rounds = 0; // control rounds charged for splits
     std::uint64_t exhausted = 0;    // chunks executed over budget because
-                                    // min_chunk / max_depth stopped splitting
+                                    // no split or grow could help
     std::uint64_t max_depth = 0;    // deepest split level reached
-    // --- recovery (PR 6) ---
+    // --- recovery ---
     std::uint64_t retries = 0;      // redeliveries after a TransientFault
     std::uint64_t retry_rounds = 0; // backoff rounds charged under ".../retry"
     std::uint64_t grows = 0;        // machine-growing events
@@ -165,17 +164,19 @@ class BatchScheduler {
     // grow it without bound (the counters stay exact).
     static constexpr std::size_t kMaxSplitRecords = 4096;
     std::vector<Split> split_log;
-    // Every grow, in order (never more than SchedulerConfig::max_grows).
+    // Every grow, in order (never more than kMaxGrows).
     std::vector<Grow> grow_log;
   };
 
-  // A non-sketch delivery target: lets front ends whose per-machine state
-  // is not a VertexSketches arena (e.g. the AKLY matching sampler shards)
-  // ride the same probe/split/retry/grow loop.  `resident` fills out[m]
-  // with machine m's resident words under the CURRENT cluster geometry
-  // (out.size() == cluster.machines(); it is re-queried after a grow);
-  // `deliver` executes one routed leaf under `label` and may throw
-  // TransientFault / MemoryBudgetExceeded exactly like Simulator::execute.
+  // A delivery target: the per-machine state the loop probes and delivers
+  // into.  Sketch front ends use the VertexSketches overload of execute(),
+  // which wraps the sketches in one; front ends whose per-machine state is
+  // not a VertexSketches arena (e.g. the AKLY matching sampler shards)
+  // build their own.  `resident` fills out[m] with machine m's resident
+  // words under the CURRENT cluster geometry (out.size() ==
+  // cluster.machines(); it is re-queried after a grow); `deliver` executes
+  // one routed leaf under `label` and may throw TransientFault /
+  // MemoryBudgetExceeded exactly like Simulator::execute.
   struct Target {
     std::function<void(std::span<std::uint64_t> out)> resident;
     std::function<void(const RoutedBatch& routed, const std::string& label)>
@@ -185,24 +186,14 @@ class BatchScheduler {
   BatchScheduler(Cluster& cluster, Simulator& simulator,
                  const SchedulerConfig& config = {});
 
-  // Whether this scheduler actually splits; with kNone it is a transparent
-  // pass-through to Simulator::execute (and routed_ingest skips it).
-  bool enabled() const {
-    return config_.policy != SplitPolicy::kNone;
-  }
-  SplitPolicy policy() const { return config_.policy; }
-
   // Routes `deltas` under the vertex universe [0, universe) and executes
-  // them through the simulator, bisecting on probe overflow as configured.
+  // them through the simulator, splitting on probe overflow as configured.
   // The final sketch state is identical to a single flat
   // update_edges(deltas) — splitting changes rounds, never bytes.
   void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
                const std::string& label, VertexSketches& sketches);
 
-  // Same loop over a generic Target (see above).  The probe folds the
-  // target's self-reported resident words instead of the sketches'
-  // resident counters;
-  // everything else — split tree, retry, grow, accounting — is identical.
+  // Same loop over a generic Target (see above).
   void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
                const std::string& label, const Target& target);
 
@@ -214,31 +205,32 @@ class BatchScheduler {
   const Simulator& simulator() const { return simulator_; }
 
  private:
-  // Exactly one of `sketches` / `target` is non-null.
+  // Cap on machine-growing events over the scheduler's lifetime.
+  static constexpr std::uint64_t kMaxGrows = 4;
+
   void execute_chunk(std::span<const EdgeDelta> deltas, std::uint64_t universe,
-                     const std::string& label, VertexSketches* sketches,
-                     const Target* target, std::uint64_t offset,
-                     std::uint32_t depth);
+                     const std::string& label, const Target& target,
+                     std::uint64_t offset, std::uint32_t depth);
   // Delivers one routed leaf with the bounded retry loop; `routed_` must
   // hold the chunk's routing.  Throws only after retries are exhausted (or
   // on a non-transient error).
-  void deliver_chunk(const std::string& label, VertexSketches* sketches,
-                     const Target* target);
-  // Probes the current `routed_` chunk against the target's resident words.
-  Simulator::BudgetProbe probe_target(const Target& target);
-  // kProportional's cut point: the largest prefix of `deltas` whose load on
-  // the offending machine still fits the budget headroom left after its
-  // resident shard (scaled out of the probe's spike-adjusted claim), clamped
-  // to [1, size - 1].  Deterministic — a pure function of the chunk, the
-  // geometry, and the probe.
+  void deliver_chunk(const std::string& label, const Target& target);
+  // Folds the target's resident words under the current geometry into
+  // resident_scratch_.
+  void fold_resident(const Target& target);
+  // The cut point: the largest prefix of `deltas` whose load on the
+  // offending machine still fits the budget headroom left after its
+  // resident shard (scaled out of the probe's spike-adjusted claim),
+  // clamped to [1, size - 1].  Deterministic — a pure function of the
+  // chunk, the geometry, and the probe.
   std::size_t proportional_cut(std::span<const EdgeDelta> deltas,
                                std::uint64_t universe,
                                const Simulator::BudgetProbe& report) const;
   // The machine-growing step: charge the control + shuffle rounds under
   // "<label>/grow-shuffle", double the cluster, record the re-partitioned
   // resident volume on the ledger.
-  void do_grow(const std::string& label, VertexSketches* sketches,
-               const Target* target, std::uint64_t offset, std::uint64_t size,
+  void do_grow(const std::string& label, const Target& target,
+               std::uint64_t offset, std::uint64_t size,
                const Simulator::BudgetProbe& probe);
 
   Cluster& cluster_;

@@ -32,56 +32,43 @@ enum class ExecMode : std::uint8_t { kRouted, kSimulated };
 // How the adaptive batch scheduler (mpc::BatchScheduler) reacts when a
 // simulated machine's claim on local memory s — resident sketch shard plus
 // delivered sub-batch — would exceed its budget:
-//   kNone   — never split; over-budget batches throw (strict clusters) or
-//             record overruns (non-strict), exactly the bare Simulator.
-//   kBisect — deterministically halve the offending batch and retry each
-//             half, recursively, charging the extra delivery and control
-//             rounds honestly (the batch-dynamic MPC discipline of
-//             Nowicki–Onak, arXiv:2002.07800: batches are sized so that
-//             resident + delivered stays under s).
+//   kNone         — never split; over-budget batches throw (strict
+//                   clusters) or record overruns (non-strict).
 //   kProportional — cut where the offending machine's prefix load crosses
-//             its remaining budget instead of at floor(size / 2): the left
-//             chunk is sized to fit that machine in ONE delivery, and the
-//             scheduler walks the remainder the same way, so a skewed
-//             batch (one hot machine) costs ~load/budget deliveries
-//             instead of bisect's full binary descent — fewer control and
-//             retry rounds, identical final bytes (linearity).
-enum class SplitPolicy : std::uint8_t { kNone, kBisect, kProportional };
+//                   its remaining budget, so the left chunk fits that
+//                   machine in one delivery, and walk the remainder the same
+//                   way, charging every extra delivery and control round
+//                   (the batch-dynamic MPC discipline of Nowicki–Onak,
+//                   arXiv:2002.07800: batches are sized so that resident +
+//                   delivered stays under s).  Final bytes are identical to
+//                   one delivery (linearity).
+enum class SplitPolicy : std::uint8_t { kNone, kProportional };
 
 // How the scheduler reacts when splitting cannot help — the offending
 // machine's *resident shard* alone exceeds the budget, so only
-// re-partitioning can (the ROADMAP machine-growing case):
+// re-partitioning can:
 //   kNone   — never grow; the chunk executes exhausted (strict throws,
-//             non-strict records), the pre-growing behavior.
+//             non-strict records).
 //   kDouble — request a cluster of 2x machines (Cluster::grow()),
 //             re-partition the resident shards via a charged shuffle round
-//             under "<label>/grow-shuffle", re-route, and resume.
-//             Growing mutates the cluster geometry, so it is opt-in.
+//             under "<label>/grow-shuffle", re-route, and resume (at most
+//             4 times per scheduler).  Growing mutates the cluster
+//             geometry, so it is opt-in.  It works under either split
+//             policy: with SplitPolicy::kNone an unfixable overflow grows
+//             and a fixable one executes exhausted.
 enum class GrowPolicy : std::uint8_t { kNone, kDouble };
 
-// Per-front-end opt-in knobs for the adaptive batch scheduler.  Embedded in
-// the front ends' config structs (e.g. ConnectivityConfig::scheduler);
-// ignored unless the structure executes in ExecMode::kSimulated.
+// Per-front-end knobs for the adaptive batch scheduler.  Embedded in the
+// front ends' config structs (e.g. ConnectivityConfig::scheduler); ignored
+// unless the structure executes in ExecMode::kSimulated.
 struct SchedulerConfig {
   SplitPolicy policy = SplitPolicy::kNone;
-  // Never bisect a chunk of at most this many deltas; a chunk that still
-  // does not fit at this size executes anyway (throwing under a strict
-  // cluster, recording an overrun otherwise) — at that point the resident
-  // shard alone is the problem and no batch sizing can fix it, unless
-  // machine-growing is enabled below.
-  std::size_t min_chunk = 1;
-  // Hard cap on the bisection depth (2^depth leaves); a backstop against
-  // pathological geometry, far above any real split tree.
-  unsigned max_depth = 40;
   // Recovery policy for transient faults (mpc::FaultInjector): how many
   // times one leaf delivery is retried — with deterministic
   // backoff-in-rounds charged under "<label>/retry" — before the
   // TransientFault propagates.  0 disables retry.
   unsigned max_retries = 3;
-  // Machine-growing reaction to unfixable resident overflow, and a cap on
-  // how many times the cluster may double over the scheduler's lifetime.
   GrowPolicy grow = GrowPolicy::kNone;
-  unsigned max_grows = 4;
 };
 
 struct MpcConfig {

@@ -28,7 +28,7 @@
 //   * budget spike ×f on machine m for rounds [a, b) — the machine's
 //     memory claim is scaled by factor_num/factor_den (rounded up) in
 //     every budget scan and probe inside the window, modelling transient
-//     co-tenant pressure.  Fixable spikes trigger scheduler bisection;
+//     co-tenant pressure.  Fixable spikes trigger scheduler splits;
 //     unfixable ones look like resident overflow.
 //
 // The empty plan never fires and never alters a single byte or charge —

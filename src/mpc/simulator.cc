@@ -87,7 +87,7 @@ void Simulator::budget_gate(const RoutedBatch& routed, const std::string& label,
   // is deterministic and independent of the cell schedule).
   const std::uint64_t strict_limit = effective_budget();
   for (std::uint64_t m = 0; m < machines; ++m) {
-    const std::uint64_t shard = resident.empty() ? 0 : resident[m];
+    const std::uint64_t shard = resident[m];
     const std::uint64_t need =
         claim_words(m, shard + routed.load_words[m]);
     if (cluster_.strict()) {
@@ -112,12 +112,10 @@ void Simulator::charge_delivery(const RoutedBatch& routed,
   // recorded as a Cluster capacity violation).  The resident peaks ride
   // along on the ledger — folded here, serially, never from a cell.
   cluster_.charge_routed(routed, label);
-  if (!resident.empty()) {
-    cluster_.comm_ledger().record_resident(resident, routed.load_words);
-  }
+  cluster_.comm_ledger().record_resident(resident, routed.load_words);
   ++stats_.batches;
   for (std::uint64_t m = 0; m < machines; ++m) {
-    const std::uint64_t shard = resident.empty() ? 0 : resident[m];
+    const std::uint64_t shard = resident[m];
     stats_.peak_resident_words = std::max(stats_.peak_resident_words, shard);
     stats_.peak_machine_words =
         std::max(stats_.peak_machine_words, shard + routed.load_words[m]);
@@ -190,13 +188,13 @@ Simulator::BudgetProbe Simulator::probe(
     const RoutedBatch& routed, std::span<const std::uint64_t> resident) {
   SMPC_CHECK_MSG(routed.machines() == cluster_.machines(),
                  "routed batch was built for a different machine count");
-  SMPC_CHECK_MSG(resident.empty() || resident.size() == routed.machines(),
+  SMPC_CHECK_MSG(resident.size() == routed.machines(),
                  "resident vector does not match the machine count");
   const std::uint64_t machines = routed.machines();
   BudgetProbe report;
   report.budget_words = effective_budget();
   for (std::uint64_t m = 0; m < machines; ++m) {
-    const std::uint64_t shard = resident.empty() ? 0 : resident[m];
+    const std::uint64_t shard = resident[m];
     const std::uint64_t need = claim_words(m, shard + routed.load_words[m]);
     if (need > report.budget_words) {
       report.fits = false;
@@ -284,7 +282,7 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
                         std::span<const std::uint64_t> resident) {
   SMPC_CHECK_MSG(routed.machines() == cluster_.machines(),
                  "routed batch was built for a different machine count");
-  SMPC_CHECK_MSG(resident.empty() || resident.size() == routed.machines(),
+  SMPC_CHECK_MSG(resident.size() == routed.machines(),
                  "resident vector does not match the machine count");
   preflight(routed, label, resident);
   for (std::uint64_t m = 0; m < routed.machines(); ++m) {

@@ -143,9 +143,9 @@ class Simulator {
     std::uint64_t budget_overruns = 0;
     std::uint64_t worst_overrun_words = 0;  // max(needed - budget) observed
     std::vector<Overrun> overruns;
-    // Batch-scheduler visibility: bisections an attached
-    // mpc::BatchScheduler performed on this simulator's behalf (each split
-    // turns one rejected delivery into two retried ones; the extra
+    // Batch-scheduler visibility: splits an attached mpc::BatchScheduler
+    // performed on this simulator's behalf (each split turns one rejected
+    // delivery into two retried ones; the extra
     // delivery rounds appear in `batches` and on the CommLedger).
     std::uint64_t scheduler_splits = 0;
     // Fault-injection visibility (0 unless a FaultInjector is attached):
@@ -190,18 +190,17 @@ class Simulator {
   // VertexSketches shard (the matching sparsifiers): same delivery charge,
   // budget pre-scan, and stats, with the local computation delegated to
   // `step`, called serially per non-empty machine in ascending order with
-  // that machine's CSR sub-batch.  `resident`, when non-empty (one entry
-  // per machine), is the caller's per-machine resident state — e.g. AKLY
-  // sampler shards — charged against the budget and recorded on the ledger
-  // exactly like a sketch shard; empty = resident 0, the historical
-  // behavior.  Fault injection applies to crashes and spikes only (there
+  // that machine's CSR sub-batch.  `resident` (one entry per machine) is
+  // the caller's per-machine resident state — e.g. AKLY sampler shards —
+  // charged against the budget and recorded on the ledger exactly like a
+  // sketch shard.  Fault injection applies to crashes and spikes only (there
   // is no cell grid, and the step's state is the caller's to roll back).
   using MachineStep =
       std::function<void(std::uint64_t machine,
                          std::span<const RoutedBatch::Item> items)>;
   void execute(const RoutedBatch& routed, const std::string& label,
                const MachineStep& step,
-               std::span<const std::uint64_t> resident = {});
+               std::span<const std::uint64_t> resident);
 
   // Non-mutating budget pre-check: would execute(routed, ., sketches) fit
   // every machine's claim (resident shard + delivered sub-batch) under the
@@ -226,12 +225,12 @@ class Simulator {
   BudgetProbe probe(const RoutedBatch& routed, const VertexSketches& sketches);
 
   // Generic probe over an explicit per-machine resident vector (one entry
-  // per machine; empty = all zero) — the seam that lets non-sketch front
-  // ends (AKLY sampler shards) opt into the adaptive batch scheduler.
+  // per machine) — what mpc::BatchScheduler probes against, whatever its
+  // Target's per-machine state is.
   BudgetProbe probe(const RoutedBatch& routed,
                     std::span<const std::uint64_t> resident);
 
-  // Records one batch-scheduler bisection in stats() (called by
+  // Records one batch-scheduler split in stats() (called by
   // mpc::BatchScheduler; the matching control-round charge lands on the
   // cluster under "<label>/scheduler-split").
   void note_scheduler_split() { ++stats_.scheduler_splits; }

@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 
 namespace streammpc {
 
@@ -381,8 +380,7 @@ std::uint64_t VertexSketches::nominal_words_per_vertex() const {
 void routed_ingest(mpc::Cluster* cluster, VertexId universe,
                    std::span<const EdgeDelta> deltas, const std::string& label,
                    VertexSketches& sketches, mpc::RoutedBatch& routed,
-                   mpc::ExecMode mode, mpc::Simulator* simulator,
-                   mpc::BatchScheduler* scheduler) {
+                   mpc::ExecMode mode, mpc::BatchScheduler* scheduler) {
   // An empty batch delivers nothing — charging a round for it would skew
   // the per-structure round accounting (front ends reach here with empty
   // delta lists on e.g. all-cancelling batches).
@@ -392,22 +390,14 @@ void routed_ingest(mpc::Cluster* cluster, VertexId universe,
     return;
   }
   if (mode == mpc::ExecMode::kSimulated) {
-    SMPC_CHECK_MSG(simulator != nullptr,
-                   "simulated execution mode requires a Simulator");
-    if (scheduler != nullptr && scheduler->enabled()) {
-      // The adaptive control loop: route, probe resident + delivered
-      // against the budget, bisect-and-retry on overflow.
-      scheduler->execute(deltas, universe, label, sketches);
-      return;
-    }
+    SMPC_CHECK_MSG(scheduler != nullptr,
+                   "simulated execution mode requires a BatchScheduler");
+    scheduler->execute(deltas, universe, label, sketches);
+    return;
   }
   cluster->route_batch(deltas, universe, routed);
-  if (mode == mpc::ExecMode::kSimulated) {
-    simulator->execute(routed, label, sketches);
-  } else {
-    cluster->charge_routed(routed, label);
-    sketches.update_edges(routed);
-  }
+  cluster->charge_routed(routed, label);
+  sketches.update_edges(routed);
 }
 
 }  // namespace streammpc

@@ -49,7 +49,6 @@ class ThreadPool;
 namespace mpc {
 class BatchScheduler;
 class Cluster;
-class Simulator;
 }
 
 struct GraphSketchConfig {
@@ -368,20 +367,17 @@ class GroupCsr {
 //                universe [0, universe) (scratch-reusing `routed`), charge
 //                the per-machine loads on the cluster's CommLedger under
 //                `label`, then run the machines x banks grid;
-//   kSimulated — route, then hand the RoutedBatch to `simulator` (must be
-//                non-null), which budgets each machine's resident shard +
-//                delivered sub-batch against s before running the grid.
-//                When a non-null `scheduler` with an active split policy is
-//                supplied, it owns the whole route-probe-execute loop:
-//                over-budget batches are deterministically bisected and
-//                retried instead of failing (see mpc::BatchScheduler).
+//   kSimulated — hand the batch to `scheduler` (must be non-null), which
+//                routes it, budgets each machine's resident shard +
+//                delivered sub-batch against s through its Simulator,
+//                splits, retries or grows as its SchedulerConfig says, and
+//                runs the grid (see mpc::BatchScheduler).
 // All paths leave identical sketch state.  An empty batch is a no-op (no
 // round charged).
 void routed_ingest(mpc::Cluster* cluster, VertexId universe,
                    std::span<const EdgeDelta> deltas, const std::string& label,
                    VertexSketches& sketches, mpc::RoutedBatch& routed,
                    mpc::ExecMode mode = mpc::ExecMode::kRouted,
-                   mpc::Simulator* simulator = nullptr,
                    mpc::BatchScheduler* scheduler = nullptr);
 
 }  // namespace streammpc

@@ -10,7 +10,7 @@
 //   * flush semantics: flush-on-query, explicit flush(), destructor
 //     flush, and the empty flush delivering (and charging) nothing;
 //   * under kSimulated mode drains deliver through the batch scheduler (a
-//     gutter drain is one scheduled batch), so bisect/retry composes
+//     gutter drain is one scheduled batch), so split/retry composes
 //     unchanged;
 //   * the three connectivity front ends produce byte-identical snapshots
 //     with async_ingest on and off, across interleaved insert/delete
@@ -34,6 +34,7 @@
 #include "graph/reference.h"
 #include "graph/streams.h"
 #include "ingest/gutter_ingest.h"
+#include "mpc/batch_scheduler.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
@@ -135,13 +136,14 @@ TEST(GutterIngest, DrainedStateMatchesFlatAcrossGeometryAndThreads) {
                 "/threads=" + std::to_string(threads);
             mpc::Cluster cluster = test::make_cluster(n, 4);
             mpc::Simulator sim(cluster);
+            mpc::BatchScheduler sched(cluster, sim);
             VertexSketches vs(n, test::with_threads(cfg, threads));
             GutterIngestConfig gc;
             gc.gutter_capacity = capacity;
             gc.gutters = gutters;
             GutterIngest gutter(n, vs, gc,
                                 delivery.cluster ? &cluster : nullptr,
-                                delivery.mode, &sim);
+                                delivery.mode, &sched);
             EXPECT_EQ(gutter.gutters(), gutters) << where;
             gutter.submit(std::span<const EdgeDelta>(deltas));
             gutter.flush();
@@ -307,10 +309,10 @@ TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
   VertexSketches flat(n, cfg);
   flat.update_edges(std::span<const EdgeDelta>(deltas));
 
-  // A budget tight enough to force bisection of a 40-delta drain batch.
+  // A budget tight enough to force a split of a 40-delta drain batch.
   mpc::Cluster cluster = test::make_cluster(n, 4);
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kNone;
   mpc::Simulator probe_sim(cluster, 1);
   mpc::RoutedBatch routed;
@@ -327,7 +329,7 @@ TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
   GutterIngestConfig gc;
   gc.gutter_capacity = 40;
   GutterIngest gutter(n, vs, gc, &run_cluster, mpc::ExecMode::kSimulated,
-                      &sim, &sched);
+                      &sched);
   gutter.submit(std::span<const EdgeDelta>(deltas));
   gutter.flush();
   EXPECT_GT(gutter.stats().delta_batches, 0u);

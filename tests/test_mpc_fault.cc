@@ -10,7 +10,7 @@
 //     stats — across ingest thread counts {1, 2, 8};
 //   * crash windows reject pre-charge and the scheduler's backoff charges
 //     exactly the rounds that clear the window;
-//   * budget spikes are fixable overflow: the scheduler bisects through
+//   * budget spikes are fixable overflow: the scheduler splits through
 //     the window and the stream completes under a strict cluster;
 //   * retry is bounded: a plan with more faults in one step window than
 //     max_retries propagates TransientFault after exactly max_retries
@@ -19,7 +19,7 @@
 //     budget completes under GrowPolicy::kDouble — the bare Simulator
 //     throws MemoryBudgetExceeded on the same stream — with the grow
 //     shuffle visible on the ledger and the final sketches byte-identical
-//     to flat ingest;
+//     to flat ingest, also with splitting off (SplitPolicy::kNone);
 //   * MemoryBudgetExceeded always carries the phase label and machine id,
 //     and a retry-path overflow is re-labelled with the original label.
 #include <gtest/gtest.h>
@@ -45,9 +45,9 @@ using test::probe_sets;
 
 constexpr std::uint64_t kMarginWords = 16 * mpc::RoutedBatch::kWordsPerDelta;
 
-mpc::SchedulerConfig bisect_config() {
+mpc::SchedulerConfig proportional_config() {
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kNone;
   return sc;
 }
@@ -261,7 +261,7 @@ TEST(FaultInjection, FaultedRunIsByteIdenticalAcrossGridThreadCounts) {
   };
 
   FaultRun ref(n, cfg, machines, /*strict=*/true, budget, /*threads=*/1,
-               bisect_config(), plan());
+               proportional_config(), plan());
   drive(ref);
   // Every fault kind actually fired / bit.
   ASSERT_EQ(ref.injector.stats().cell_faults_fired, 3u);
@@ -272,7 +272,7 @@ TEST(FaultInjection, FaultedRunIsByteIdenticalAcrossGridThreadCounts) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     FaultRun run(n, cfg, machines, /*strict=*/true, budget, threads,
-                 bisect_config(), plan());
+                 proportional_config(), plan());
     drive(run);
 
     // Byte-identical sketches.
@@ -321,7 +321,7 @@ TEST(FaultInjection, CrashWindowBackoffChargesExactlyTheClearingRounds) {
   mpc::FaultInjector plan;
   plan.add_machine_crash(1, 1, 3);
 
-  FaultRun run(n, cfg, machines, /*strict=*/false, 0, 1, bisect_config(),
+  FaultRun run(n, cfg, machines, /*strict=*/false, 0, 1, proportional_config(),
                std::move(plan));
   run.ingest(deltas, 40, "crash-test");
 
@@ -370,8 +370,8 @@ TEST(FaultInjection, BudgetSpikeIsFixableOverflowAndBisectsThroughTheWindow) {
   };
 
   // Without the spike: big delete chunks fit outright (no splits).
-  FaultRun calm(n, cfg, machines, /*strict=*/true, budget, 1, bisect_config(),
-                mpc::FaultInjector{});
+  FaultRun calm(n, cfg, machines, /*strict=*/true, budget, 1,
+                proportional_config(), mpc::FaultInjector{});
   calm.ingest(inserts, 35, "spike-test");
   const std::uint64_t calm_rounds = calm.cluster.rounds();
   calm.ingest(deletes, 130, "spike-test");
@@ -380,7 +380,8 @@ TEST(FaultInjection, BudgetSpikeIsFixableOverflowAndBisectsThroughTheWindow) {
   // With a spike covering the delete phase's rounds: the same chunks
   // overflow machine 1 while the window is open, split down to fitting
   // leaves, and the stream completes under the strict cluster.
-  FaultRun run(n, cfg, machines, /*strict=*/true, budget, 1, bisect_config(),
+  FaultRun run(n, cfg, machines, /*strict=*/true, budget, 1,
+               proportional_config(),
                plan_at(calm_rounds, calm_rounds + 6));
   run.ingest(inserts, 35, "spike-test");
   ASSERT_EQ(run.cluster.rounds(), calm_rounds);
@@ -405,7 +406,7 @@ TEST(FaultInjection, RetryIsBoundedAndExhaustionPropagatesTheFault) {
   // max_retries + 1 faults in the first batch's step window: the initial
   // attempt and every retry each consume one, and the last allowed retry
   // still faults -> propagate.
-  mpc::SchedulerConfig sc = bisect_config();
+  mpc::SchedulerConfig sc = proportional_config();
   sc.max_retries = 2;
   mpc::FaultInjector plan;
   plan.add_cell_fault(0);
@@ -482,11 +483,11 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
     EXPECT_TRUE(threw);
   }
 
-  // Scheduler WITHOUT growing: same death (bisection cannot shrink a
+  // Scheduler WITHOUT growing: same death (splitting cannot shrink a
   // resident shard).
   {
     FaultRun run(n, cfg, machines, /*strict=*/true, budget, 1,
-                 bisect_config(), mpc::FaultInjector{});
+                 proportional_config(), mpc::FaultInjector{});
     EXPECT_THROW(run.ingest(inserts, 8, "star-nogrow"),
                  mpc::MemoryBudgetExceeded);
     EXPECT_GT(run.sched.stats().exhausted, 0u);
@@ -495,7 +496,7 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
 
   // Scheduler WITH growing: completes, cluster doubled, shuffle charged
   // and visible, bytes identical to flat ingest.
-  mpc::SchedulerConfig grow_sc = bisect_config();
+  mpc::SchedulerConfig grow_sc = proportional_config();
   grow_sc.grow = mpc::GrowPolicy::kDouble;
   FaultRun run(n, cfg, machines, /*strict=*/true, budget, 1, grow_sc,
                mpc::FaultInjector{});
@@ -525,6 +526,45 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
   flat.update_edges(inserts);
   expect_identical_samples(flat, run.vs, cfg.banks, probe_sets(n, 61602));
   EXPECT_EQ(flat.allocated_words(), run.vs.allocated_words());
+
+  // Growing with splitting off (SplitPolicy::kNone + GrowPolicy::kDouble).
+  // The star is flat-inserted first, so the hub's resident shard is over
+  // budget at P machines before the scheduler sees a batch.
+  mpc::SchedulerConfig grow_only;
+  grow_only.policy = mpc::SplitPolicy::kNone;
+  grow_only.grow = mpc::GrowPolicy::kDouble;
+  const auto big =
+      delete_deltas(std::vector<Edge>(edges.begin(), edges.begin() + 64));
+  const auto small =
+      delete_deltas(std::vector<Edge>(edges.begin(), edges.begin() + 8));
+  {
+    // A fixable overflow (resident fits, the 64-delta batch does not)
+    // executes exhausted: no split, no grow, and the strict cluster
+    // rejects it.
+    FaultRun fixable(n, cfg, machines, /*strict=*/true,
+                     resident_p + kMarginWords, 1, grow_only,
+                     mpc::FaultInjector{});
+    fixable.vs.update_edges(inserts);
+    EXPECT_THROW(fixable.sched.execute(big, n, "grow-only", fixable.vs),
+                 mpc::MemoryBudgetExceeded);
+    EXPECT_EQ(fixable.sched.stats().exhausted, 1u);
+    EXPECT_EQ(fixable.sched.stats().splits, 0u);
+    EXPECT_EQ(fixable.sched.stats().grows, 0u);
+    EXPECT_EQ(fixable.cluster.machines(), machines);
+  }
+  // An unfixable overflow grows once, then the small batch fits.
+  FaultRun grown(n, cfg, machines, /*strict=*/true, budget, 1, grow_only,
+                 mpc::FaultInjector{});
+  grown.vs.update_edges(inserts);
+  grown.sched.execute(small, n, "grow-only", grown.vs);
+  EXPECT_EQ(grown.sched.stats().grows, 1u);
+  EXPECT_EQ(grown.sched.stats().splits, 0u);
+  EXPECT_EQ(grown.sched.stats().exhausted, 0u);
+  EXPECT_EQ(grown.cluster.machines(), 2 * machines);
+  EXPECT_TRUE(grown.cluster.ok());
+  flat.update_edges(small);
+  expect_identical_samples(flat, grown.vs, cfg.banks, probe_sets(n, 61603));
+  EXPECT_EQ(flat.allocated_words(), grown.vs.allocated_words());
 }
 
 TEST(FaultInjection, BudgetDiagnosticAlwaysCarriesLabelAndMachine) {
@@ -557,7 +597,7 @@ TEST(FaultInjection, BudgetDiagnosticAlwaysCarriesLabelAndMachine) {
   // attempt overflow, and the caller still sees "spiked-phase", not
   // "spiked-phase/retry".
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kNone;  // no bisection: force the overflow
+  sc.policy = mpc::SplitPolicy::kNone;  // no splitting: force the overflow
   sc.max_retries = 3;
   mpc::FaultInjector plan;
   plan.add_machine_crash(/*machine=*/1, /*first=*/0, /*last=*/1);

@@ -173,6 +173,8 @@ TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
       ASSERT_NE(under_test.simulator(), nullptr);
       EXPECT_GT(under_test.simulator()->stats().batches, 0u);
       EXPECT_GT(under_test.simulator()->stats().machine_steps, 0u);
+      // The sampler shards' resident words are charged, not 0.
+      EXPECT_GT(under_test.simulator()->stats().peak_resident_words, 0u);
       EXPECT_GT(cluster.comm_ledger().rounds(), 0u);
     } else {
       EXPECT_EQ(under_test.simulator(), nullptr);

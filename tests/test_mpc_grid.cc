@@ -666,7 +666,7 @@ TEST(ResidentAccounting, CountersMatchScan) {
     mpc::Cluster cluster = test::make_cluster(gn, machines, 0.5, true);
     mpc::Simulator sim(cluster, budget);
     mpc::SchedulerConfig sc;
-    sc.policy = mpc::SplitPolicy::kBisect;
+    sc.policy = mpc::SplitPolicy::kProportional;
     sc.grow = mpc::GrowPolicy::kDouble;
     mpc::BatchScheduler sched(cluster, sim, sc);
     VertexSketches vs(gn, cfg);

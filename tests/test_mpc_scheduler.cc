@@ -8,8 +8,8 @@
 //     MemoryBudgetExceeded under the bare Simulator completes under the
 //     scheduler, with the split rounds visible on the CommLedger and in
 //     Simulator::Stats;
-//   * exhaustion — when the resident shard alone is over budget, bisection
-//     bottoms out and the strict executor still throws.
+//   * exhaustion — when the resident shard alone is over budget, the
+//     scheduler does not split and the strict executor still throws.
 //
 // Test streams are built insert-then-delete: the insert phase allocates
 // every page the stream will ever touch, the delete phase (same edges,
@@ -17,7 +17,7 @@
 // shards sit exactly at their final watermark.  A budget of
 // final-resident + margin then makes the split geometry *provable*: any
 // delete chunk whose per-machine load exceeds the margin must split, and a
-// small-enough leaf always fits (bisection can never exhaust).
+// small-enough leaf always fits (splitting can never exhaust).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,12 +40,6 @@ using test::insert_deltas;
 using test::probe_sets;
 
 constexpr std::uint64_t kMarginWords = 8 * mpc::RoutedBatch::kWordsPerDelta;
-
-mpc::SchedulerConfig bisect_config() {
-  mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
-  return sc;
-}
 
 mpc::SchedulerConfig proportional_config() {
   mpc::SchedulerConfig sc;
@@ -121,7 +115,7 @@ TEST(BatchScheduler, SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictne
 
   // Reference: serial grid, strict cluster.
   SchedRun ref(n, cfg, machines, /*strict=*/true, budget, /*threads=*/1,
-               bisect_config());
+               proportional_config());
   drive(ref);
   ASSERT_GT(ref.sched.stats().splits, 0u);
   ASSERT_FALSE(ref.sched.stats().split_log.empty());
@@ -131,7 +125,8 @@ TEST(BatchScheduler, SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictne
     for (const unsigned threads : {1u, 2u, 8u}) {
       SCOPED_TRACE(::testing::Message()
                    << "strict=" << strict << " threads=" << threads);
-      SchedRun run(n, cfg, machines, strict, budget, threads, bisect_config());
+      SchedRun run(n, cfg, machines, strict, budget, threads,
+                   proportional_config());
       drive(run);
 
       // Identical split tree (full pre-order log), counters, and depth.
@@ -182,7 +177,8 @@ TEST(BatchScheduler, SplittingNeverChangesSketchBytes) {
 
   const std::uint64_t budget =
       final_resident(n, cfg, edges, machines) + kMarginWords;
-  SchedRun run(n, cfg, machines, /*strict=*/true, budget, 1, bisect_config());
+  SchedRun run(n, cfg, machines, /*strict=*/true, budget, 1,
+               proportional_config());
   run.ingest(inserts, 55);
   run.ingest(deletes, 220);
   EXPECT_GT(run.sched.stats().splits, 0u);
@@ -235,7 +231,8 @@ TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits
   }
 
   // With the scheduler: same stream, same budget, completes.
-  SchedRun run(n, cfg, machines, /*strict=*/true, budget, 1, bisect_config());
+  SchedRun run(n, cfg, machines, /*strict=*/true, budget, 1,
+               proportional_config());
   run.ingest(inserts, 60);
   const std::uint64_t before_splits = run.sched.stats().splits;
   const std::uint64_t before_rounds = run.cluster.comm_ledger().rounds();
@@ -269,8 +266,8 @@ TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits
 
 TEST(BatchScheduler, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
   // When a machine's resident shard alone exceeds the budget, no batch
-  // sizing can help: bisection bottoms out at min_chunk and the strict
-  // executor throws the same structured diagnostic as before.
+  // sizing can help: the scheduler executes the chunk exhausted and the
+  // strict executor throws the same structured diagnostic as before.
   const VertexId n = 64;
   const std::uint64_t machines = 2;
   GraphSketchConfig cfg;
@@ -282,25 +279,27 @@ TEST(BatchScheduler, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
   ASSERT_GT(resident, 2u);
 
   SchedRun run(n, cfg, machines, /*strict=*/true,
-               resident + kMarginWords, 1, bisect_config());
+               resident + kMarginWords, 1, proportional_config());
   run.ingest(insert_deltas(edges), 48);
 
   // A second scheduler over a simulator whose budget is below the shard.
   mpc::Simulator tight_sim(run.cluster, resident - 1);
-  mpc::BatchScheduler tight_sched(run.cluster, tight_sim, bisect_config());
+  mpc::BatchScheduler tight_sched(run.cluster, tight_sim,
+                                  proportional_config());
   const std::vector<EdgeDelta> one{{edges.front(), -1}};
   EXPECT_THROW(tight_sched.execute(one, n, "exhausted", run.vs),
                mpc::MemoryBudgetExceeded);
   EXPECT_GT(tight_sched.stats().exhausted, 0u);
-  EXPECT_EQ(tight_sched.stats().splits, 0u);  // size 1: nothing to bisect
+  EXPECT_EQ(tight_sched.stats().splits, 0u);  // size 1: nothing to split
 
-  // Crucially, a MULTI-delta batch must not trigger a futile bisection
+  // Crucially, a MULTI-delta batch must not trigger a futile split
   // cascade either: the probe's resident component already proves no leaf
   // can fit, so the scheduler goes straight to exhaustion — no splits, no
   // control rounds charged — and the strict executor rejects pre-charge.
   const std::uint64_t rounds_before = run.cluster.rounds();
   mpc::Simulator tight_sim2(run.cluster, resident - 1);
-  mpc::BatchScheduler tight_sched2(run.cluster, tight_sim2, bisect_config());
+  mpc::BatchScheduler tight_sched2(run.cluster, tight_sim2,
+                                   proportional_config());
   const auto big = delete_deltas(edges);  // 180 deltas, all unfixable
   EXPECT_THROW(tight_sched2.execute(big, n, "cascade", run.vs),
                mpc::MemoryBudgetExceeded);
@@ -324,7 +323,6 @@ TEST(BatchScheduler, NonePolicyIsTransparentPassThrough) {
   mpc::SchedulerConfig none;
   none.policy = mpc::SplitPolicy::kNone;
   SchedRun sched_run(n, cfg, 4, /*strict=*/false, 0, 1, none);
-  EXPECT_FALSE(sched_run.sched.enabled());
   sched_run.ingest(deltas, 40);
   EXPECT_EQ(sched_run.sched.stats().splits, 0u);
   EXPECT_EQ(sched_run.sched.stats().subbatches, 4u);
@@ -358,7 +356,7 @@ TEST(BatchScheduler, FrontEndOptInCompletesStrictRunAndMatchesReference) {
   cc.sketch.banks = 8;
   cc.sketch.seed = 52501;
   cc.exec_mode = mpc::ExecMode::kSimulated;
-  cc.scheduler.policy = mpc::SplitPolicy::kBisect;
+  cc.scheduler.policy = mpc::SplitPolicy::kProportional;
   Rng rng(52502);
   const auto edges = gen::gnm(n, 3 * n, rng);
 
@@ -382,7 +380,6 @@ TEST(BatchScheduler, FrontEndOptInCompletesStrictRunAndMatchesReference) {
   mpc::Cluster cluster(mc);
   DynamicConnectivity dc(n, cc, &cluster);
   ASSERT_NE(dc.scheduler(), nullptr);
-  ASSERT_TRUE(dc.scheduler()->enabled());
   dc.bootstrap(edges);
 
   // One big batch of non-tree deletions: per-machine load far exceeds the
@@ -409,72 +406,6 @@ TEST(BatchScheduler, FrontEndOptInCompletesStrictRunAndMatchesReference) {
   EXPECT_EQ(dc.scheduler()->stats().exhausted, 0u);
   EXPECT_TRUE(cluster.ok());
   test::expect_matches_reference(dc, ref, "front-end opt-in");
-}
-
-TEST(BatchScheduler, ProportionalBeatsBisectOnHotMachineDeletesWithIdenticalBytes) {
-  // Star deletes concentrate every delta on the hub's machine, so under a
-  // tight budget bisect must descend the full binary tree until its leaves
-  // fit the margin, while the proportional comb sizes every leaf to the
-  // margin directly: strictly fewer subbatches, splits, control rounds,
-  // and depth — and byte-identical sketches (linearity).  The insert phase
-  // runs FLAT (no scheduler) so the resident shards sit at the watermark
-  // and the delete-phase geometry is provable.
-  const VertexId n = 96;
-  const std::uint64_t machines = 4;
-  GraphSketchConfig cfg;
-  cfg.banks = 4;
-  cfg.seed = 52301;
-  cfg.ingest_threads = 1;
-  const auto edges = gen::star_graph(n);
-  const auto inserts = insert_deltas(edges);
-  const std::vector<Edge> doomed(edges.begin(), edges.begin() + 80);
-  const auto deletes = delete_deltas(doomed);
-  const auto sets = probe_sets(n, 59);
-  const std::uint64_t budget =
-      final_resident(n, cfg, edges, machines) + kMarginWords;
-
-  VertexSketches flat(n, cfg);
-  flat.update_edges(inserts);
-  flat.update_edges(deletes);
-
-  const auto drive = [&](SchedRun& run) {
-    run.vs.update_edges(inserts);  // watermark without scheduler rounds
-    run.sched.execute(deletes, run.vs.n(), "hot", run.vs);
-  };
-
-  SchedRun bis(n, cfg, machines, /*strict=*/true, budget, /*threads=*/1,
-               bisect_config());
-  drive(bis);
-  SchedRun prop(n, cfg, machines, /*strict=*/true, budget, /*threads=*/1,
-                proportional_config());
-  drive(prop);
-
-  EXPECT_GT(prop.sched.stats().splits, 0u);
-  EXPECT_EQ(prop.sched.stats().exhausted, 0u);
-  EXPECT_EQ(bis.sched.stats().exhausted, 0u);
-  EXPECT_LT(prop.sched.stats().subbatches, bis.sched.stats().subbatches);
-  EXPECT_LT(prop.sched.stats().splits, bis.sched.stats().splits);
-  EXPECT_LT(prop.sched.stats().max_depth, bis.sched.stats().max_depth);
-  EXPECT_LT(prop.cluster.rounds(), bis.cluster.rounds());
-
-  expect_identical_samples(flat, prop.vs, cfg.banks, sets);
-  EXPECT_EQ(flat.allocated_words(), prop.vs.allocated_words());
-  expect_identical_samples(flat, bis.vs, cfg.banks, sets);
-  EXPECT_EQ(flat.allocated_words(), bis.vs.allocated_words());
-
-  // The proportional split tree is a pure function of the stream and the
-  // geometry: identical log, rounds, and bytes across grid thread counts.
-  for (const unsigned threads : {2u, 8u}) {
-    SchedRun run(n, cfg, machines, /*strict=*/true, budget, threads,
-                 proportional_config());
-    drive(run);
-    EXPECT_EQ(run.sched.stats().split_log, prop.sched.stats().split_log);
-    EXPECT_EQ(run.sched.stats().subbatches, prop.sched.stats().subbatches);
-    EXPECT_EQ(run.cluster.rounds(), prop.cluster.rounds());
-    EXPECT_EQ(run.cluster.rounds_by_label(), prop.cluster.rounds_by_label());
-    expect_identical_samples(prop.vs, run.vs, cfg.banks, sets);
-    EXPECT_EQ(prop.vs.allocated_words(), run.vs.allocated_words());
-  }
 }
 
 TEST(BatchScheduler, ProportionalSplitLogAndRoundsAreExactOnStarDeletes) {

@@ -85,13 +85,13 @@ void expect_matrix_cell(const VertexSketches& flat,
 // the resulting sketches; a null `cluster` is flat ingest.
 void ingest_chunked(VertexSketches& vs, std::span<const EdgeDelta> deltas,
                     std::size_t chunk, mpc::Cluster* cluster,
-                    mpc::ExecMode mode, mpc::Simulator* sim,
+                    mpc::ExecMode mode,
                     mpc::BatchScheduler* scheduler = nullptr) {
   mpc::RoutedBatch routed;
   for (std::size_t start = 0; start < deltas.size(); start += chunk) {
     const std::size_t len = std::min(chunk, deltas.size() - start);
     routed_ingest(cluster, vs.n(), deltas.subspan(start, len), "conformance",
-                  vs, routed, mode, sim, scheduler);
+                  vs, routed, mode, scheduler);
   }
 }
 
@@ -104,20 +104,19 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
   const auto sets = probe_sets(n, 20);
 
   VertexSketches flat(n, cfg);
-  ingest_chunked(flat, deltas, 64, nullptr, mpc::ExecMode::kRouted, nullptr);
+  ingest_chunked(flat, deltas, 64, nullptr, mpc::ExecMode::kRouted);
 
   for (const double phi : kPhis) {
     for (const std::uint64_t machines : kMachineCounts) {
       mpc::Cluster routed_cluster = test::make_cluster(n, machines, phi);
       VertexSketches routed(n, cfg);
       ingest_chunked(routed, deltas, 64, &routed_cluster,
-                     mpc::ExecMode::kRouted, nullptr);
+                     mpc::ExecMode::kRouted);
 
       // The simulated executor under every split policy (through the
       // scheduler) and both a serial and a 4-wide ingest pool.
       for (const auto policy :
-           {mpc::SplitPolicy::kNone, mpc::SplitPolicy::kBisect,
-            mpc::SplitPolicy::kProportional}) {
+           {mpc::SplitPolicy::kNone, mpc::SplitPolicy::kProportional}) {
         for (const unsigned threads : {1u, 4u}) {
           SCOPED_TRACE(::testing::Message()
                        << "phi=" << phi << " machines=" << machines
@@ -130,7 +129,7 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
           mpc::BatchScheduler scheduler(sim_cluster, sim, sc);
           VertexSketches simulated(n, test::with_threads(cfg, threads));
           ingest_chunked(simulated, deltas, 64, &sim_cluster,
-                         mpc::ExecMode::kSimulated, &sim, &scheduler);
+                         mpc::ExecMode::kSimulated, &scheduler);
           expect_matrix_cell(flat, routed, simulated, routed_cluster,
                              sim_cluster, sim, cfg.banks, sets,
                              (deltas.size() + 63) / 64);

@@ -343,7 +343,7 @@ TEST(QueryCacheInvalidation, EveryIngestPathBumpsTheMutationEpoch) {
 }
 
 TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
-  // A budget so tight the scheduler must bisect: the epoch advances once
+  // A budget so tight the scheduler must split: the epoch advances once
   // per delivered leaf, so a cache keyed at any earlier epoch is stale.
   const VertexId n = 64;
   GraphSketchConfig cfg;
@@ -353,7 +353,7 @@ TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
 
   mpc::Cluster cluster = test::make_cluster(n, 4);
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kNone;
   // Probe under an impossible 1-word budget so the report always carries
   // the first machine's full-batch claim.
@@ -364,7 +364,7 @@ TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
   const auto report = probe_sim.probe(routed, probe_vs);
   ASSERT_FALSE(report.fits);
   // Budget one word below that claim: the first scheduler probe overflows
-  // (fixably — a single delta still fits) and it must bisect at least once.
+  // (fixably — a single delta still fits) and it must split at least once.
   const std::uint64_t claim = report.needed_words;
   ASSERT_GT(claim - 1, report.min_leaf_words);
   mpc::Cluster run_cluster = test::make_cluster(n, 4);
@@ -461,7 +461,7 @@ TEST(QueryCacheInvalidation, MachineGrowKeepsEpochMonotoneAndCacheStale) {
 
   mpc::Cluster cluster = test::make_cluster(n, machines);
   mpc::SchedulerConfig sc;
-  sc.policy = mpc::SplitPolicy::kBisect;
+  sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kDouble;
   mpc::Simulator sim(cluster, budget);
   mpc::BatchScheduler sched(cluster, sim, sc);
@@ -486,29 +486,35 @@ TEST(QueryCacheInvalidation, MachineGrowKeepsEpochMonotoneAndCacheStale) {
 
 TEST(QueryCacheInvalidation, FrontEndRecoversThroughFaultsWithCorrectAnswers) {
   // End-to-end: a DynamicConnectivity in simulated mode with an attached
-  // fault plan; the scheduler retries through the faults and every
-  // post-batch snapshot still matches the oracle.
+  // fault plan; the scheduler retries through the faults under every split
+  // policy (the default kNone included) and every post-batch snapshot
+  // still matches the oracle.
   const VertexId n = 48;
-  mpc::FaultInjector injector;
-  injector.add_cell_fault(3);
-  injector.add_cell_fault(40);
-  mpc::Cluster cluster = test::make_cluster(n, 4);
-  ConnectivityConfig cc;
-  cc.sketch = sketch_config(n, 7901);
-  cc.exec_mode = mpc::ExecMode::kSimulated;
-  cc.scheduler.policy = mpc::SplitPolicy::kBisect;
-  cc.scheduler.grow = mpc::GrowPolicy::kNone;
-  cc.fault_injector = &injector;
-  DynamicConnectivity dc(n, cc, &cluster);
-  AdjGraph ref(n);
-  for (const Batch& batch : mixed_stream(n, 7902)) {
-    dc.apply_batch(batch);
-    ref.apply(batch);
-    const auto snap = dc.snapshot();
-    expect_snapshot_matches(*snap, ref, "fault-recovery");
+  for (const auto policy :
+       {mpc::SplitPolicy::kNone, mpc::SplitPolicy::kProportional}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "policy=" << static_cast<int>(policy));
+    mpc::FaultInjector injector;
+    injector.add_cell_fault(3);
+    injector.add_cell_fault(40);
+    mpc::Cluster cluster = test::make_cluster(n, 4);
+    ConnectivityConfig cc;
+    cc.sketch = sketch_config(n, 7901);
+    cc.exec_mode = mpc::ExecMode::kSimulated;
+    cc.scheduler.policy = policy;
+    cc.scheduler.grow = mpc::GrowPolicy::kNone;
+    cc.fault_injector = &injector;
+    DynamicConnectivity dc(n, cc, &cluster);
+    AdjGraph ref(n);
+    for (const Batch& batch : mixed_stream(n, 7902)) {
+      dc.apply_batch(batch);
+      ref.apply(batch);
+      const auto snap = dc.snapshot();
+      expect_snapshot_matches(*snap, ref, "fault-recovery");
+    }
+    EXPECT_EQ(injector.stats().cell_faults_fired, 2u);
+    EXPECT_GT(dc.scheduler()->stats().retries, 0u);
   }
-  EXPECT_EQ(injector.stats().cell_faults_fired, 2u);
-  EXPECT_GT(dc.scheduler()->stats().retries, 0u);
 }
 
 // --- components(): pinned first-appearance order + cache hit -----------------
@@ -642,7 +648,7 @@ TEST(QueryCacheFrontEndSeams, ThrowingFlushPoisonsRepairState) {
   // Async ingest on a strict cluster: star inserts buffer in the hub's
   // gutter until flush_ingest() delivers them as one drain, whose load on
   // the hub's machine exceeds s, so the simulator rejects it whole.  The
-  // split policy is pinned to kNone so nothing bisects the drain into
+  // split policy is pinned to kNone so nothing splits the drain into
   // fitting pieces.  Insert-only, so without the poison the
   // next snapshot() would repair (or hit); it must rebuild.
   const VertexId n = 64;
