@@ -7,7 +7,14 @@
 // explicitly and answers in O(1) rounds (0 extra rounds here), paying the
 // same O(1) rounds per update batch.  The table shows the query-round gap
 // growing with n while the update rounds stay matched.
+//
+// Every AGM query's component count (E8 and each of E8b's 16 phases) is
+// checked against the adjacency oracle.  Emits the tables on stdout and
+// BENCH_agm_baseline.json: "correct.ok" (1 iff every query matched; the
+// bench exits 1 otherwise) and the E8/E8b round counts, which depend only
+// on the seeded streams, not on the host.
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "core/agm_static.h"
@@ -25,13 +32,16 @@ unsigned log2_banks(VertexId n) {
   return 2 * lg;
 }
 
-void compare() {
+// Returns the number of AGM queries whose component count disagreed with
+// the oracle.
+std::uint64_t compare(bench::BenchJson& json) {
   bench::section("E8: maintained forest vs direct AGM query",
                  "AGM query costs O(log n) Boruvka levels (O(log n) "
                  "rounds); ours is maintained -> 0 extra rounds");
   Table t({"n", "AGM levels", "AGM query rounds", "ours query rounds",
            "AGM correct", "AGM update rounds max", "ours update rounds max",
            "sec"});
+  std::uint64_t mismatches = 0;
   for (const VertexId n : {256u, 1024u, 4096u}) {
     bench::Timer timer;
     Rng rng(9500 + n);
@@ -71,6 +81,10 @@ void compare() {
 
     const auto agm_result = agm.query_spanning_forest();
     const bool agm_correct = agm_result.components == num_components(ref);
+    if (!agm_correct) ++mismatches;
+    const std::string key = "e8.n" + std::to_string(n) + ".";
+    json.set(key + "agm_levels", static_cast<std::uint64_t>(agm_result.levels));
+    json.set(key + "agm_query_rounds", agm_result.rounds);
     t.add_row()
         .cell(static_cast<std::uint64_t>(n))
         .cell(static_cast<std::uint64_t>(agm_result.levels))
@@ -82,9 +96,11 @@ void compare() {
         .cell(timer.seconds(), 2);
   }
   t.print(std::cout);
+  return mismatches;
 }
 
-void repeated_queries() {
+// Same contract as compare().
+std::uint64_t repeated_queries(bench::BenchJson& json) {
   bench::section("E8b: query-heavy workloads (n = 1024, one query per "
                  "phase over 16 phases)",
                  "the gap compounds: AGM pays O(log n) rounds per query, "
@@ -111,16 +127,26 @@ void repeated_queries() {
 
   const auto edges = gen::gnm(n, 3000, rng);
   const auto batches = gen::into_batches(gen::insert_stream(edges, rng), 200);
+  AdjGraph ref(n);
+  std::uint64_t mismatches = 0;
   for (std::size_t i = 0; i < std::min<std::size_t>(16, batches.size()); ++i) {
     agm.apply_batch(batches[i]);
     ours.apply_batch(batches[i]);
-    (void)agm.query_spanning_forest();
+    ref.apply(batches[i]);
+    if (agm.query_spanning_forest().components != num_components(ref))
+      ++mismatches;
     (void)ours.spanning_forest();  // maintained: no rounds
   }
-  Table t({"system", "total rounds (16 update+query phases)"});
-  t.add_row().cell("AGM direct").cell(agm_cluster.rounds());
-  t.add_row().cell("this paper").cell(our_cluster.rounds());
+  Table t({"system", "total rounds (16 update+query phases)", "AGM correct"});
+  t.add_row()
+      .cell("AGM direct")
+      .cell(agm_cluster.rounds())
+      .cell(mismatches == 0 ? "yes" : "NO");
+  t.add_row().cell("this paper").cell(our_cluster.rounds()).cell("-");
   t.print(std::cout);
+  json.set("e8b.agm_rounds", agm_cluster.rounds());
+  json.set("e8b.ours_rounds", our_cluster.rounds());
+  return mismatches;
 }
 
 }  // namespace
@@ -128,7 +154,17 @@ void repeated_queries() {
 
 int main() {
   std::cout << "E8 — ours vs direct AGM implementation (§2.1, §4.1)\n";
-  streammpc::compare();
-  streammpc::repeated_queries();
+  std::uint64_t mismatches = 0;
+  {
+    streammpc::bench::BenchJson json("agm_baseline");
+    mismatches += streammpc::compare(json);
+    mismatches += streammpc::repeated_queries(json);
+    json.set("correct.ok", mismatches == 0 ? 1 : 0);
+  }
+  if (mismatches != 0) {
+    std::cerr << "FAIL: " << mismatches
+              << " AGM queries disagreed with the oracle's component count\n";
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "core/agm_static.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 #include "graph/reference.h"
@@ -14,11 +15,43 @@ AgmStaticConnectivity::AgmStaticConnectivity(
     mpc::FaultInjector* fault_injector)
     : n_(n),
       sketches_(n, sketch),
-      ingest_(n, &sketches_, cluster, mode, scheduler, 0, fault_injector) {}
+      ingest_(n, &sketches_, cluster, mode, scheduler, 0, fault_injector),
+      round_zero_(n),
+      stale_(n, 1),
+      dirty_(n) {
+  // Nothing is cached yet: the first query samples every vertex.
+  std::iota(dirty_.begin(), dirty_.end(), VertexId{0});
+}
+
+void AgmStaticConnectivity::mark_stale(VertexId x) {
+  if (x < n_ && !stale_[x]) {
+    stale_[x] = 1;
+    dirty_.push_back(x);
+  }
+}
+
+void AgmStaticConnectivity::refresh_round_zero() {
+  if (dirty_.empty()) return;
+  dirty_offsets_.resize(dirty_.size() + 1);
+  std::iota(dirty_offsets_.begin(), dirty_offsets_.end(), std::uint32_t{0});
+  sketches_.sample_boundaries(0, dirty_, dirty_offsets_, group_samples_);
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    round_zero_[dirty_[i]] = group_samples_[i];
+    stale_[dirty_[i]] = 0;
+  }
+  dirty_.clear();
+}
 
 void AgmStaticConnectivity::apply_batch(const Batch& batch) {
   const QueryCache::PoisonOnThrow guard(query_cache());
   if (cluster() != nullptr) cluster()->begin_phase();
+  // Stale marks BEFORE delivery: whatever part of the batch becomes
+  // resident — now, at a later gutter drain, or not at all after a
+  // rollback or a throw — its endpoints get resampled at the next query.
+  for (const Update& u : batch) {
+    mark_stale(u.e.u);
+    mark_stale(u.e.v);
+  }
   // Ingest FIRST: a rejected delta (bad edge, strict budget refusal) must
   // not leave a phantom edge in the repair buffer — a later repair would
   // then disagree with a rebuild from the actual resident sketches.  A
@@ -57,18 +90,31 @@ AgmStaticConnectivity::query_spanning_forest() {
                            "agm/query-level");
       cluster()->charge_comm(n_);
     }
-    // Supernode CSR (group id = first appearance of the DSU root in vertex
-    // order — deterministic); one level-at-a-time arena pass answers every
-    // supernode's boundary query together.
-    group_csr_.build(
-        n_, [&](std::size_t v) { return dsu.find(static_cast<VertexId>(v)); },
-        [&](std::size_t v) {
-          return std::span<const VertexId>(&vertex_ids[v], 1);
-        });
-    sketches_.sample_boundaries(level, group_csr_.members(),
-                                group_csr_.offsets(), group_samples_);
+    std::span<const std::optional<Edge>> samples = round_zero_;
+    if (level == 0) {
+      // Every supernode is a singleton: only the stale ones are resampled,
+      // and the cache is in vertex order, the singleton groups' order.
+      refresh_round_zero();
+    } else {
+      // Supernode CSR (group id = first appearance of the DSU root in
+      // vertex order — deterministic); one level-at-a-time arena pass
+      // answers every supernode's boundary query together.  The groups
+      // partition V, whose sketches sum to zero, so they form one class
+      // and the largest supernode is the complement, never walked.
+      group_csr_.build(
+          n_,
+          [&](std::size_t v) { return dsu.find(static_cast<VertexId>(v)); },
+          [&](std::size_t v) {
+            return std::span<const VertexId>(&vertex_ids[v], 1);
+          });
+      one_class_.assign(group_csr_.groups(), 0);
+      sketches_.sample_boundaries(level, group_csr_.members(),
+                                  group_csr_.offsets(), one_class_,
+                                  group_samples_);
+      samples = group_samples_;
+    }
     bool progress = false;
-    for (const auto& e : group_samples_) {
+    for (const auto& e : samples) {
       if (e && dsu.unite(e->u, e->v)) {
         result.forest.push_back(*e);
         progress = true;

@@ -11,9 +11,28 @@
 //
 // Space is the same O(n log^3 n) as the maintained structure; the trade is
 // purely update-versus-query rounds.
+//
+// Two things a query never recomputes, both leaving every sample byte-
+// identical to a full rerun:
+//   * round zero.  Level 0 samples every singleton from bank 0, and a
+//     singleton's sample reads only that vertex's own bank-0 records.  The
+//     structure caches one sample per vertex and marks both endpoints of
+//     every update stale before delivering it (which covers gutter drains,
+//     fault rollbacks and throwing deliveries alike); a query resamples
+//     only the stale vertices and unions in vertex order, the order the
+//     singleton groups would have.  The n cached samples are query state,
+//     like the snapshot's labels, and are not counted in memory_words().
+//   * the giant component.  Every delivered delta lands on both endpoints
+//     with opposite signs, so the sketches of all of V sum to exactly zero
+//     in every bank at every level.  The supernodes of a level partition V,
+//     so levels >= 1 put them all in one zero-sum class
+//     (VertexSketches::sample_boundaries' complement variant): the largest
+//     supernode is never walked, its cells are minus everyone else's.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/sketch_frontend.h"
@@ -43,7 +62,8 @@ class AgmStaticConnectivity {
   // attached, the batch is routed per machine (Cluster::route_batch) and
   // its per-machine delta loads are charged on the cluster's CommLedger.
   // apply(u) is apply_batch({u}).  A throwing call poisons the snapshot
-  // repair state: the next snapshot() rebuilds.
+  // repair state: the next snapshot() rebuilds.  Both endpoints of every
+  // update lose their cached round-zero sample, even when the call throws.
   void apply(const Update& update) { apply_batch({update}); }
   void apply_batch(const Batch& batch);
 
@@ -71,7 +91,9 @@ class AgmStaticConnectivity {
 
   // Reconstructs a spanning forest from the sketches alone (§4.1's t
   // iterative steps).  Consumes one bank per level; correct w.h.p. when
-  // banks >= ~2 log2 n.
+  // banks >= ~2 log2 n.  Level 0 resamples only the vertices updated since
+  // the last query; every level, level 0 included, charges one
+  // "agm/query-level" step.
   QueryResult query_spanning_forest();
 
   // Serve-heavy path (core/query_cache.h): the first query after a
@@ -90,6 +112,13 @@ class AgmStaticConnectivity {
 
   std::uint64_t memory_words() const { return sketches_.allocated_words(); }
   const VertexSketches& sketches() const { return sketches_; }
+  // Read-only view of the round-zero cache: entry v is the bank-0 sample
+  // of singleton {v} as of the last query (sketches().sample_boundary(0,
+  // {v}) then).  The inspection hook for the cache-equals-kernel tests;
+  // not a query API.
+  std::span<const std::optional<Edge>> round_zero_samples() const {
+    return round_zero_;
+  }
   // Non-null iff constructed with kSimulated mode and a cluster.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
   // Non-null under the same condition.
@@ -97,6 +126,11 @@ class AgmStaticConnectivity {
 
  private:
   mpc::Cluster* cluster() const { return ingest_.cluster(); }
+  // Marks vertex x's cached round-zero sample stale (x < n_ only: a bad
+  // edge must still reach the ingest validation that rejects it).
+  void mark_stale(VertexId x);
+  // Resamples every stale vertex's round-zero sample from bank 0.
+  void refresh_round_zero();
 
   VertexId n_;
   VertexSketches sketches_;
@@ -107,6 +141,13 @@ class AgmStaticConnectivity {
   // Reused buffers for the level-at-a-time Boruvka queries.
   GroupCsr group_csr_;
   std::vector<std::optional<Edge>> group_samples_;
+  std::vector<std::uint32_t> one_class_;  // all zeros: V is one class
+  // Round-zero cache: per-vertex sample and stale flag, plus the stale
+  // vertices in marking order and their singleton CSR offsets.
+  std::vector<std::optional<Edge>> round_zero_;
+  std::vector<std::uint8_t> stale_;
+  std::vector<VertexId> dirty_;
+  std::vector<std::uint32_t> dirty_offsets_;
 };
 
 }  // namespace streammpc

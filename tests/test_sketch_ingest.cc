@@ -400,6 +400,56 @@ TEST(GroupQueries, ZeroSumComplementMatchesClassFree) {
   }
 }
 
+TEST(GroupQueries, AnyPartitionOfAllVerticesIsOneZeroSumClass) {
+  // Every delta lands on both endpoints with opposite signs, so the
+  // sketches of all of V sum to exactly zero in every bank.  Any partition
+  // of V into groups therefore meets the complement's precondition as ONE
+  // class — even when groups cut components or hold untouched vertices —
+  // which is how AgmStaticConnectivity samples its Boruvka levels >= 1.
+  std::ptrdiff_t sampled = 0;
+  for (std::uint64_t trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE(trial);
+    Rng rng(9300 + trial);
+    const VertexId n = 96 + static_cast<VertexId>(rng.below(64));
+    // Deltas (with deletes) touch only the first 3/4 of the vertices.
+    const VertexId touched = n - n / 4;
+    GraphSketchConfig cfg;
+    cfg.banks = 5;
+    cfg.seed = 9400 + trial;
+    VertexSketches vs(n, cfg);
+    vs.update_edges(random_deltas(touched, 300 + 100 * trial, 9500 + trial));
+
+    // Random partitions of all of V: one group, singletons, and random
+    // group counts (an empty group allowed).
+    const std::size_t counts[] = {1, n, 2 + rng.below(6), 8 + rng.below(40)};
+    for (const std::size_t k : counts) {
+      SCOPED_TRACE(::testing::Message() << "groups " << k);
+      std::vector<std::vector<VertexId>> groups(k);
+      if (k == n) {
+        for (VertexId v = 0; v < n; ++v) groups[v].push_back(v);
+      } else {
+        for (VertexId v = 0; v < n; ++v)
+          groups[rng.below(k)].push_back(v);
+      }
+      shuffle(groups, rng);
+      GroupLayout layout;
+      for (const auto& g : groups) layout.add(g);
+      const std::vector<std::uint32_t> one_class(layout.groups(), 0);
+      std::vector<std::optional<Edge>> class_free;
+      std::vector<std::optional<Edge>> complement;
+      for (unsigned bank = 0; bank < cfg.banks; ++bank) {
+        vs.sample_boundaries(bank, layout.members, layout.offsets, class_free);
+        vs.sample_boundaries(bank, layout.members, layout.offsets, one_class,
+                             complement);
+        EXPECT_EQ(complement, class_free) << "bank " << bank;
+        sampled += std::count_if(complement.begin(), complement.end(),
+                                 [](const auto& e) { return e.has_value(); });
+      }
+    }
+  }
+  EXPECT_GT(sampled, 0);  // the partitions really have boundaries
+}
+
 TEST(GroupQueries, AdversarialGroupsMatchMaterializingOracle) {
   // Cases the top-down walk could get wrong if it retired a group early,
   // skipped a level wrongly or mis-built a complement: a group whose
