@@ -1,8 +1,8 @@
 // E14 — fault-injected recovery overhead: rounds and wall-clock cost of
 // transactional rollback + scheduler retry as a function of fault rate.
 //
-// Drives the same churn-style delta stream through the scheduler-backed
-// simulated executor under seeded random fault plans of increasing
+// Drives the same churn-style delta stream through the simulated
+// executor's batch loop under seeded random fault plans of increasing
 // density (cell failures spread over the stream's step window plus crash
 // windows over its round window), and charts:
 //   * rounds — total charged rounds, vs the fault-free baseline (the
@@ -29,7 +29,6 @@
 
 #include "bench_util.h"
 #include "graph/generators.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
@@ -49,7 +48,6 @@ struct RecoveryConfig {
 struct RunResult {
   std::uint64_t rounds = 0;
   std::uint64_t allocated_words = 0;
-  mpc::BatchScheduler::Stats sched;
   mpc::Simulator::Stats sim;
   std::uint64_t faults_fired = 0;
   double seconds = 0;
@@ -65,13 +63,12 @@ RunResult run_stream(const RecoveryConfig& cfg,
   mc.machines = cfg.machines;
   mc.strict = false;
   mpc::Cluster cluster(mc);
-  mpc::Simulator sim(cluster);
-  mpc::FaultInjector injector = std::move(plan);
-  sim.attach_fault_injector(&injector);
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kProportional;
   sc.max_retries = 8;  // dense plans can stack several faults per window
-  mpc::BatchScheduler sched(cluster, sim, sc);
+  mpc::Simulator sim(cluster, 0, sc);
+  mpc::FaultInjector injector = std::move(plan);
+  sim.attach_fault_injector(&injector);
 
   GraphSketchConfig gcfg;
   gcfg.banks = 6;
@@ -82,13 +79,12 @@ RunResult run_stream(const RecoveryConfig& cfg,
   bench::Timer timer;
   for (std::size_t start = 0; start < deltas.size(); start += cfg.chunk) {
     const std::size_t len = std::min(cfg.chunk, deltas.size() - start);
-    sched.execute(deltas.subspan(start, len), cfg.n, "bench/fault", vs);
+    sim.execute(deltas.subspan(start, len), cfg.n, "bench/fault", vs);
   }
   RunResult r;
   r.seconds = timer.seconds();
   r.rounds = cluster.rounds();
   r.allocated_words = vs.allocated_words();
-  r.sched = sched.stats();
   r.sim = sim.stats();
   r.faults_fired = injector.stats().cell_faults_fired;
   return r;
@@ -155,8 +151,8 @@ int run(const RecoveryConfig& cfg) {
         .cell(r.faults_fired)
         .cell(r.rounds)
         .cell(overhead, 3)
-        .cell(r.sched.retries)
-        .cell(r.sched.retry_rounds)
+        .cell(r.sim.retries)
+        .cell(r.sim.retry_rounds)
         .cell(r.sim.rollbacks)
         .cell(r.sim.rolled_back_updates)
         .cell(std::string(bytes_ok ? "yes" : "NO"))
@@ -166,8 +162,8 @@ int run(const RecoveryConfig& cfg) {
     json.set(key + "fired", r.faults_fired);
     json.set(key + "rounds", r.rounds);
     json.set(key + "overhead", overhead);
-    json.set(key + "retries", r.sched.retries);
-    json.set(key + "retry_rounds", r.sched.retry_rounds);
+    json.set(key + "retries", r.sim.retries);
+    json.set(key + "retry_rounds", r.sim.retry_rounds);
     json.set(key + "rollbacks", r.sim.rollbacks);
     json.set(key + "rolled_back_updates", r.sim.rolled_back_updates);
     json.set(key + "crash_faults", r.sim.crash_faults);
@@ -218,23 +214,22 @@ int run(const RecoveryConfig& cfg) {
   mc.machines = star_machines;
   mc.strict = true;
   mpc::Cluster cluster(mc);
-  mpc::Simulator sim(cluster, budget);
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kDouble;
-  mpc::BatchScheduler sched(cluster, sim, sc);
+  mpc::Simulator sim(cluster, budget, sc);
   VertexSketches vs(cfg.star_n, gcfg);
 
   bench::Timer timer;
   for (std::size_t start = 0; start < star_deltas.size(); start += 32) {
     const std::size_t len =
         std::min<std::size_t>(32, star_deltas.size() - start);
-    sched.execute(std::span<const EdgeDelta>(star_deltas).subspan(start, len),
-                  cfg.star_n, "bench/grow", vs);
+    sim.execute(std::span<const EdgeDelta>(star_deltas).subspan(start, len),
+                cfg.star_n, "bench/grow", vs);
   }
   const double grow_seconds = timer.seconds();
 
-  const mpc::BatchScheduler::Stats& gs = sched.stats();
+  const mpc::Simulator::Stats& gs = sim.stats();
   Table grow_table({"machines", "grows", "grow rounds", "shuffled words",
                     "total rounds", "splits", "seconds"});
   grow_table.add_row()
@@ -243,7 +238,7 @@ int run(const RecoveryConfig& cfg) {
       .cell(gs.grow_rounds)
       .cell(gs.grow_words)
       .cell(cluster.rounds())
-      .cell(gs.splits)
+      .cell(gs.scheduler_splits)
       .cell(grow_seconds, 3);
   grow_table.print(std::cout);
 

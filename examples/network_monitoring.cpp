@@ -12,9 +12,9 @@
 // kSimulated): every update batch is routed per machine and then executed
 // as a (machine x bank) cell grid under each machine's memory budget —
 // resident sketch shard plus delivered sub-batch charged against a scratch
-// budget sized just above the resident watermark, so the adaptive batch
-// scheduler (mpc::BatchScheduler, SplitPolicy::kProportional) has real work
-// to do: a batch that would overflow a machine is cut where that machine's
+// budget sized just above the resident watermark, so the simulator's
+// batch loop (mpc::Simulator, SplitPolicy::kProportional) has real work to
+// do: a batch that would overflow a machine is cut where that machine's
 // load crosses its headroom and delivered in fitting pieces, every split
 // and delivery charged honestly on the CommLedger.
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "common/table.h"
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
 #include "msf/approx_msf.h"
@@ -170,7 +169,7 @@ int main() {
       ++recoveries;
     }
     const auto rounds_before = cluster.rounds();
-    const auto splits_before = backbone.scheduler()->stats().splits;
+    const auto splits_before = backbone.simulator()->stats().scheduler_splits;
     backbone.apply_batch(batch);
     spanning_cost.apply_batch(batch);
     overlay.apply_batch(overlay_batch);
@@ -182,7 +181,7 @@ int main() {
         .cell(spanning_cost.weight_estimate(), 1)
         .cell(overlay.is_bipartite() ? "yes" : "no")
         .cell(cluster.rounds() - rounds_before)
-        .cell(backbone.scheduler()->stats().splits - splits_before);
+        .cell(backbone.simulator()->stats().scheduler_splits - splits_before);
   }
   table.print(std::cout);
 
@@ -212,15 +211,15 @@ int main() {
   // scheduler took (which chunk, at what depth, which machine overflowed
   // and by how much), then the ledger the split-and-retry discipline
   // actually charged.
-  const mpc::BatchScheduler::Stats& sched = backbone.scheduler()->stats();
-  std::cout << "\nbatch scheduler (proportional): " << sched.batches
+  const mpc::Simulator::Stats& sched = backbone.simulator()->stats();
+  std::cout << "\nbatch scheduler (proportional): " << sched.submitted
             << " batches -> " << sched.subbatches << " deliveries via "
-            << sched.splits << " splits (" << sched.split_rounds
+            << sched.scheduler_splits << " splits (" << sched.split_rounds
             << " control rounds, max depth " << sched.max_depth
             << ", exhausted " << sched.exhausted << ")\n";
   const std::size_t shown = std::min<std::size_t>(sched.split_log.size(), 8);
   for (std::size_t i = 0; i < shown; ++i) {
-    const mpc::BatchScheduler::Split& s = sched.split_log[i];
+    const mpc::Simulator::Split& s = sched.split_log[i];
     std::cout << "  split[" << i << "] chunk @" << s.offset << "+" << s.size
               << " depth " << s.depth << ": machine " << s.machine
               << " needed " << s.needed_words << " / " << s.budget_words

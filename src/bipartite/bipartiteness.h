@@ -72,10 +72,8 @@ class DynamicBipartiteness {
   // Routed | Simulated for both maintained instances; the cluster (and
   // hence the Simulator) is attached to the double cover, whose 2n-vertex
   // bill dominates.  Non-null iff kSimulated and a cluster is attached.
+  // config.connectivity.scheduler configures both instances' batch loops.
   const mpc::Simulator* simulator() const { return cover_.simulator(); }
-  // Adaptive batch scheduling rides the same nesting:
-  // config.connectivity.scheduler opts both instances in.
-  const mpc::BatchScheduler* scheduler() const { return cover_.scheduler(); }
 
   std::uint64_t memory_words() const {
     return base_.memory_words() + cover_.memory_words();

@@ -15,7 +15,7 @@ AgmStaticConnectivity::AgmStaticConnectivity(
     mpc::FaultInjector* fault_injector)
     : n_(n),
       sketches_(n, sketch),
-      ingest_(n, &sketches_, cluster, mode, scheduler, 0, fault_injector),
+      ingest_(n, sketches_, cluster, mode, scheduler, 0, fault_injector),
       round_zero_(n),
       stale_(n, 1),
       dirty_(n) {

@@ -46,8 +46,8 @@ class AgmStaticConnectivity {
   // `mode` selects how update batches execute against the cluster
   // (routed-with-accounting / per-machine simulation); ignored when
   // `cluster` is null (flat ingest).  `scheduler` configures the simulated
-  // mode's batch scheduler: splitting, fault retry and machine-growing
-  // (see mpc::BatchScheduler).
+  // mode's batch loop: splitting, fault retry and machine-growing (see
+  // mpc::Simulator).
   // `fault_injector` (not owned, may be null) attaches a deterministic
   // fault plan to the simulated executor (see mpc::FaultInjector).
   AgmStaticConnectivity(VertexId n, const GraphSketchConfig& sketch,
@@ -121,8 +121,6 @@ class AgmStaticConnectivity {
   }
   // Non-null iff constructed with kSimulated mode and a cluster.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
-  // Non-null under the same condition.
-  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
  private:
   mpc::Cluster* cluster() const { return ingest_.cluster(); }

@@ -9,6 +9,13 @@
 
 namespace streammpc {
 
+namespace {
+// The Boruvka replacement search stops after this many consecutive levels
+// in which no group recovered any edge (robustness against individual
+// sampler failures; 1 would be the paper's bare loop).
+constexpr unsigned kBoruvkaPatience = 2;
+}  // namespace
+
 std::pair<std::vector<Update>, std::vector<Update>> normalize_batch(
     const Batch& batch) {
   // Net effect per edge: +1 (insert), -1 (delete), or 0 (offsetting pair).
@@ -39,7 +46,7 @@ DynamicConnectivity::DynamicConnectivity(VertexId n,
     : n_(n),
       config_(config),
       sketches_(n, config.sketch),
-      ingest_(n, &sketches_, cluster, config.exec_mode, config.scheduler,
+      ingest_(n, sketches_, cluster, config.exec_mode, config.scheduler,
               config.simulator_scratch_words, config.fault_injector),
       forest_(n, cluster),
       labels_(n) {
@@ -245,7 +252,7 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
     if (!any_edge) {
       ++stats_.empty_levels;
       ++empty_streak;
-      if (empty_streak >= config_.boruvka_patience) break;
+      if (empty_streak >= kBoruvkaPatience) break;
     } else {
       empty_streak = 0;
       if (!any_union) break;  // every group sampled only intra-group? cannot

@@ -61,10 +61,10 @@ struct ConnectivityConfig {
   // per-machine scratch budgets (see mpc::ExecMode / mpc::Simulator).
   // Ignored when no cluster is attached (flat ingest).
   mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
-  // Adaptive batch scheduling (kSimulated mode only): every update batch
-  // goes through the scheduler, which retries transient faults and, with a
-  // split policy active, splits over-budget batches instead of throwing
-  // MemoryBudgetExceeded (see mpc::BatchScheduler; default kNone = never
+  // The simulator's batch loop (kSimulated mode only): every update batch
+  // goes through it, which retries transient faults and, with a split
+  // policy active, splits over-budget batches instead of throwing
+  // MemoryBudgetExceeded (see mpc::Simulator; default kNone = never
   // split).
   mpc::SchedulerConfig scheduler;
   // Per-machine scratch budget for the simulated executor, in words
@@ -77,10 +77,6 @@ struct ConnectivityConfig {
   // outlive the structure.  nullptr (default) = no faults, no
   // transactional overhead.
   mpc::FaultInjector* fault_injector = nullptr;
-  // Stop the Boruvka replacement search after this many consecutive
-  // levels in which no group recovered any edge (robustness against
-  // individual sampler failures; 1 = the paper's bare loop).
-  unsigned boruvka_patience = 2;
   // Prefix for this instance's memory-ledger labels on the cluster.
   // Wrappers that run several connectivity instances in parallel (approx
   // MSF levels, the double cover) give each a distinct prefix so the
@@ -155,14 +151,12 @@ class DynamicConnectivity {
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
-  // Non-null under the same condition.
-  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
   // Non-null iff config.async_ingest; exposes buffered()/stats().
   const GutterIngest* gutter() const { return ingest_.gutter(); }
   // Drains every buffered sketch delta into the resident shard (no-op when
   // async_ingest is off).  Called automatically before every sketch read;
   // call it explicitly to observe delivery errors (strict budget
-  // rejection, scheduler exhaustion) at a deterministic point.  A throwing
+  // rejection, an exhausted retry) at a deterministic point.  A throwing
   // flush — like a throwing apply_batch or bootstrap — poisons the
   // snapshot repair state: the next snapshot() rebuilds.
   void flush_ingest() { ingest_.flush(); }

@@ -24,8 +24,8 @@
 //     (snapshot() copies the published pointer — core/atomic_shared_ptr.h;
 //     the snapshot itself is never mutated after publish);
 //   * invalidation rides the sketches' mutation epoch, bumped at the ONE
-//     choke point every ingest path executes (mpc::ExecPlan::run) and on
-//     transactional rollback — so flat, routed, simulated, scheduler-split,
+//     choke point every ingest path executes (VertexSketches::update_edges)
+//     and on transactional rollback — so flat, routed, simulated, split,
 //     and fault-retry deliveries all invalidate identically, and a
 //     rolled-back cell can never leave a stale-valid cache;
 //   * repair-vs-rebuild rule: a run of pure insertions can only MERGE

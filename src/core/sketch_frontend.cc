@@ -4,7 +4,7 @@
 
 namespace streammpc {
 
-SketchFrontend::SketchFrontend(VertexId universe, VertexSketches* sketches,
+SketchFrontend::SketchFrontend(VertexId universe, VertexSketches& sketches,
                                mpc::Cluster* cluster, mpc::ExecMode mode,
                                const mpc::SchedulerConfig& scheduler,
                                std::uint64_t scratch_words,
@@ -12,14 +12,11 @@ SketchFrontend::SketchFrontend(VertexId universe, VertexSketches* sketches,
     : universe_(universe),
       sketches_(sketches),
       cluster_(cluster),
-      mode_(mode),
       cache_(universe) {
-  if (cluster_ != nullptr && mode_ == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(*cluster_, scratch_words);
-    if (fault_injector != nullptr)
-      simulator_->attach_fault_injector(fault_injector);
-    scheduler_ = std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_,
-                                                       scheduler);
+  if (cluster_ != nullptr && mode == mpc::ExecMode::kSimulated) {
+    simulator_ =
+        std::make_unique<mpc::Simulator>(*cluster_, scratch_words, scheduler);
+    simulator_->attach_fault_injector(fault_injector);
   }
 }
 
@@ -27,7 +24,7 @@ void SketchFrontend::deliver(std::span<const EdgeDelta> deltas,
                              const std::string& label) {
   if (gutter_ != nullptr) {
     // Async front door: the gutter's drains deliver the same bytes through
-    // the same ExecPlan::run choke point, under the label fixed at
+    // the same routed_ingest, under the label fixed at
     // enable_async() (delivery may charge under a later phase than
     // submission — flush() bounds that).
     gutter_->submit(deltas);
@@ -36,10 +33,10 @@ void SketchFrontend::deliver(std::span<const EdgeDelta> deltas,
   // Route the batch to the machines hosting the affected endpoint sketches
   // and charge the actual per-machine loads on the CommLedger; under
   // kSimulated each machine's resident shard + delivered sub-batch is
-  // budgeted against s by the scheduler, which splits, retries or grows
+  // budgeted against s by the simulator, which splits, retries or grows
   // as configured.
-  routed_ingest(cluster_, universe_, deltas, label, *sketches_,
-                routed_scratch_, mode_, scheduler_.get());
+  routed_ingest(cluster_, universe_, deltas, label, sketches_,
+                routed_scratch_, simulator_.get());
 }
 
 void SketchFrontend::deliver(std::span<const Update> updates,
@@ -57,8 +54,10 @@ void SketchFrontend::enable_async(const GutterIngestConfig& config,
   GutterIngestConfig gcfg = config;
   if (gcfg.label == GutterIngestConfig{}.label)
     gcfg.label = default_label;  // ledger parity with sync ingest
-  gutter_ = std::make_unique<GutterIngest>(universe_, *sketches_, gcfg,
-                                           cluster_, mode_, scheduler_.get());
+  gutter_ = std::make_unique<GutterIngest>(
+      universe_, sketches_, gcfg, cluster_,
+      simulator_ ? mpc::ExecMode::kSimulated : mpc::ExecMode::kRouted,
+      simulator_.get());
 }
 
 void SketchFrontend::flush() {
@@ -75,7 +74,7 @@ QueryCache::SnapshotPtr SketchFrontend::serve(
   // Flush-on-query: pending drains bump the mutation epoch as they apply,
   // so the epoch must be settled before acquire/repair/publish read it.
   flush();
-  return cache_.serve(sketches_->mutation_epoch(), rebuild);
+  return cache_.serve(sketches_.mutation_epoch(), rebuild);
 }
 
 }  // namespace streammpc

@@ -3,18 +3,15 @@
 // They differ only in their algorithm state; everything between their
 // sketch deltas and the cluster lives here:
 //
-//   * the executor: the attached cluster (or none — flat ingest), the
-//     ExecMode, and under kSimulated the Simulator (scratch budget, fault
-//     injector) and BatchScheduler built for it;
+//   * the executor: the attached cluster (or none — flat ingest) and,
+//     under ExecMode::kSimulated, the Simulator built for it (scratch
+//     budget, batch-loop policies, fault injector);
 //   * delivery: deliver() routes a delta batch through routed_ingest under
 //     the caller's ledger label, or buffers it in the async GutterIngest
 //     once enable_async() ran;
 //   * serving: the QueryCache, flushed before every read (flush-on-query),
 //     poisoned when a flush throws, and served by serve() — acquire ->
 //     repair -> rebuild (core/query_cache.h).
-//
-// DynamicApproxMatching uses only the executor part (null sketches): its
-// deltas land in AKLY samplers, not VertexSketches.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +24,6 @@
 #include "core/query_cache.h"
 #include "graph/types.h"
 #include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
@@ -36,12 +32,11 @@ namespace streammpc {
 
 class SketchFrontend {
  public:
-  // `sketches` (may be null, see above) and the optional `cluster` and
-  // `fault_injector` are unowned and must outlive this object.  The
-  // simulator and scheduler exist iff a cluster is attached and `mode` is
-  // kSimulated; `scratch_words` is the Simulator's per-machine budget
-  // (0 = s).
-  SketchFrontend(VertexId universe, VertexSketches* sketches,
+  // `sketches` and the optional `cluster` and `fault_injector` are
+  // unowned and must outlive this object.  The simulator exists iff a
+  // cluster is attached and `mode` is kSimulated; `scratch_words` is its
+  // per-machine budget (0 = s) and `scheduler` its batch-loop policies.
+  SketchFrontend(VertexId universe, VertexSketches& sketches,
                  mpc::Cluster* cluster, mpc::ExecMode mode,
                  const mpc::SchedulerConfig& scheduler = {},
                  std::uint64_t scratch_words = 0,
@@ -67,23 +62,20 @@ class SketchFrontend {
 
   mpc::Cluster* cluster() const { return cluster_; }
   mpc::Simulator* simulator() const { return simulator_.get(); }
-  mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
   const GutterIngest* gutter() const { return gutter_.get(); }
   QueryCache& cache() { return cache_; }
   const QueryCache& cache() const { return cache_; }
 
  private:
   VertexId universe_;
-  VertexSketches* sketches_;
+  VertexSketches& sketches_;
   mpc::Cluster* cluster_;
-  mpc::ExecMode mode_;
-  std::unique_ptr<mpc::Simulator> simulator_;       // kSimulated only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;  // kSimulated only
+  std::unique_ptr<mpc::Simulator> simulator_;  // kSimulated only
   std::vector<EdgeDelta> delta_scratch_;  // deliver(updates) staging
   mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
   QueryCache cache_;
   // Declared after the executor: the destructor's implicit flush delivers
-  // through the simulator/scheduler above.
+  // through the simulator above.
   std::unique_ptr<GutterIngest> gutter_;
 };
 

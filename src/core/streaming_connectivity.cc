@@ -13,7 +13,7 @@ StreamingConnectivity::StreamingConnectivity(
     mpc::FaultInjector* fault_injector)
     : n_(n),
       sketches_(n, sketch),
-      ingest_(n, &sketches_, cluster, mode, scheduler, 0, fault_injector),
+      ingest_(n, sketches_, cluster, mode, scheduler, 0, fault_injector),
       forest_adj_(n),
       labels_(n),
       components_(n) {

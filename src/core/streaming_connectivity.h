@@ -46,8 +46,8 @@ class StreamingConnectivity {
   // sketch state, so results are identical either way.  `mode` selects how
   // buffered delta flushes execute against the cluster (routed /
   // machine-by-machine simulation); ignored when `cluster` is null.
-  // `scheduler` configures the simulated mode's batch scheduler: splitting,
-  // fault retry and machine-growing (see mpc::BatchScheduler).
+  // `scheduler` configures the simulated mode's batch loop: splitting,
+  // fault retry and machine-growing (see mpc::Simulator).
   // `fault_injector` (not owned, may be null)
   // attaches a deterministic fault plan to the simulated executor (see
   // mpc::FaultInjector).
@@ -129,8 +129,6 @@ class StreamingConnectivity {
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff constructed with kSimulated mode and a cluster.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
-  // Non-null under the same condition.
-  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
  private:
   // Collects the vertices of u's tree in F via BFS (the Z_u of §4.2).

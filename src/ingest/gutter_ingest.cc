@@ -13,18 +13,17 @@ namespace streammpc {
 GutterIngest::GutterIngest(VertexId universe, VertexSketches& sketches,
                            const GutterIngestConfig& config,
                            mpc::Cluster* cluster, mpc::ExecMode mode,
-                           mpc::BatchScheduler* scheduler)
+                           mpc::Simulator* simulator)
     : universe_(universe),
       sketches_(sketches),
       cluster_(cluster),
-      mode_(mode),
-      scheduler_(scheduler),
+      simulator_(mode == mpc::ExecMode::kSimulated ? simulator : nullptr),
       label_(config.label),
       capacity_(std::max<std::size_t>(config.gutter_capacity, 1)) {
   SMPC_CHECK(universe >= 1);
-  SMPC_CHECK_MSG(cluster_ == nullptr || mode_ != mpc::ExecMode::kSimulated ||
-                     scheduler_ != nullptr,
-                 "simulated gutter drains require a BatchScheduler");
+  SMPC_CHECK_MSG(cluster_ == nullptr || mode != mpc::ExecMode::kSimulated ||
+                     simulator_ != nullptr,
+                 "simulated gutter drains require a Simulator");
   std::size_t gutters = config.gutters;
   if (gutters == 0)
     gutters = cluster_ != nullptr
@@ -75,12 +74,12 @@ void GutterIngest::drain(std::size_t g) {
   if (gutter.empty()) return;
   buffered_ -= gutter.size();
   // A drain is ONE front-end batch: routing, ledger charges, the
-  // scheduler's probe/split/retry/grow loop and the fault injector see
+  // simulator's probe/split/retry/grow loop and the fault injector see
   // exactly what a synchronous front end would have delivered.  A failed
   // delivery is dropped: the gutter is emptied either way.
   try {
     routed_ingest(cluster_, universe_, gutter, label_, sketches_,
-                  routed_scratch_, mode_, scheduler_);
+                  routed_scratch_, simulator_);
   } catch (...) {
     gutter.clear();
     throw;

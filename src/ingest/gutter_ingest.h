@@ -2,7 +2,7 @@
 //
 // The paper's MPC streaming model assumes updates arrive as large batches
 // per round, but clients send millions of tiny updates — applying each one
-// synchronously means millions of tiny ExecPlan::run invocations.
+// synchronously means millions of tiny cell-grid runs.
 // GutterIngest buffers them into batches and does nothing else:
 //
 //   * submit() appends each EdgeDelta to the gutter of the vertex block
@@ -11,9 +11,9 @@
 //     without a cluster).  Each delta is stored ONCE;
 //   * a full gutter drains: the writer hands its contents to routed_ingest
 //     as one batch, in the gutter's mode — flat ingest without a cluster,
-//     route + charge + cell grid under kRouted, the batch scheduler's
-//     probe/split/retry/grow loop (and the simulator's fault injector)
-//     under kSimulated.  A drain is therefore exactly one synchronous
+//     route + charge + cell grid under kRouted, the simulator's
+//     probe/split/retry/grow loop (and its fault injector) under
+//     kSimulated.  A drain is therefore exactly one synchronous
 //     front-end batch: the CommLedger charges, the mutation epoch and the
 //     resident arenas come out identical to direct ingest of the same
 //     drain batches, and the cell grid applies it in parallel on the
@@ -51,8 +51,8 @@ namespace streammpc {
 class VertexSketches;
 
 namespace mpc {
-class BatchScheduler;
 class Cluster;
+class Simulator;
 }  // namespace mpc
 
 struct GutterIngestConfig {
@@ -71,16 +71,16 @@ struct GutterIngestConfig {
 
 class GutterIngest {
  public:
-  // `sketches` (and the optional cluster/scheduler, both unowned) must
+  // `sketches` (and the optional cluster/simulator, both unowned) must
   // outlive this object.  Drains deliver through routed_ingest with these
   // arguments: a null cluster = flat ingest (whatever the mode); kRouted =
-  // route + charge per machine; kSimulated = delivery through the
-  // scheduler (`scheduler` must be non-null then).
+  // route + charge per machine; kSimulated = delivery through `simulator`
+  // (which must be non-null then).
   GutterIngest(VertexId universe, VertexSketches& sketches,
                const GutterIngestConfig& config = {},
                mpc::Cluster* cluster = nullptr,
                mpc::ExecMode mode = mpc::ExecMode::kRouted,
-               mpc::BatchScheduler* scheduler = nullptr);
+               mpc::Simulator* simulator = nullptr);
   ~GutterIngest();
 
   GutterIngest(const GutterIngest&) = delete;
@@ -93,9 +93,9 @@ class GutterIngest {
   void submit(std::span<const EdgeDelta> deltas);
 
   // Drains every non-empty gutter (ascending gutter index).  Rethrows the
-  // first delivery error (validation, strict budget rejection, scheduler
-  // exhaustion); the front ends treat a throwing flush as poisoning their
-  // repair state.  Idempotent; an empty flush delivers nothing and
+  // first delivery error (validation, strict budget rejection, an
+  // exhausted retry); the front ends treat a throwing flush as poisoning
+  // their repair state.  Idempotent; an empty flush delivers nothing and
   // charges nothing.
   void flush();
 
@@ -127,8 +127,7 @@ class GutterIngest {
   VertexId universe_;
   VertexSketches& sketches_;
   mpc::Cluster* cluster_;
-  mpc::ExecMode mode_;
-  mpc::BatchScheduler* scheduler_;
+  mpc::Simulator* simulator_;  // null unless kSimulated
   std::string label_;
   std::size_t capacity_;
 

@@ -85,8 +85,8 @@ class AklySparsifier {
   // (words() + 1) — lives on machine k % machines, a pure function of the
   // key.  ADDS into `out` so the parallel OPT' guesses accumulate into one
   // vector; one instance's contribution sums to exactly memory_words().
-  // This is what lets the matching front end report resident state to
-  // Simulator::probe and ride the adaptive batch scheduler.
+  // This is what lets the matching front end report resident state to the
+  // Simulator's batch loop, which budgets, splits and retries on it.
   void add_resident_words(std::span<std::uint64_t> out) const;
 
  private:

@@ -10,9 +10,13 @@ DynamicApproxMatching::DynamicApproxMatching(
     VertexId n, const DynamicMatchingConfig& config, mpc::Cluster* cluster)
     : n_(n),
       config_(config),
-      exec_(n, nullptr, cluster, config.exec_mode, config.scheduler,
-            config.simulator_scratch_words, config.fault_injector) {
+      cluster_(cluster) {
   SMPC_CHECK(n >= 2);
+  if (cluster != nullptr && config.exec_mode == mpc::ExecMode::kSimulated) {
+    simulator_ = std::make_unique<mpc::Simulator>(
+        *cluster, config.simulator_scratch_words, config.scheduler);
+    simulator_->attach_fault_injector(config.fault_injector);
+  }
   SplitMix64 sm(config.seed);
   for (std::uint64_t guess = n; guess >= 1; guess /= 2) {
     Instance inst;
@@ -34,11 +38,9 @@ DynamicApproxMatching::DynamicApproxMatching(
 }
 
 void DynamicApproxMatching::apply_batch(const Batch& batch) {
-  mpc::Cluster* const cluster = exec_.cluster();
-  mpc::Simulator* const simulator = exec_.simulator();
-  if (cluster != nullptr) cluster->begin_phase();
-  mpc::sort(cluster, batch.size(), "matching/preprocess");
-  if (cluster == nullptr || batch.empty()) {
+  if (cluster_ != nullptr) cluster_->begin_phase();
+  mpc::sort(cluster_, batch.size(), "matching/preprocess");
+  if (cluster_ == nullptr || batch.empty()) {
     // Flat baseline: one in-process pass per guess, no routing accounting.
     for (auto& inst : guesses_) {
       auto delta = inst.sparsifier->apply_batch(batch);
@@ -61,7 +63,7 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
     // lands once; samplers are linear, so the machine schedule is
     // irrelevant to the resulting state.
     const auto apply_owned =
-        [&](std::span<const mpc::RoutedBatch::Item> items) {
+        [&](std::uint64_t, std::span<const mpc::RoutedBatch::Item> items) {
           for (const mpc::RoutedBatch::Item& item : items) {
             if (!(item.endpoints & mpc::RoutedBatch::kEndpointU)) continue;
             for (auto& inst : guesses_) {
@@ -69,32 +71,23 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
             }
           }
         };
-    if (simulator != nullptr) {
-      // The sampler shards report their per-machine resident words
-      // through a scheduler Target, so every batch is probed, split,
-      // retried or grown by the same loop as the vertex-sketch front ends.
-      // Routing happens inside the scheduler, per chunk.
-      const auto step = [&](std::uint64_t,
-                            std::span<const mpc::RoutedBatch::Item> items) {
-        apply_owned(items);
-      };
-      mpc::BatchScheduler::Target target;
-      target.resident = [&](std::span<std::uint64_t> out) {
-        for (auto& inst : guesses_) inst.sparsifier->add_resident_words(out);
-      };
-      target.deliver = [&](const mpc::RoutedBatch& routed,
-                           const std::string& label) {
-        resident_scratch_.assign(cluster->machines(), 0);
-        target.resident(resident_scratch_);
-        simulator->execute(routed, label, step, resident_scratch_);
-      };
-      exec_.scheduler()->execute(delta_scratch_, n_, "matching/sketch-update",
-                                 target);
+    if (simulator_ != nullptr) {
+      // The sampler shards report their per-machine resident words, so
+      // every batch is probed, split, retried or grown by the same loop as
+      // the vertex-sketch front ends.  Routing happens inside the
+      // simulator, per chunk.
+      simulator_->execute(
+          delta_scratch_, n_, "matching/sketch-update",
+          [&](std::span<std::uint64_t> out) {
+            for (auto& inst : guesses_)
+              inst.sparsifier->add_resident_words(out);
+          },
+          apply_owned);
     } else {
-      cluster->route_batch(delta_scratch_, n_, routed_scratch_);
-      cluster->charge_routed(routed_scratch_, "matching/sketch-update");
+      cluster_->route_batch(delta_scratch_, n_, routed_scratch_);
+      cluster_->charge_routed(routed_scratch_, "matching/sketch-update");
       for (std::uint64_t m = 0; m < routed_scratch_.machines(); ++m) {
-        apply_owned(routed_scratch_.machine_items(m));
+        apply_owned(m, routed_scratch_.machine_items(m));
       }
     }
     for (auto& inst : guesses_) {
@@ -102,8 +95,8 @@ void DynamicApproxMatching::apply_batch(const Batch& batch) {
       inst.maximal->apply(delta.remove, delta.add);
     }
   }
-  if (cluster != nullptr)
-    cluster->set_usage("matching/dynamic", memory_words());
+  if (cluster_ != nullptr)
+    cluster_->set_usage("matching/dynamic", memory_words());
 }
 
 std::vector<Edge> DynamicApproxMatching::matching() const {

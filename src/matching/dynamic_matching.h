@@ -17,9 +17,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/sketch_frontend.h"
 #include "matching/akly_sparsifier.h"
 #include "matching/batch_maximal_matching.h"
+#include "mpc/cluster.h"
+#include "mpc/simulator.h"
 
 namespace streammpc {
 
@@ -38,12 +39,12 @@ struct DynamicMatchingConfig {
   // state (samplers are linear), and hence the matching, identical to flat
   // in-process ingest, which runs when no cluster is attached.
   mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
-  // Adaptive batch scheduling (kSimulated mode only): every batch goes
-  // through the scheduler, with the AKLY sampler shards reporting their
-  // per-machine resident words (AklySparsifier::add_resident_words)
-  // through a scheduler Target: the budget charges them, transient faults
-  // are retried, and with a split policy or growing on an over-budget
-  // batch is split or grown exactly like the vertex-sketch front ends'.
+  // The simulator's batch loop (kSimulated mode only): every batch goes
+  // through it, with the AKLY sampler shards reporting their per-machine
+  // resident words (AklySparsifier::add_resident_words): the budget
+  // charges them, transient faults are retried, and with a split policy
+  // or growing on an over-budget batch is split or grown exactly like the
+  // vertex-sketch front ends'.
   mpc::SchedulerConfig scheduler;
   // Per-machine scratch budget for the simulated executor, in words
   // (0 = the cluster's local memory s).
@@ -71,9 +72,7 @@ class DynamicApproxMatching {
   std::uint64_t memory_words() const;
 
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
-  const mpc::Simulator* simulator() const { return exec_.simulator(); }
-  // Non-null under the same condition.
-  const mpc::BatchScheduler* scheduler() const { return exec_.scheduler(); }
+  const mpc::Simulator* simulator() const { return simulator_.get(); }
 
   struct Instance {
     std::uint64_t opt_guess = 0;
@@ -85,12 +84,10 @@ class DynamicApproxMatching {
  private:
   VertexId n_;
   DynamicMatchingConfig config_;
-  // The executor only (no VertexSketches): cluster, mode, simulator and
-  // scheduler.  Delivery into the AKLY samplers is apply_batch's own.
-  SketchFrontend exec_;
+  mpc::Cluster* cluster_;                      // not owned; may be null
+  std::unique_ptr<mpc::Simulator> simulator_;  // kSimulated only
   std::vector<EdgeDelta> delta_scratch_;       // reused batch-ingest buffer
   mpc::RoutedBatch routed_scratch_;  // reused per-machine sub-batches
-  std::vector<std::uint64_t> resident_scratch_;  // per-delivery resident fold
   std::vector<Instance> guesses_;
 };
 

@@ -23,6 +23,14 @@ std::uint64_t ceil_log_base(std::uint64_t x, std::uint64_t base) {
   return r;
 }
 
+// Constant word-size slack for derived local and total memory.  It absorbs
+// the difference between the paper's bit-level accounting and our concrete
+// struct sizes: 4 words per 1-sparse cell (exact 128-bit index sums) times
+// the default 2x8 grids and t = 12 banks works out to ~1536 log2(n) words
+// per vertex against a log^3 n budget, so 48 covers every n >= 64 at the
+// default geometry.
+constexpr std::uint64_t kLocalSlack = 48;
+
 std::uint64_t cube_log2(std::uint64_t n) {
   std::uint64_t lg = 1;
   while ((1ULL << lg) < n) ++lg;
@@ -40,8 +48,7 @@ Cluster::Cluster(const MpcConfig& config) : config_(config) {
   } else {
     const double s = std::pow(static_cast<double>(config.n), config.phi);
     local_capacity_ = static_cast<std::uint64_t>(std::ceil(s)) *
-                      cube_log2(config.n) *
-                      std::max<std::uint64_t>(1, config.local_slack);
+                      cube_log2(config.n) * kLocalSlack;
   }
   if (local_capacity_ < 16) local_capacity_ = 16;
 
@@ -49,17 +56,13 @@ Cluster::Cluster(const MpcConfig& config) : config_(config) {
   record_capacity_ =
       std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(sr)));
 
-  std::uint64_t budget = config.total_memory_budget;
-  if (budget == 0) {
-    // ~O(n): n * log^3 n words (with the same constant slack), the regime
-    // of Theorems 1.1-1.2 / 6.7.  The derived machine count is then
-    // ~n^{1-phi}, matching §1.2.
-    budget = config.n * cube_log2(config.n) *
-             std::max<std::uint64_t>(1, config.local_slack);
-  }
   if (config.machines != 0) {
     machines_ = config.machines;
   } else {
+    // Total memory ~O(n): n * log^3 n words (with the same constant
+    // slack), the regime of Theorems 1.1-1.2 / 6.7.  The derived machine
+    // count is then ~n^{1-phi}, matching §1.2.
+    const std::uint64_t budget = config.n * cube_log2(config.n) * kLocalSlack;
     machines_ = (budget + local_capacity_ - 1) / local_capacity_;
   }
   if (machines_ < 1) machines_ = 1;
@@ -107,8 +110,12 @@ void Cluster::route_batch(std::span<const EdgeDelta> batch,
   out.items.clear();
   out.machine_scratch.resize(2 * batch.size());
   // Counting pass: each delta lands on its endpoints' machine(s); the
-  // machine pairs are cached so the filling pass skips the divides.
+  // machine pairs are cached so the filling pass skips the divides.  It
+  // also rejects malformed edges (u >= v here, v >= universe in
+  // machine_of) before any caller has charged a round for the batch.
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    SMPC_CHECK_MSG(batch[i].e.u < batch[i].e.v,
+                   "routed edges must be normalized (u < v)");
     const std::uint64_t mu = machine_of(batch[i].e.u, universe);
     const std::uint64_t mv = machine_of(batch[i].e.v, universe);
     out.machine_scratch[2 * i] = mu;

@@ -44,7 +44,7 @@ class Cluster {
   // Simulator mirrors this policy for its memory-budget diagnostics.
   bool strict() const { return config_.strict; }
 
-  // Machine-growing (the mpc::BatchScheduler recovery path for unfixable
+  // Machine-growing (the mpc::Simulator recovery path for unfixable
   // resident overflow): doubles the machine count in place and returns the
   // new count.  The contiguous-block partitioner is a pure function of
   // (v, universe, machines), so the re-partitioned vertex blocks — each
@@ -133,8 +133,10 @@ class Cluster {
   // the communication the model charges).  Within each sub-batch, deltas
   // keep their batch order, so routed ingest is deterministic.  `out`'s
   // buffers are reused across calls; no accounting happens here — pair with
-  // charge_routed() when the batch is actually delivered.  Thread-safe
-  // (const, writes only `out`).
+  // charge_routed() when the batch is actually delivered.  Throws
+  // CheckError on a malformed edge (u >= v, or v >= universe), so callers
+  // reject it before charging anything.  Thread-safe (const, writes only
+  // `out`).
   void route_batch(std::span<const EdgeDelta> batch, std::uint64_t universe,
                    RoutedBatch& out) const;
 

@@ -20,16 +20,16 @@ namespace streammpc::mpc {
 //                per-machine loads on the CommLedger, then ingest the
 //                routed sub-batches in one in-process pass (accounting
 //                only; the PR-2 behavior).
-//   kSimulated — deliver the routed sub-batches machine by machine through
-//                mpc::Simulator: each simulated machine steps alone under a
-//                bounded scratch budget sized from s, and an over-budget
-//                sub-batch trips MemoryBudgetExceeded instead of silently
+//   kSimulated — hand the batch to mpc::Simulator: each simulated
+//                machine's resident shard plus delivered sub-batch is
+//                budgeted against s, and an over-budget delivery is split,
+//                grown, or trips MemoryBudgetExceeded instead of silently
 //                spilling (true simulation).
 // Both modes produce sketch state byte-identical to flat ingest (cells are
 // linear and commutative); they differ only in accounting and enforcement.
 enum class ExecMode : std::uint8_t { kRouted, kSimulated };
 
-// How the adaptive batch scheduler (mpc::BatchScheduler) reacts when a
+// How the simulator's batch loop (mpc::Simulator) reacts when a
 // simulated machine's claim on local memory s — resident sketch shard plus
 // delivered sub-batch — would exceed its budget:
 //   kNone         — never split; over-budget batches throw (strict
@@ -44,7 +44,7 @@ enum class ExecMode : std::uint8_t { kRouted, kSimulated };
 //                   one delivery (linearity).
 enum class SplitPolicy : std::uint8_t { kNone, kProportional };
 
-// How the scheduler reacts when splitting cannot help — the offending
+// How the batch loop reacts when splitting cannot help — the offending
 // machine's *resident shard* alone exceeds the budget, so only
 // re-partitioning can:
 //   kNone   — never grow; the chunk executes exhausted (strict throws,
@@ -52,13 +52,13 @@ enum class SplitPolicy : std::uint8_t { kNone, kProportional };
 //   kDouble — request a cluster of 2x machines (Cluster::grow()),
 //             re-partition the resident shards via a charged shuffle round
 //             under "<label>/grow-shuffle", re-route, and resume (at most
-//             4 times per scheduler).  Growing mutates the cluster
+//             4 times per simulator).  Growing mutates the cluster
 //             geometry, so it is opt-in.  It works under either split
 //             policy: with SplitPolicy::kNone an unfixable overflow grows
 //             and a fixable one executes exhausted.
 enum class GrowPolicy : std::uint8_t { kNone, kDouble };
 
-// Per-front-end knobs for the adaptive batch scheduler.  Embedded in the
+// Per-front-end knobs for the simulator's batch loop.  Embedded in the
 // front ends' config structs (e.g. ConnectivityConfig::scheduler); ignored
 // unless the structure executes in ExecMode::kSimulated.
 struct SchedulerConfig {
@@ -79,27 +79,19 @@ struct MpcConfig {
   double phi = 0.5;
 
   // Words of local memory per machine; 0 = derive
-  // local_slack * ceil(n^phi) * ceil(log2 n)^3, minimum 16.  The log^3
-  // factor mirrors the paper's accounting: batches are limited to
+  // 48 * ceil(n^phi) * ceil(log2 n)^3, minimum 16.  The log^3 factor
+  // mirrors the paper's accounting: batches are limited to
   // O(n^phi / log^3 n) updates exactly so that the O(log^3 n)-bit sketches
   // of one batch fit on one machine (Theorem 6.7), i.e. machines hold
-  // n^phi "polylog-sized" records.
+  // n^phi "polylog-sized" records.  The constant 48 (kLocalSlack in
+  // cluster.cc) absorbs the difference between the paper's bit-level
+  // accounting and our concrete struct sizes (see there).
   std::uint64_t local_memory_words = 0;
 
-  // Constant word-size slack for derived local memory (absorbs the
-  // difference between the paper's bit-level accounting and our concrete
-  // struct sizes: 4 words per 1-sparse cell — exact 128-bit index sums —
-  // times the default 2x8 grids and t = 12 banks works out to
-  // ~1536 log2(n) words per vertex against a log^3 n budget, so a slack
-  // of 48 covers every n >= 64 at the default geometry).
-  std::uint64_t local_slack = 48;
-
-  // Number of machines; 0 = derive ceil(total_memory_budget / s).
+  // Number of machines; 0 = derive ceil(48 * n * ceil(log2 n)^3 / s): the
+  // paper's ~O(n) = O(n log^3 n) total memory (Theorem 6.7), with the
+  // same constant slack, split into machines of local memory s.
   std::uint64_t machines = 0;
-
-  // Total-memory budget in words; 0 = derive c * n * ceil(log2 n)^3, the
-  // paper's ~O(n) = O(n log^3 n) regime (Theorem 6.7).
-  std::uint64_t total_memory_budget = 0;
 
   // If true, capacity violations throw CheckError immediately; otherwise
   // they are recorded and reported (benches use the latter to *measure*

@@ -53,8 +53,8 @@ enum class FaultKind : std::uint8_t {
 // work of the delivery) was lost, the sketches and — for mid-grid cell
 // faults — the arenas have been rolled back to their pre-batch bytes, and
 // the attempt's charged rounds stand (round-compression honesty: a real
-// cluster cannot unsend a round either).  A recovery policy
-// (mpc::BatchScheduler) retries; bare Simulator callers see it propagate.
+// cluster cannot unsend a round either).  The Simulator's batch loop
+// retries it; a caller of the single-delivery execute() sees it propagate.
 class TransientFault : public std::runtime_error {
  public:
   TransientFault(FaultKind kind, std::uint64_t machine, std::uint64_t round,

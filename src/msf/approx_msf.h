@@ -93,13 +93,9 @@ class ApproxMsf {
   // Routed | Simulated for every level; the cluster (and hence the
   // Simulator) is attached to the top-threshold instance, whose bill
   // dominates.  Non-null iff kSimulated and a cluster is attached.
+  // config.connectivity.scheduler configures every level's batch loop.
   const mpc::Simulator* simulator() const {
     return levels_.back()->simulator();
-  }
-  // Adaptive batch scheduling rides the same nesting:
-  // config.connectivity.scheduler opts every level in.
-  const mpc::BatchScheduler* scheduler() const {
-    return levels_.back()->scheduler();
   }
 
   std::uint64_t memory_words() const;

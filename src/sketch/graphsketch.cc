@@ -8,8 +8,8 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
+#include "mpc/simulator.h"
 
 namespace streammpc {
 
@@ -51,13 +51,60 @@ void VertexSketches::update_edges(std::span<const EdgeDelta> batch) {
   if (batch.empty()) return;
   // Flat ingest IS the grid: one machine owning both endpoints of every
   // delta.  Same canonical preparation order and per-bank apply order as
-  // every other path, hence byte-identical for any chunking.
-  exec_plan_.lower_flat(batch).run(*this);
+  // every other path, hence byte-identical for any chunking.  The deltas
+  // are copied (callers routinely pass transient spans); the staged CSR's
+  // buffers are reused across calls.  Its offsets are 32-bit and must
+  // never wrap (the flat path delivers each delta once).
+  SMPC_CHECK_MSG(batch.size() <= UINT32_MAX,
+                 "flat batch too large for 32-bit CSR offsets");
+  constexpr std::uint8_t kBoth =
+      mpc::RoutedBatch::kEndpointU | mpc::RoutedBatch::kEndpointV;
+  staged_.items.clear();
+  staged_.items.reserve(batch.size());
+  for (const EdgeDelta& d : batch)
+    staged_.items.push_back(mpc::RoutedBatch::Item{d, kBoth});
+  staged_.offsets.assign({0u, static_cast<std::uint32_t>(batch.size())});
+  staged_.load_words.assign(1, mpc::RoutedBatch::kWordsPerDelta * batch.size());
+  update_edges(staged_);
 }
 
-void VertexSketches::update_edges(const mpc::RoutedBatch& routed) {
-  if (routed.items.empty()) return;
-  exec_plan_.lower_routed(routed).run(*this);
+std::uint64_t VertexSketches::update_edges(const mpc::RoutedBatch& routed,
+                                           std::uint64_t skip_machine,
+                                           unsigned skip_bank) {
+  if (routed.items.empty()) return 0;
+  // Deterministic canonical-order page preparation: after this, the cells
+  // share no mutable state and allocate nothing, so the schedule below is
+  // unobservable in the resulting bytes.  A malformed edge throws here,
+  // before any page is allocated.
+  begin_routed_cells(routed);
+  // Every ingest path runs through here, so this is where query caches
+  // learn that their snapshots went stale (core/query_cache.h).  Bumped
+  // for every validated batch — a skipped-cell (faulted) run mutates the
+  // other cells before the caller rolls them back, and the rollback bumps
+  // again.
+  ++mutation_epoch_;
+  const std::uint64_t machines = routed.machines();
+  const std::size_t cells = static_cast<std::size_t>(machines) * banks();
+  cell_applied_.assign(cells, 0);
+  const auto run_cell = [&](std::size_t m, std::size_t bank) {
+    if (routed.load_words[m] == 0) return;
+    if (m == skip_machine && bank == skip_bank) return;  // injected fault
+    cell_applied_[m * banks() + bank] =
+        ingest_cell(m, static_cast<unsigned>(bank), routed);
+  };
+  ThreadPool* p = pool(routed.items.size());
+  if (p != nullptr && cells >= 2) {
+    p->parallel_for_grid(machines, banks(), run_cell);
+  } else {
+    for (std::size_t m = 0; m < machines; ++m) {
+      for (unsigned b = 0; b < banks(); ++b) run_cell(m, b);
+    }
+  }
+  // Deterministic aggregation: machine-major fold of the per-cell counts,
+  // regardless of which thread finished which cell when.
+  std::uint64_t applied = 0;
+  for (const std::uint64_t a : cell_applied_) applied += a;
+  return applied;
 }
 
 void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed) {
@@ -186,7 +233,7 @@ void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed) {
 }
 
 void VertexSketches::rollback_transaction() {
-  note_mutation();  // restored bytes are still a state-change event
+  ++mutation_epoch_;  // restored bytes are still a state-change event
   for (BankArena& arena : arenas_) arena.rollback_pages();
   // The prepared-cells state described a batch whose pages may no longer
   // exist; force a fresh preparation pass before any further cell ingest.
@@ -380,7 +427,7 @@ std::uint64_t VertexSketches::nominal_words_per_vertex() const {
 void routed_ingest(mpc::Cluster* cluster, VertexId universe,
                    std::span<const EdgeDelta> deltas, const std::string& label,
                    VertexSketches& sketches, mpc::RoutedBatch& routed,
-                   mpc::ExecMode mode, mpc::BatchScheduler* scheduler) {
+                   mpc::Simulator* simulator) {
   // An empty batch delivers nothing — charging a round for it would skew
   // the per-structure round accounting (front ends reach here with empty
   // delta lists on e.g. all-cancelling batches).
@@ -389,10 +436,8 @@ void routed_ingest(mpc::Cluster* cluster, VertexId universe,
     sketches.update_edges(deltas);
     return;
   }
-  if (mode == mpc::ExecMode::kSimulated) {
-    SMPC_CHECK_MSG(scheduler != nullptr,
-                   "simulated execution mode requires a BatchScheduler");
-    scheduler->execute(deltas, universe, label, sketches);
+  if (simulator != nullptr) {
+    simulator->execute(deltas, universe, label, sketches);
     return;
   }
   cluster->route_batch(deltas, universe, routed);

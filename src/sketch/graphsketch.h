@@ -15,7 +15,7 @@
 // Storage and ingest (this repo's performance layer, see DESIGN.md):
 //   * each bank's cells live in a flat arena of packed 32-byte AoS records
 //     (sketch/arena.h) instead of nested per-vertex vectors;
-//   * ALL ingest lowers to one pipeline (mpc::ExecPlan): the batch —
+//   * ALL ingest runs one pipeline, update_edges(routed): the batch —
 //     flat span or routed CSR — becomes a (machines x banks) cell grid,
 //     executed as a deterministic canonical-order page-preparation pass
 //     (begin_routed_cells) followed by race-free per-cell application
@@ -37,7 +37,6 @@
 
 #include "mpc/comm_ledger.h"
 #include "mpc/config.h"
-#include "mpc/exec_plan.h"
 #include "sketch/arena.h"
 #include "sketch/coord.h"
 #include "sketch/l0sampler.h"
@@ -47,8 +46,8 @@ namespace streammpc {
 class ThreadPool;
 
 namespace mpc {
-class BatchScheduler;
 class Cluster;
+class Simulator;
 }
 
 struct GraphSketchConfig {
@@ -75,10 +74,10 @@ class VertexSketches {
   void update_edge(Edge e, std::int64_t delta);
 
   // Batched ingest: applies every delta to both endpoints in every bank.
-  // Equivalent to calling update_edge per element (linearity).  Lowers to
-  // the 1-machine cell grid (mpc::ExecPlan::lower_flat) — the same
-  // pipeline every other ingest path executes — with the banks fanned
-  // across the ingest pool.
+  // Equivalent to calling update_edge per element (linearity).  Stages
+  // the span as a 1-machine cell grid (machine 0 owns both endpoints of
+  // every delta) and runs the routed overload below on it — the same
+  // pipeline every other ingest path executes.
   //
   // Preconditions: every edge normalized (u < v) and v < n(); a bad edge
   // throws before any bank is mutated.  Not thread-safe against concurrent
@@ -90,22 +89,34 @@ class VertexSketches {
 
   // Routed ingest (MPC-cluster-aware batching): consumes the per-machine
   // sub-batches produced by mpc::Cluster::route_batch, applying each routed
-  // delta only to the endpoint(s) the receiving machine owns.  Lowers to
-  // the machines x banks cell grid (mpc::ExecPlan::lower_routed), so
-  // routed mode runs under the same parallel schedule and page-preparation
-  // discipline as the simulated executor.  Because the cells are linear
-  // and commutative, the final sketch state is byte-identical to flat
-  // update_edges() over the original batch, for any machine count —
-  // routing changes the accounting, never the sketches.  Same
+  // delta only to the endpoint(s) the receiving machine owns.  Runs the
+  // machines x banks cell grid: prepares pages in canonical order
+  // (begin_routed_cells, which rejects a malformed edge before any
+  // mutation), bumps mutation_epoch(), then runs every non-empty machine's
+  // cells (ingest_cell) across the ingest pool — at width 1 in serial
+  // machine-major order.  Because the cells are linear and
+  // commutative, the final sketch state is byte-identical to flat
+  // update_edges() over the original batch, for any machine count and
+  // schedule — routing changes the accounting, never the sketches.  Same
   // preconditions, thread-safety, and determinism as the flat overload.
-  void update_edges(const mpc::RoutedBatch& routed);
+  //
+  // Returns the number of items applied (nonzero delta, at least one owned
+  // endpoint), summed over every cell in machine-major order, so the value
+  // is identical for every schedule.  `skip_machine`/`skip_bank` name one
+  // cell whose work is lost — the simulator's fault-injection hook: the
+  // caller rolls the whole batch back afterwards (begin_transaction), so
+  // the skip never leaks into observable state.  kNoSkip = run every cell.
+  static constexpr std::uint64_t kNoSkip = ~std::uint64_t{0};
+  std::uint64_t update_edges(const mpc::RoutedBatch& routed,
+                             std::uint64_t skip_machine = kNoSkip,
+                             unsigned skip_bank = 0);
 
   // The ingest pool for a batch of `items`: null when serial (width 1, or
   // a batch too small to be worth waking the workers).
   ThreadPool* pool(std::size_t items) const;
 
   // --- (machine, bank) cell ingest: THE execution grid ----------------------
-  // The primitive every ingest path lowers to (via mpc::ExecPlan): one
+  // The primitive every ingest path runs (via update_edges(routed)): one
   // machine's CSR sub-batch applied to one bank.  Within a bank, two
   // machines' cells touch disjoint vertices (the router sends each
   // endpoint's delta only to the machine hosting it, and machines host
@@ -172,8 +183,7 @@ class VertexSketches {
   // Every machine's resident words at once: out[m] = resident_words(m,
   // cluster), with one counter prefix per block boundary per bank
   // (O(banks * machines * log n)).  out.size() must be cluster.machines().
-  // The fold the Simulator runs before every delivery and the scheduler
-  // runs after a grow.
+  // The fold the Simulator runs once per delivery and after a grow.
   void resident_words(const mpc::Cluster& cluster,
                       std::span<std::uint64_t> out) const;
 
@@ -252,19 +262,15 @@ class VertexSketches {
   const BankArena& arena(unsigned bank) const { return arenas_[bank]; }
 
   // --- mutation epoch (query-cache invalidation) -----------------------------
-  // Monotone count of sketch mutation events.  Bumped by the unified
-  // ingest pipeline (mpc::ExecPlan::run — the one choke point every flat,
-  // routed, simulated, scheduler-split, and fault-retry delivery executes)
-  // and by rollback_transaction() (a rollback restores the pre-batch
-  // bytes, but a consumer cannot know that without re-reading them, so a
-  // rolled-back delivery must never leave a stale-valid cache).  A
-  // QueryCache snapshot built at epoch E is servable as fresh iff
-  // mutation_epoch() is still E (see core/query_cache.h).
+  // Monotone count of sketch mutation events.  Bumped by update_edges
+  // (routed) — the one choke point every flat, routed, simulated, split,
+  // and fault-retry delivery executes — and by rollback_transaction() (a
+  // rollback restores the pre-batch bytes, but a consumer cannot know that
+  // without re-reading them, so a rolled-back delivery must never leave a
+  // stale-valid cache).  A QueryCache snapshot built at epoch E is
+  // servable as fresh iff mutation_epoch() is still E (see
+  // core/query_cache.h).
   std::uint64_t mutation_epoch() const { return mutation_epoch_; }
-  // Records one mutation event.  Called by mpc::ExecPlan::run; public so
-  // the grid executor (and any future mutator) reaches it without
-  // friendship.
-  void note_mutation() { ++mutation_epoch_; }
 
   // --- memory accounting -----------------------------------------------------
   // Words actually allocated across all banks and vertices.
@@ -299,7 +305,8 @@ class VertexSketches {
   static constexpr std::size_t kCellsNotReady = ~std::size_t{0};
   const mpc::RoutedBatch* cells_ready_batch_ = nullptr;
   std::size_t cells_ready_items_ = kCellsNotReady;
-  mpc::ExecPlan exec_plan_;  // the update_edges lowering, buffers reused
+  mpc::RoutedBatch staged_;  // the flat update_edges' 1-machine CSR
+  std::vector<std::uint64_t> cell_applied_;  // [machine * banks + bank]
   std::uint64_t mutation_epoch_ = 0;  // see mutation_epoch()
 };
 
@@ -357,27 +364,25 @@ class GroupCsr {
   std::vector<std::uint32_t> cursor_;
 };
 
-// The shared front-end ingest step of every tier-1 structure, dispatching
-// on the execution mode (see mpc::ExecMode).  Every path executes the same
-// (machine x bank) cell grid (mpc::ExecPlan); they differ only in routing,
-// accounting, and enforcement:
-//   no cluster — lower the span as a 1-machine grid; no routing or
-//                accounting (flat ingest, whatever `mode` says);
-//   kRouted    — route `deltas` through `cluster` under the vertex
-//                universe [0, universe) (scratch-reusing `routed`), charge
-//                the per-machine loads on the cluster's CommLedger under
-//                `label`, then run the machines x banks grid;
-//   kSimulated — hand the batch to `scheduler` (must be non-null), which
-//                routes it, budgets each machine's resident shard +
-//                delivered sub-batch against s through its Simulator,
-//                splits, retries or grows as its SchedulerConfig says, and
-//                runs the grid (see mpc::BatchScheduler).
-// All paths leave identical sketch state.  An empty batch is a no-op (no
-// round charged).
+// The shared front-end ingest step of every tier-1 structure.  Every path
+// runs the same (machine x bank) cell grid (VertexSketches::update_edges);
+// they differ only in routing, accounting, and enforcement:
+//   no cluster — stage `deltas` as a 1-machine grid; no routing or
+//                accounting (flat ingest);
+//   no simulator (ExecMode::kRouted) — route `deltas` through `cluster`
+//                under the vertex universe [0, universe) (scratch-reusing
+//                `routed`), charge the per-machine loads on the cluster's
+//                CommLedger under `label`, then run the grid;
+//   a simulator (ExecMode::kSimulated) — hand the batch to it: it routes,
+//                budgets each machine's resident shard + delivered
+//                sub-batch against s, splits, retries or grows as its
+//                SchedulerConfig says, and runs the grid (mpc/simulator.h).
+// All paths leave identical sketch state.  A malformed edge (u >= v, or
+// v >= universe) throws from routing or staging, before any round is
+// charged.  An empty batch is a no-op (no round charged).
 void routed_ingest(mpc::Cluster* cluster, VertexId universe,
                    std::span<const EdgeDelta> deltas, const std::string& label,
                    VertexSketches& sketches, mpc::RoutedBatch& routed,
-                   mpc::ExecMode mode = mpc::ExecMode::kRouted,
-                   mpc::BatchScheduler* scheduler = nullptr);
+                   mpc::Simulator* simulator = nullptr);
 
 }  // namespace streammpc

@@ -9,9 +9,9 @@
 //     direct routed ingest of the same drain batches charges;
 //   * flush semantics: flush-on-query, explicit flush(), destructor
 //     flush, and the empty flush delivering (and charging) nothing;
-//   * under kSimulated mode drains deliver through the batch scheduler (a
-//     gutter drain is one scheduled batch), so split/retry composes
-//     unchanged;
+//   * under kSimulated mode drains deliver through the simulator's batch
+//     loop (a gutter drain is one scheduled batch), so split/retry
+//     composes unchanged;
 //   * the three connectivity front ends produce byte-identical snapshots
 //     with async_ingest on and off, across interleaved insert/delete
 //     streams and ingest widths {1, 2, 8};
@@ -34,7 +34,6 @@
 #include "graph/reference.h"
 #include "graph/streams.h"
 #include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
@@ -136,14 +135,13 @@ TEST(GutterIngest, DrainedStateMatchesFlatAcrossGeometryAndThreads) {
                 "/threads=" + std::to_string(threads);
             mpc::Cluster cluster = test::make_cluster(n, 4);
             mpc::Simulator sim(cluster);
-            mpc::BatchScheduler sched(cluster, sim);
             VertexSketches vs(n, test::with_threads(cfg, threads));
             GutterIngestConfig gc;
             gc.gutter_capacity = capacity;
             gc.gutters = gutters;
             GutterIngest gutter(n, vs, gc,
                                 delivery.cluster ? &cluster : nullptr,
-                                delivery.mode, &sched);
+                                delivery.mode, &sim);
             EXPECT_EQ(gutter.gutters(), gutters) << where;
             gutter.submit(std::span<const EdgeDelta>(deltas));
             gutter.flush();
@@ -223,8 +221,7 @@ TEST(GutterIngest, RoutedDrainsChargeExactlyLikeDirectIngest) {
     const std::size_t len = std::min(capacity, deltas.size() - start);
     routed_ingest(&direct_cluster, n,
                   std::span<const EdgeDelta>(deltas).subspan(start, len),
-                  "gutter-parity", direct_vs, scratch,
-                  mpc::ExecMode::kRouted);
+                  "gutter-parity", direct_vs, scratch);
   }
 
   // Gutter: one gutter of the same capacity, so the drain batches are the
@@ -301,7 +298,7 @@ TEST(GutterIngest, DestructorFlushesBufferedDeltas) {
 
 // --- kSimulated composition: a drain is one scheduled batch ------------------
 
-TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
+TEST(GutterIngest, SimulatedDrainsFlowThroughTheSimulatorLoop) {
   const VertexId n = 64;
   const GraphSketchConfig cfg = sketch_config(n, 8801, 4);
   const auto deltas = random_deltas(n, 160, 8802);
@@ -323,19 +320,18 @@ TEST(GutterIngest, SimulatedDrainsFlowThroughTheBatchScheduler) {
   ASSERT_GT(report.needed_words - 1, report.min_leaf_words);
 
   mpc::Cluster run_cluster = test::make_cluster(n, 4);
-  mpc::Simulator sim(run_cluster, report.needed_words - 1);
-  mpc::BatchScheduler sched(run_cluster, sim, sc);
+  mpc::Simulator sim(run_cluster, report.needed_words - 1, sc);
   VertexSketches vs(n, test::with_threads(cfg, 1));
   GutterIngestConfig gc;
   gc.gutter_capacity = 40;
   GutterIngest gutter(n, vs, gc, &run_cluster, mpc::ExecMode::kSimulated,
-                      &sched);
+                      &sim);
   gutter.submit(std::span<const EdgeDelta>(deltas));
   gutter.flush();
   EXPECT_GT(gutter.stats().delta_batches, 0u);
   EXPECT_EQ(gutter.stats().delta_batches,
             gutter.stats().capacity_drains + gutter.stats().flush_drains);
-  EXPECT_GT(sched.stats().splits, 0u);  // the drains really got scheduled
+  EXPECT_GT(sim.stats().scheduler_splits, 0u);  // the drains really split
   expect_identical_vertex_state(flat, vs, "simulated-drain");
 }
 

@@ -3,7 +3,7 @@
 //   * attaching an EMPTY fault plan is observationally identical to
 //     attaching none — same bytes, same rounds, same ledger, same stats;
 //   * a fired cell fault rolls the whole batch back to its pre-batch bytes
-//     (bare Simulator), and a retry of the same routed batch succeeds
+//     (a single delivery), and a retry of the same routed batch succeeds
 //     because the one-shot fault was consumed;
 //   * a seeded fault plan driven through the scheduler is byte-identical —
 //     sketches, ledger, rounds-by-label, scheduler/simulator/injector
@@ -16,8 +16,8 @@
 //     max_retries propagates TransientFault after exactly max_retries
 //     redeliveries;
 //   * machine-growing: a star stream whose resident shards outgrow the
-//     budget completes under GrowPolicy::kDouble — the bare Simulator
-//     throws MemoryBudgetExceeded on the same stream — with the grow
+//     budget completes under GrowPolicy::kDouble — single deliveries
+//     throw MemoryBudgetExceeded on the same stream — with the grow
 //     shuffle visible on the ledger and the final sketches byte-identical
 //     to flat ingest, also with splitting off (SplitPolicy::kNone);
 //   * MemoryBudgetExceeded always carries the phase label and machine id,
@@ -29,7 +29,6 @@
 
 #include "common/check.h"
 #include "graph/generators.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
@@ -81,7 +80,6 @@ struct FaultRun {
   mpc::FaultInjector injector;
   mpc::Cluster cluster;
   mpc::Simulator sim;
-  mpc::BatchScheduler sched;
   VertexSketches vs;
 
   FaultRun(VertexId n, const GraphSketchConfig& cfg, std::uint64_t machines,
@@ -89,8 +87,7 @@ struct FaultRun {
            const mpc::SchedulerConfig& sc, mpc::FaultInjector plan)
       : injector(std::move(plan)),
         cluster(test::make_cluster(n, machines, 0.5, strict)),
-        sim(cluster, budget),
-        sched(cluster, sim, sc),
+        sim(cluster, budget, sc),
         vs(n, test::with_threads(cfg, threads)) {
     sim.attach_fault_injector(&injector);
   }
@@ -99,7 +96,7 @@ struct FaultRun {
               const char* label = "fault-test") {
     for (std::size_t start = 0; start < deltas.size(); start += chunk) {
       const std::size_t len = std::min(chunk, deltas.size() - start);
-      sched.execute(deltas.subspan(start, len), vs.n(), label, vs);
+      sim.execute(deltas.subspan(start, len), vs.n(), label, vs);
     }
   }
 };
@@ -266,7 +263,7 @@ TEST(FaultInjection, FaultedRunIsByteIdenticalAcrossGridThreadCounts) {
   // Every fault kind actually fired / bit.
   ASSERT_EQ(ref.injector.stats().cell_faults_fired, 3u);
   ASSERT_GT(ref.sim.stats().crash_faults, 0u);
-  ASSERT_GT(ref.sched.stats().retries, 0u);
+  ASSERT_GT(ref.sim.stats().retries, 0u);
   ASSERT_EQ(ref.sim.stats().rollbacks, ref.sim.stats().cell_faults);
 
   for (const unsigned threads : {1u, 2u, 8u}) {
@@ -288,11 +285,12 @@ TEST(FaultInjection, FaultedRunIsByteIdenticalAcrossGridThreadCounts) {
     EXPECT_EQ(ref.cluster.comm_ledger().words_by_machine(),
               run.cluster.comm_ledger().words_by_machine());
     // Identical recovery stats, fault stats, split trees.
-    EXPECT_EQ(ref.sched.stats().retries, run.sched.stats().retries);
-    EXPECT_EQ(ref.sched.stats().retry_rounds, run.sched.stats().retry_rounds);
-    EXPECT_EQ(ref.sched.stats().splits, run.sched.stats().splits);
-    EXPECT_EQ(ref.sched.stats().split_log, run.sched.stats().split_log);
-    EXPECT_EQ(ref.sched.stats().subbatches, run.sched.stats().subbatches);
+    EXPECT_EQ(ref.sim.stats().retries, run.sim.stats().retries);
+    EXPECT_EQ(ref.sim.stats().retry_rounds, run.sim.stats().retry_rounds);
+    EXPECT_EQ(ref.sim.stats().scheduler_splits,
+              run.sim.stats().scheduler_splits);
+    EXPECT_EQ(ref.sim.stats().split_log, run.sim.stats().split_log);
+    EXPECT_EQ(ref.sim.stats().subbatches, run.sim.stats().subbatches);
     EXPECT_EQ(ref.sim.stats().cell_faults, run.sim.stats().cell_faults);
     EXPECT_EQ(ref.sim.stats().crash_faults, run.sim.stats().crash_faults);
     EXPECT_EQ(ref.sim.stats().rollbacks, run.sim.stats().rollbacks);
@@ -326,8 +324,8 @@ TEST(FaultInjection, CrashWindowBackoffChargesExactlyTheClearingRounds) {
   run.ingest(deltas, 40, "crash-test");
 
   EXPECT_EQ(run.sim.stats().crash_faults, 1u);
-  EXPECT_EQ(run.sched.stats().retries, 1u);
-  EXPECT_EQ(run.sched.stats().retry_rounds, 2u);
+  EXPECT_EQ(run.sim.stats().retries, 1u);
+  EXPECT_EQ(run.sim.stats().retry_rounds, 2u);
   const auto& by_label = run.cluster.rounds_by_label();
   const auto it = by_label.find("crash-test/retry");
   ASSERT_NE(it, by_label.end());
@@ -375,7 +373,7 @@ TEST(FaultInjection, BudgetSpikeIsFixableOverflowAndBisectsThroughTheWindow) {
   calm.ingest(inserts, 35, "spike-test");
   const std::uint64_t calm_rounds = calm.cluster.rounds();
   calm.ingest(deletes, 130, "spike-test");
-  ASSERT_EQ(calm.sched.stats().splits, 0u);
+  ASSERT_EQ(calm.sim.stats().scheduler_splits, 0u);
 
   // With a spike covering the delete phase's rounds: the same chunks
   // overflow machine 1 while the window is open, split down to fitting
@@ -387,8 +385,8 @@ TEST(FaultInjection, BudgetSpikeIsFixableOverflowAndBisectsThroughTheWindow) {
   ASSERT_EQ(run.cluster.rounds(), calm_rounds);
   run.ingest(deletes, 130, "spike-test");
 
-  EXPECT_GT(run.sched.stats().splits, 0u);
-  EXPECT_EQ(run.sched.stats().exhausted, 0u);
+  EXPECT_GT(run.sim.stats().scheduler_splits, 0u);
+  EXPECT_EQ(run.sim.stats().exhausted, 0u);
   EXPECT_GT(run.cluster.rounds_by_label().count("spike-test/scheduler-split"),
             0u);
   // Same final bytes as the calm run: spikes cost rounds, never state.
@@ -415,9 +413,9 @@ TEST(FaultInjection, RetryIsBoundedAndExhaustionPropagatesTheFault) {
 
   FaultRun run(n, cfg, machines, /*strict=*/false, 0, 1, sc, std::move(plan));
   EXPECT_THROW(
-      run.sched.execute(deltas, n, "bounded", run.vs),
+      run.sim.execute(deltas, n, "bounded", run.vs),
       mpc::TransientFault);
-  EXPECT_EQ(run.sched.stats().retries, 2u);
+  EXPECT_EQ(run.sim.stats().retries, 2u);
   EXPECT_EQ(run.sim.stats().cell_faults, 3u);
   EXPECT_EQ(run.sim.stats().rollbacks, 3u);
   EXPECT_EQ(run.injector.stats().cell_faults_fired, 3u);
@@ -429,7 +427,7 @@ TEST(FaultInjection, RetryIsBoundedAndExhaustionPropagatesTheFault) {
 
   // The plan is now exhausted: a fresh submission of the same batch
   // succeeds (faults are one-shot) and matches flat ingest.
-  run.sched.execute(deltas, n, "bounded", run.vs);
+  run.sim.execute(deltas, n, "bounded", run.vs);
   VertexSketches flat(n, cfg);
   flat.update_edges(deltas);
   expect_identical_samples(flat, run.vs, cfg.banks, probe_sets(n, 61503));
@@ -437,8 +435,8 @@ TEST(FaultInjection, RetryIsBoundedAndExhaustionPropagatesTheFault) {
 
 TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
   // The ROADMAP machine-growing scenario: a star stream saturates every
-  // machine's resident shard past the budget.  The bare Simulator (and the
-  // scheduler without growing) must throw; with GrowPolicy::kDouble the
+  // machine's resident shard past the budget.  Single deliveries (and the
+  // batch loop without growing) must throw; with GrowPolicy::kDouble the
   // scheduler doubles the cluster, pays the shuffle, and completes with
   // flat-reference bytes.
   const VertexId n = 128;
@@ -457,7 +455,7 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
   const std::uint64_t budget = resident_2p + kMarginWords;
   ASSERT_GT(resident_p, budget);
 
-  // Bare Simulator, strict: the stream dies mid-ingest with the
+  // Single deliveries, strict: the stream dies mid-ingest with the
   // structured diagnostic, label and machine attached.
   {
     mpc::Cluster cluster = test::make_cluster(n, machines, 0.5, true);
@@ -490,8 +488,8 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
                  proportional_config(), mpc::FaultInjector{});
     EXPECT_THROW(run.ingest(inserts, 8, "star-nogrow"),
                  mpc::MemoryBudgetExceeded);
-    EXPECT_GT(run.sched.stats().exhausted, 0u);
-    EXPECT_EQ(run.sched.stats().grows, 0u);
+    EXPECT_GT(run.sim.stats().exhausted, 0u);
+    EXPECT_EQ(run.sim.stats().grows, 0u);
   }
 
   // Scheduler WITH growing: completes, cluster doubled, shuffle charged
@@ -500,26 +498,25 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
   grow_sc.grow = mpc::GrowPolicy::kDouble;
   FaultRun run(n, cfg, machines, /*strict=*/true, budget, 1, grow_sc,
                mpc::FaultInjector{});
-  ASSERT_TRUE(run.sched.grow_enabled());
   run.ingest(inserts, 8, "star-grow");
 
   EXPECT_EQ(run.cluster.machines(), 2 * machines);
-  EXPECT_EQ(run.sched.stats().grows, 1u);
-  ASSERT_EQ(run.sched.stats().grow_log.size(), 1u);
-  const mpc::BatchScheduler::Grow& g = run.sched.stats().grow_log.front();
+  EXPECT_EQ(run.sim.stats().grows, 1u);
+  ASSERT_EQ(run.sim.stats().grow_log.size(), 1u);
+  const mpc::Simulator::Grow& g = run.sim.stats().grow_log.front();
   EXPECT_EQ(g.machines_before, machines);
   EXPECT_EQ(g.machines_after, 2 * machines);
   EXPECT_GT(g.resident_words, budget);
   EXPECT_GT(g.shuffled_words, 0u);
-  EXPECT_EQ(run.sched.stats().grow_words, g.shuffled_words);
+  EXPECT_EQ(run.sim.stats().grow_words, g.shuffled_words);
   const auto& by_label = run.cluster.rounds_by_label();
   const auto it = by_label.find("star-grow/grow-shuffle");
   ASSERT_NE(it, by_label.end());
-  EXPECT_EQ(it->second, run.sched.stats().grow_rounds);
+  EXPECT_EQ(it->second, run.sim.stats().grow_rounds);
   EXPECT_GE(it->second, 2u);  // >= 1 control + 1 shuffle round
   // The ledger grew with history intact and recorded the shuffle volume.
   EXPECT_EQ(run.cluster.comm_ledger().machines(), 2 * machines);
-  EXPECT_EQ(run.sched.stats().exhausted, 0u);
+  EXPECT_EQ(run.sim.stats().exhausted, 0u);
   EXPECT_TRUE(run.cluster.ok());
 
   VertexSketches flat(n, cfg);
@@ -545,21 +542,21 @@ TEST(FaultInjection, MachineGrowingCompletesResidentOverflowStarStream) {
                      resident_p + kMarginWords, 1, grow_only,
                      mpc::FaultInjector{});
     fixable.vs.update_edges(inserts);
-    EXPECT_THROW(fixable.sched.execute(big, n, "grow-only", fixable.vs),
+    EXPECT_THROW(fixable.sim.execute(big, n, "grow-only", fixable.vs),
                  mpc::MemoryBudgetExceeded);
-    EXPECT_EQ(fixable.sched.stats().exhausted, 1u);
-    EXPECT_EQ(fixable.sched.stats().splits, 0u);
-    EXPECT_EQ(fixable.sched.stats().grows, 0u);
+    EXPECT_EQ(fixable.sim.stats().exhausted, 1u);
+    EXPECT_EQ(fixable.sim.stats().scheduler_splits, 0u);
+    EXPECT_EQ(fixable.sim.stats().grows, 0u);
     EXPECT_EQ(fixable.cluster.machines(), machines);
   }
   // An unfixable overflow grows once, then the small batch fits.
   FaultRun grown(n, cfg, machines, /*strict=*/true, budget, 1, grow_only,
                  mpc::FaultInjector{});
   grown.vs.update_edges(inserts);
-  grown.sched.execute(small, n, "grow-only", grown.vs);
-  EXPECT_EQ(grown.sched.stats().grows, 1u);
-  EXPECT_EQ(grown.sched.stats().splits, 0u);
-  EXPECT_EQ(grown.sched.stats().exhausted, 0u);
+  grown.sim.execute(small, n, "grow-only", grown.vs);
+  EXPECT_EQ(grown.sim.stats().grows, 1u);
+  EXPECT_EQ(grown.sim.stats().scheduler_splits, 0u);
+  EXPECT_EQ(grown.sim.stats().exhausted, 0u);
   EXPECT_EQ(grown.cluster.machines(), 2 * machines);
   EXPECT_TRUE(grown.cluster.ok());
   flat.update_edges(small);
@@ -575,7 +572,7 @@ TEST(FaultInjection, BudgetDiagnosticAlwaysCarriesLabelAndMachine) {
   cfg.seed = 61701;
   const auto deltas = test::random_deltas(n, 120, 61702);
 
-  // Bare Simulator, absurdly tight budget: the pre-scan's throw names the
+  // A single delivery, absurdly tight budget: the pre-scan's throw names the
   // phase and the machine.
   mpc::Cluster cluster = test::make_cluster(n, machines, 0.5, true);
   mpc::Simulator sim(cluster, /*scratch_words=*/4);
@@ -605,13 +602,13 @@ TEST(FaultInjection, BudgetDiagnosticAlwaysCarriesLabelAndMachine) {
                         /*factor_num=*/1000);
   FaultRun run(n, cfg, machines, /*strict=*/true, 0, 1, sc, std::move(plan));
   try {
-    run.sched.execute(deltas, n, "spiked-phase", run.vs);
+    run.sim.execute(deltas, n, "spiked-phase", run.vs);
     FAIL() << "expected MemoryBudgetExceeded";
   } catch (const mpc::MemoryBudgetExceeded& oom) {
     EXPECT_EQ(oom.label(), "spiked-phase");
     EXPECT_EQ(oom.machine(), 1u);
   }
-  EXPECT_EQ(run.sched.stats().retries, 1u);  // the crash retry that spiked
+  EXPECT_EQ(run.sim.stats().retries, 1u);  // the crash retry that spiked
 }
 
 TEST(FaultInjection, RandomPlanIsDeterministicAndRespectsItsGeometry) {

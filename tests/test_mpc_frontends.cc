@@ -16,6 +16,7 @@
 #include "graph/streams.h"
 #include "matching/dynamic_matching.h"
 #include "mpc/cluster.h"
+#include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
 #include "msf/approx_msf.h"
 #include "test_support.h"
@@ -133,13 +134,9 @@ TEST(FrontEndModes, ApproxMsfIdenticalAcrossModesAndExposesSimulator) {
   }
 }
 
-TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
-  const VertexId n = 48;
-  DynamicMatchingConfig cfg;
-  cfg.alpha = 4.0;
-  cfg.seed = 94001;
-
-  // A valid mixed stream: inserts with interleaved deletes of live edges.
+// A valid mixed stream for the matching front end: inserts with
+// interleaved deletes of live edges, in batches of 20.
+std::vector<Batch> matching_batches(VertexId n) {
   const auto deltas = test::random_deltas(n, 160, 95);
   std::vector<Batch> batches;
   Batch current;
@@ -152,6 +149,20 @@ TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
     }
   }
   if (!current.empty()) batches.push_back(current);
+  return batches;
+}
+
+DynamicMatchingConfig matching_config() {
+  DynamicMatchingConfig cfg;
+  cfg.alpha = 4.0;
+  cfg.seed = 94001;
+  return cfg;
+}
+
+TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
+  const VertexId n = 48;
+  const DynamicMatchingConfig cfg = matching_config();
+  const std::vector<Batch> batches = matching_batches(n);
 
   DynamicApproxMatching flat(n, cfg);
   for (const Batch& b : batches) flat.apply_batch(b);
@@ -182,6 +193,63 @@ TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
     // Routing replaced a flat broadcast: the ledger now
     // carries real per-machine delivery loads for matching batches.
     EXPECT_GT(cluster.comm_ledger().total_words(), 0u);
+  }
+}
+
+TEST(FrontEndModes, MatchingLoopSplitsAndRetriesWithIdenticalMatching) {
+  // The sampler shards go through the same batch loop as the sketch front
+  // ends: a tight budget splits their batches and a crashed machine is
+  // retried, and neither changes the matching.
+  const VertexId n = 48;
+  const DynamicMatchingConfig cfg = matching_config();
+  const std::vector<Batch> batches = matching_batches(n);
+  DynamicApproxMatching flat(n, cfg);
+  for (const Batch& b : batches) flat.apply_batch(b);
+
+  DynamicMatchingConfig sim_cfg = cfg;
+  sim_cfg.exec_mode = mpc::ExecMode::kSimulated;
+  // Measurement pass: the largest resident sampler shard the stream shows
+  // at a batch boundary.  (Split leaves also see shards grown mid-batch,
+  // so the tight run below may still deliver a chunk exhausted; its
+  // non-strict cluster records that as an overrun.)
+  std::uint64_t peak_resident = 0;
+  {
+    mpc::Cluster cluster = test::make_cluster(n, 8);
+    DynamicApproxMatching measure(n, sim_cfg, &cluster);
+    for (const Batch& b : batches) measure.apply_batch(b);
+    peak_resident = measure.simulator()->stats().peak_resident_words;
+    ASSERT_GT(peak_resident, 0u);
+  }
+
+  {
+    SCOPED_TRACE("tight budget, proportional splits");
+    DynamicMatchingConfig tight = sim_cfg;
+    tight.scheduler.policy = mpc::SplitPolicy::kProportional;
+    tight.simulator_scratch_words =
+        peak_resident + mpc::RoutedBatch::kWordsPerDelta;
+    mpc::Cluster cluster = test::make_cluster(n, 8);
+    DynamicApproxMatching under_test(n, tight, &cluster);
+    for (const Batch& b : batches) under_test.apply_batch(b);
+    const mpc::Simulator::Stats& st = under_test.simulator()->stats();
+    EXPECT_GT(st.scheduler_splits, 0u);
+    EXPECT_GT(st.subbatches, st.submitted);
+    EXPECT_EQ(flat.matching(), under_test.matching());
+  }
+
+  {
+    SCOPED_TRACE("crash window on a target machine");
+    mpc::FaultInjector injector;
+    injector.add_machine_crash(/*machine=*/3, /*first_round=*/4,
+                               /*last_round=*/40);
+    DynamicMatchingConfig faulty = sim_cfg;
+    faulty.fault_injector = &injector;
+    mpc::Cluster cluster = test::make_cluster(n, 8);
+    DynamicApproxMatching under_test(n, faulty, &cluster);
+    for (const Batch& b : batches) under_test.apply_batch(b);
+    const mpc::Simulator::Stats& st = under_test.simulator()->stats();
+    EXPECT_GT(st.crash_faults, 0u);
+    EXPECT_GT(st.retries, 0u);
+    EXPECT_EQ(flat.matching(), under_test.matching());
   }
 }
 

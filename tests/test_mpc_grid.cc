@@ -27,7 +27,6 @@
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
@@ -664,18 +663,17 @@ TEST(ResidentAccounting, CountersMatchScan) {
     ASSERT_GT(max_resident(machines), budget);
 
     mpc::Cluster cluster = test::make_cluster(gn, machines, 0.5, true);
-    mpc::Simulator sim(cluster, budget);
     mpc::SchedulerConfig sc;
     sc.policy = mpc::SplitPolicy::kProportional;
     sc.grow = mpc::GrowPolicy::kDouble;
-    mpc::BatchScheduler sched(cluster, sim, sc);
+    mpc::Simulator sim(cluster, budget, sc);
     VertexSketches vs(gn, cfg);
     for (std::size_t start = 0; start < star.size(); start += 8) {
       const std::size_t len = std::min<std::size_t>(8, star.size() - start);
-      sched.execute(std::span<const EdgeDelta>(star).subspan(start, len), gn,
-                    "counters-grow", vs);
+      sim.execute(std::span<const EdgeDelta>(star).subspan(start, len), gn,
+                  "counters-grow", vs);
     }
-    ASSERT_EQ(sched.stats().grows, 1u);
+    ASSERT_EQ(sim.stats().grows, 1u);
     ASSERT_EQ(cluster.machines(), 2 * machines);
     expect_counters_match_scan(vs, "grow", cluster.machines());
   }

@@ -1,15 +1,14 @@
-// Adaptive batch scheduler suite (mpc::BatchScheduler, ISSUE 5):
+// The simulator's batch loop (mpc::Simulator::execute over a delta span):
 //   * determinism — same stream + same budgets => identical split tree,
 //     rounds, and final sketches across ingest thread counts {1, 2, 8} and
 //     strict/non-strict clusters;
 //   * equivalence — splitting never changes the sketch bytes, only the
 //     accounting;
 //   * the closed loop — a strict-cluster batch that fails with
-//     MemoryBudgetExceeded under the bare Simulator completes under the
-//     scheduler, with the split rounds visible on the CommLedger and in
-//     Simulator::Stats;
+//     MemoryBudgetExceeded as one delivery completes under the loop, with
+//     the split rounds visible on the CommLedger and in Simulator::Stats;
 //   * exhaustion — when the resident shard alone is over budget, the
-//     scheduler does not split and the strict executor still throws.
+//     loop does not split and the strict delivery still throws.
 //
 // Test streams are built insert-then-delete: the insert phase allocates
 // every page the stream will ever touch, the delete phase (same edges,
@@ -26,7 +25,6 @@
 #include "common/check.h"
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
@@ -70,30 +68,29 @@ std::uint64_t final_resident(VertexId n, const GraphSketchConfig& cfg,
   return max_resident;
 }
 
-// One scheduler-backed simulated executor stack over shared sketches.
+// One simulated executor stack over shared sketches.
 struct SchedRun {
   mpc::Cluster cluster;
   mpc::Simulator sim;
-  mpc::BatchScheduler sched;
   VertexSketches vs;
 
   SchedRun(VertexId n, const GraphSketchConfig& cfg, std::uint64_t machines,
            bool strict, std::uint64_t budget, unsigned threads,
            const mpc::SchedulerConfig& sc)
       : cluster(test::make_cluster(n, machines, 0.5, strict)),
-        sim(cluster, budget),
-        sched(cluster, sim, sc),
+        sim(cluster, budget, sc),
         vs(n, test::with_threads(cfg, threads)) {}
 
   void ingest(std::span<const EdgeDelta> deltas, std::size_t chunk) {
     for (std::size_t start = 0; start < deltas.size(); start += chunk) {
       const std::size_t len = std::min(chunk, deltas.size() - start);
-      sched.execute(deltas.subspan(start, len), vs.n(), "sched-test", vs);
+      sim.execute(deltas.subspan(start, len), vs.n(), "sched-test", vs);
     }
   }
 };
 
-TEST(BatchScheduler, SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictness) {
+TEST(SimulatorLoop,
+     SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictness) {
   const VertexId n = 96;
   const std::uint64_t machines = 4;
   GraphSketchConfig cfg;
@@ -117,9 +114,9 @@ TEST(BatchScheduler, SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictne
   SchedRun ref(n, cfg, machines, /*strict=*/true, budget, /*threads=*/1,
                proportional_config());
   drive(ref);
-  ASSERT_GT(ref.sched.stats().splits, 0u);
-  ASSERT_FALSE(ref.sched.stats().split_log.empty());
-  ASSERT_EQ(ref.sched.stats().exhausted, 0u);
+  ASSERT_GT(ref.sim.stats().scheduler_splits, 0u);
+  ASSERT_FALSE(ref.sim.stats().split_log.empty());
+  ASSERT_EQ(ref.sim.stats().exhausted, 0u);
 
   for (const bool strict : {true, false}) {
     for (const unsigned threads : {1u, 2u, 8u}) {
@@ -130,11 +127,12 @@ TEST(BatchScheduler, SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictne
       drive(run);
 
       // Identical split tree (full pre-order log), counters, and depth.
-      EXPECT_EQ(run.sched.stats().split_log, ref.sched.stats().split_log);
-      EXPECT_EQ(run.sched.stats().splits, ref.sched.stats().splits);
-      EXPECT_EQ(run.sched.stats().subbatches, ref.sched.stats().subbatches);
-      EXPECT_EQ(run.sched.stats().max_depth, ref.sched.stats().max_depth);
-      EXPECT_EQ(run.sched.stats().exhausted, 0u);
+      EXPECT_EQ(run.sim.stats().split_log, ref.sim.stats().split_log);
+      EXPECT_EQ(run.sim.stats().scheduler_splits,
+                ref.sim.stats().scheduler_splits);
+      EXPECT_EQ(run.sim.stats().subbatches, ref.sim.stats().subbatches);
+      EXPECT_EQ(run.sim.stats().max_depth, ref.sim.stats().max_depth);
+      EXPECT_EQ(run.sim.stats().exhausted, 0u);
 
       // Identical rounds and ledger (delivery + control rounds).
       EXPECT_EQ(run.cluster.rounds(), ref.cluster.rounds());
@@ -150,14 +148,13 @@ TEST(BatchScheduler, SplitTreeRoundsAndSketchesInvariantAcrossThreadsAndStrictne
       expect_identical_samples(ref.vs, run.vs, cfg.banks, sets);
       EXPECT_EQ(ref.vs.allocated_words(), run.vs.allocated_words());
 
-      // Simulator-side visibility matches the scheduler's own log.
-      EXPECT_EQ(run.sim.stats().scheduler_splits, run.sched.stats().splits);
-      EXPECT_EQ(run.sim.stats().batches, run.sched.stats().subbatches);
+      // Every leaf was one charged delivery.
+      EXPECT_EQ(run.sim.stats().batches, run.sim.stats().subbatches);
     }
   }
 }
 
-TEST(BatchScheduler, SplittingNeverChangesSketchBytes) {
+TEST(SimulatorLoop, SplittingNeverChangesSketchBytes) {
   // Scheduler-split ingest == flat ingest of the same stream: linearity
   // means the split tree is invisible in the bytes.
   const VertexId n = 80;
@@ -181,15 +178,15 @@ TEST(BatchScheduler, SplittingNeverChangesSketchBytes) {
                proportional_config());
   run.ingest(inserts, 55);
   run.ingest(deletes, 220);
-  EXPECT_GT(run.sched.stats().splits, 0u);
+  EXPECT_GT(run.sim.stats().scheduler_splits, 0u);
   expect_identical_samples(flat, run.vs, cfg.banks, sets);
   EXPECT_EQ(flat.allocated_words(), run.vs.allocated_words());
 }
 
-TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits) {
-  // The acceptance scenario: a strict-cluster batch that the bare
-  // Simulator rejects with MemoryBudgetExceeded completes under the
-  // scheduler, and the extra work is visible — split control rounds on the
+TEST(SimulatorLoop, StrictOverBudgetRunCompletesWithVisibleSplits) {
+  // The acceptance scenario: a strict-cluster batch that a single
+  // delivery rejects with MemoryBudgetExceeded completes under the batch
+  // loop, and the extra work is visible — split control rounds on the
   // cluster under "<label>/scheduler-split", extra delivery rounds on the
   // CommLedger, and scheduler_splits in Simulator::Stats.
   const VertexId n = 96;
@@ -204,7 +201,7 @@ TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits
   const std::uint64_t budget =
       final_resident(n, cfg, edges, machines) + kMarginWords;
 
-  // Without the scheduler: warm the sketches, then the one-shot delete
+  // Single deliveries: warm the sketches, then the one-shot delete
   // batch overflows every machine and strict rejects it whole.
   {
     mpc::Cluster cluster = test::make_cluster(n, machines, 0.5, true);
@@ -230,16 +227,16 @@ TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits
     EXPECT_EQ(cluster.comm_ledger().rounds(), warm_rounds);
   }
 
-  // With the scheduler: same stream, same budget, completes.
+  // The batch loop: same stream, same budget, completes.
   SchedRun run(n, cfg, machines, /*strict=*/true, budget, 1,
                proportional_config());
   run.ingest(inserts, 60);
-  const std::uint64_t before_splits = run.sched.stats().splits;
+  const std::uint64_t before_splits = run.sim.stats().scheduler_splits;
   const std::uint64_t before_rounds = run.cluster.comm_ledger().rounds();
-  run.sched.execute(deletes, n, "acceptance", run.vs);
+  run.sim.execute(deletes, n, "acceptance", run.vs);
 
-  const mpc::BatchScheduler::Stats& st = run.sched.stats();
-  EXPECT_GT(st.splits, before_splits);
+  const mpc::Simulator::Stats& st = run.sim.stats();
+  EXPECT_GT(st.scheduler_splits, before_splits);
   EXPECT_EQ(st.exhausted, 0u);
   EXPECT_GT(st.split_rounds, 0u);
   // The delete batch landed as multiple under-budget deliveries.
@@ -250,13 +247,12 @@ TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits
   const auto it = by_label.find("acceptance/scheduler-split");
   ASSERT_NE(it, by_label.end());
   EXPECT_GT(it->second, 0u);
-  // Simulator::Stats shows the adaptive loop.
-  EXPECT_EQ(run.sim.stats().scheduler_splits, st.splits);
-  EXPECT_EQ(run.sim.stats().batches, st.subbatches);
+  // Every leaf was one charged delivery.
+  EXPECT_EQ(st.batches, st.subbatches);
   EXPECT_EQ(run.sim.stats().budget_overruns, 0u);
   // The split log is coherent: every recorded split was a genuine
   // over-budget probe on a splittable chunk.
-  for (const mpc::BatchScheduler::Split& s : st.split_log) {
+  for (const mpc::Simulator::Split& s : st.split_log) {
     EXPECT_GT(s.size, 1u);
     EXPECT_GT(s.needed_words, s.budget_words);
     EXPECT_EQ(s.budget_words, budget);
@@ -264,7 +260,7 @@ TEST(BatchScheduler, StrictOverBudgetRunCompletesUnderSchedulerWithVisibleSplits
   }
 }
 
-TEST(BatchScheduler, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
+TEST(SimulatorLoop, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
   // When a machine's resident shard alone exceeds the budget, no batch
   // sizing can help: the scheduler executes the chunk exhausted and the
   // strict executor throws the same structured diagnostic as before.
@@ -282,37 +278,33 @@ TEST(BatchScheduler, ResidentAloneOverBudgetStillThrowsAfterExhaustion) {
                resident + kMarginWords, 1, proportional_config());
   run.ingest(insert_deltas(edges), 48);
 
-  // A second scheduler over a simulator whose budget is below the shard.
-  mpc::Simulator tight_sim(run.cluster, resident - 1);
-  mpc::BatchScheduler tight_sched(run.cluster, tight_sim,
-                                  proportional_config());
+  // A second simulator whose budget is below the shard.
+  mpc::Simulator tight_sim(run.cluster, resident - 1, proportional_config());
   const std::vector<EdgeDelta> one{{edges.front(), -1}};
-  EXPECT_THROW(tight_sched.execute(one, n, "exhausted", run.vs),
+  EXPECT_THROW(tight_sim.execute(one, n, "exhausted", run.vs),
                mpc::MemoryBudgetExceeded);
-  EXPECT_GT(tight_sched.stats().exhausted, 0u);
-  EXPECT_EQ(tight_sched.stats().splits, 0u);  // size 1: nothing to split
+  EXPECT_GT(tight_sim.stats().exhausted, 0u);
+  EXPECT_EQ(tight_sim.stats().scheduler_splits, 0u);  // size 1: no split
 
   // Crucially, a MULTI-delta batch must not trigger a futile split
   // cascade either: the probe's resident component already proves no leaf
   // can fit, so the scheduler goes straight to exhaustion — no splits, no
   // control rounds charged — and the strict executor rejects pre-charge.
   const std::uint64_t rounds_before = run.cluster.rounds();
-  mpc::Simulator tight_sim2(run.cluster, resident - 1);
-  mpc::BatchScheduler tight_sched2(run.cluster, tight_sim2,
-                                   proportional_config());
+  mpc::Simulator tight_sim2(run.cluster, resident - 1, proportional_config());
   const auto big = delete_deltas(edges);  // 180 deltas, all unfixable
-  EXPECT_THROW(tight_sched2.execute(big, n, "cascade", run.vs),
+  EXPECT_THROW(tight_sim2.execute(big, n, "cascade", run.vs),
                mpc::MemoryBudgetExceeded);
-  EXPECT_EQ(tight_sched2.stats().splits, 0u);
-  EXPECT_EQ(tight_sched2.stats().split_rounds, 0u);
-  EXPECT_EQ(tight_sched2.stats().exhausted, 1u);
+  EXPECT_EQ(tight_sim2.stats().scheduler_splits, 0u);
+  EXPECT_EQ(tight_sim2.stats().split_rounds, 0u);
+  EXPECT_EQ(tight_sim2.stats().exhausted, 1u);
   EXPECT_EQ(run.cluster.rounds(), rounds_before);  // nothing was charged
   EXPECT_EQ(run.cluster.rounds_by_label().count("cascade/scheduler-split"),
             0u);
 }
 
-TEST(BatchScheduler, NonePolicyIsTransparentPassThrough) {
-  // kNone: byte- and charge-identical to the bare Simulator path.
+TEST(SimulatorLoop, NonePolicyIsTransparentPassThrough) {
+  // kNone: byte- and charge-identical to one delivery per batch.
   const VertexId n = 64;
   GraphSketchConfig cfg;
   cfg.banks = 4;
@@ -324,8 +316,8 @@ TEST(BatchScheduler, NonePolicyIsTransparentPassThrough) {
   none.policy = mpc::SplitPolicy::kNone;
   SchedRun sched_run(n, cfg, 4, /*strict=*/false, 0, 1, none);
   sched_run.ingest(deltas, 40);
-  EXPECT_EQ(sched_run.sched.stats().splits, 0u);
-  EXPECT_EQ(sched_run.sched.stats().subbatches, 4u);
+  EXPECT_EQ(sched_run.sim.stats().scheduler_splits, 0u);
+  EXPECT_EQ(sched_run.sim.stats().subbatches, 4u);
 
   mpc::Cluster plain_cluster = test::make_cluster(n, 4);
   mpc::Simulator plain_sim(plain_cluster);
@@ -343,7 +335,7 @@ TEST(BatchScheduler, NonePolicyIsTransparentPassThrough) {
             sched_run.cluster.comm_ledger().rounds());
 }
 
-TEST(BatchScheduler, FrontEndOptInCompletesStrictRunAndMatchesReference) {
+TEST(SimulatorLoop, FrontEndOptInCompletesStrictRunAndMatchesReference) {
   // Per-front-end opt-in via ConnectivityConfig::scheduler: under a strict
   // cluster, with the simulated executor's scratch budget tightened to the
   // resident watermark plus a small margin, a non-tree delete batch that
@@ -379,7 +371,7 @@ TEST(BatchScheduler, FrontEndOptInCompletesStrictRunAndMatchesReference) {
   mc.strict = true;
   mpc::Cluster cluster(mc);
   DynamicConnectivity dc(n, cc, &cluster);
-  ASSERT_NE(dc.scheduler(), nullptr);
+  ASSERT_NE(dc.simulator(), nullptr);
   dc.bootstrap(edges);
 
   // One big batch of non-tree deletions: per-machine load far exceeds the
@@ -402,13 +394,13 @@ TEST(BatchScheduler, FrontEndOptInCompletesStrictRunAndMatchesReference) {
   dc.apply_batch(deletions);
   ref.apply(deletions);
 
-  EXPECT_GT(dc.scheduler()->stats().splits, 0u);
-  EXPECT_EQ(dc.scheduler()->stats().exhausted, 0u);
+  EXPECT_GT(dc.simulator()->stats().scheduler_splits, 0u);
+  EXPECT_EQ(dc.simulator()->stats().exhausted, 0u);
   EXPECT_TRUE(cluster.ok());
   test::expect_matches_reference(dc, ref, "front-end opt-in");
 }
 
-TEST(BatchScheduler, ProportionalSplitLogAndRoundsAreExactOnStarDeletes) {
+TEST(SimulatorLoop, ProportionalSplitLogAndRoundsAreExactOnStarDeletes) {
   // Fully provable comb geometry.  After a flat insert of the whole star,
   // the hub's machine 0 is the max-resident machine, so with
   // budget = resident(0) + kMarginWords its delete-phase headroom is the
@@ -451,17 +443,17 @@ TEST(BatchScheduler, ProportionalSplitLogAndRoundsAreExactOnStarDeletes) {
   flat.update_edges(deletes);
 
   const std::uint64_t before = run.cluster.rounds();
-  run.sched.execute(deletes, run.vs.n(), "exact", run.vs);
+  run.sim.execute(deletes, run.vs.n(), "exact", run.vs);
 
-  const auto& st = run.sched.stats();
-  EXPECT_EQ(st.batches, 1u);
-  EXPECT_EQ(st.splits, 7u);
+  const auto& st = run.sim.stats();
+  EXPECT_EQ(st.submitted, 1u);
+  EXPECT_EQ(st.scheduler_splits, 7u);
   EXPECT_EQ(st.subbatches, 8u);
   EXPECT_EQ(st.exhausted, 0u);
   EXPECT_EQ(st.max_depth, 1u);  // spine at depth 0, leaves at depth 1
   ASSERT_EQ(st.split_log.size(), 7u);
   for (std::size_t k = 0; k < st.split_log.size(); ++k) {
-    const mpc::BatchScheduler::Split& s = st.split_log[k];
+    const mpc::Simulator::Split& s = st.split_log[k];
     EXPECT_EQ(s.offset, 8 * k) << "split " << k;
     EXPECT_EQ(s.size, 64 - 8 * k) << "split " << k;
     EXPECT_EQ(s.depth, 0u) << "split " << k;

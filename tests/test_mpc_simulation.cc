@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -14,7 +15,6 @@
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
@@ -81,17 +81,17 @@ void expect_matrix_cell(const VertexSketches& flat,
   EXPECT_EQ(sim.stats().batches, b.rounds());
 }
 
-// Ingests `deltas` in chunks of `chunk` through the given mode and returns
-// the resulting sketches; a null `cluster` is flat ingest.
+// Ingests `deltas` in chunks of `chunk` and returns the resulting
+// sketches; a null `cluster` is flat ingest, a non-null `simulator`
+// kSimulated, otherwise kRouted.
 void ingest_chunked(VertexSketches& vs, std::span<const EdgeDelta> deltas,
                     std::size_t chunk, mpc::Cluster* cluster,
-                    mpc::ExecMode mode,
-                    mpc::BatchScheduler* scheduler = nullptr) {
+                    mpc::Simulator* simulator = nullptr) {
   mpc::RoutedBatch routed;
   for (std::size_t start = 0; start < deltas.size(); start += chunk) {
     const std::size_t len = std::min(chunk, deltas.size() - start);
     routed_ingest(cluster, vs.n(), deltas.subspan(start, len), "conformance",
-                  vs, routed, mode, scheduler);
+                  vs, routed, simulator);
   }
 }
 
@@ -104,17 +104,16 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
   const auto sets = probe_sets(n, 20);
 
   VertexSketches flat(n, cfg);
-  ingest_chunked(flat, deltas, 64, nullptr, mpc::ExecMode::kRouted);
+  ingest_chunked(flat, deltas, 64, nullptr);
 
   for (const double phi : kPhis) {
     for (const std::uint64_t machines : kMachineCounts) {
       mpc::Cluster routed_cluster = test::make_cluster(n, machines, phi);
       VertexSketches routed(n, cfg);
-      ingest_chunked(routed, deltas, 64, &routed_cluster,
-                     mpc::ExecMode::kRouted);
+      ingest_chunked(routed, deltas, 64, &routed_cluster);
 
-      // The simulated executor under every split policy (through the
-      // scheduler) and both a serial and a 4-wide ingest pool.
+      // The simulated executor under every split policy and both a
+      // serial and a 4-wide ingest pool.
       for (const auto policy :
            {mpc::SplitPolicy::kNone, mpc::SplitPolicy::kProportional}) {
         for (const unsigned threads : {1u, 4u}) {
@@ -123,13 +122,11 @@ TEST(SimulationConformance, SimulatedEqualsRoutedEqualsFlatAcrossMatrix) {
                        << " policy=" << static_cast<int>(policy)
                        << " threads=" << threads);
           mpc::Cluster sim_cluster = test::make_cluster(n, machines, phi);
-          mpc::Simulator sim(sim_cluster);
           mpc::SchedulerConfig sc;
           sc.policy = policy;
-          mpc::BatchScheduler scheduler(sim_cluster, sim, sc);
+          mpc::Simulator sim(sim_cluster, 0, sc);
           VertexSketches simulated(n, test::with_threads(cfg, threads));
-          ingest_chunked(simulated, deltas, 64, &sim_cluster,
-                         mpc::ExecMode::kSimulated, &scheduler);
+          ingest_chunked(simulated, deltas, 64, &sim_cluster, &sim);
           expect_matrix_cell(flat, routed, simulated, routed_cluster,
                              sim_cluster, sim, cfg.banks, sets,
                              (deltas.size() + 63) / 64);
@@ -341,7 +338,63 @@ TEST(SimulationBudget, NonStrictClusterRecordsOverrunsAndProceeds) {
   EXPECT_EQ(flat.allocated_words(), vs.allocated_words());
 }
 
-TEST(SimulationBudget, RejectsForeignRoutedBatchAndBadOrder) {
+TEST(SimulationBudget, MalformedBatchIsRejectedBeforeAnythingIsCharged) {
+  // A self-loop, an unnormalized edge, or an out-of-range vertex anywhere
+  // in a batch throws before any delivery round, word, or stat is charged,
+  // under kRouted and under kSimulated (no fault injector attached), and
+  // before any sketch mutation (the query-cache epoch included) under flat
+  // ingest too.
+  const VertexId n = 32;
+  GraphSketchConfig cfg;
+  cfg.banks = 3;
+  cfg.seed = 49;
+  const std::vector<EdgeDelta> good{{make_edge(1, 2), +1},
+                                    {make_edge(4, 30), +1}};
+  const std::vector<std::vector<EdgeDelta>> bad{
+      {{Edge{3, 3}, +1}},
+      {{Edge{5, 3}, +1}},
+      {{make_edge(6, 7), +1}, {Edge{5, 3}, -1}},
+      {{make_edge(6, 7), +1}, {Edge{3, n}, +1}},
+  };
+  for (const char* mode : {"flat", "kRouted", "kSimulated"}) {
+    SCOPED_TRACE(mode);
+    mpc::Cluster cluster = test::make_cluster(n, 4);
+    mpc::Simulator sim(cluster);
+    mpc::Cluster* attached =
+        std::string(mode) == "flat" ? nullptr : &cluster;
+    mpc::Simulator* simulator =
+        std::string(mode) == "kSimulated" ? &sim : nullptr;
+    VertexSketches vs(n, cfg);
+    mpc::RoutedBatch routed;
+    routed_ingest(attached, n, good, "good", vs, routed, simulator);
+    const std::uint64_t rounds = cluster.rounds();
+    const std::uint64_t comm = cluster.comm_total();
+    const std::uint64_t ledger_rounds = cluster.comm_ledger().rounds();
+    const std::uint64_t ledger_words = cluster.comm_ledger().total_words();
+    const std::uint64_t words = vs.allocated_words();
+    const std::uint64_t epoch = vs.mutation_epoch();
+    const mpc::Simulator::Stats before = sim.stats();
+    for (const auto& batch : bad) {
+      EXPECT_THROW(
+          routed_ingest(attached, n, batch, "bad", vs, routed, simulator),
+          CheckError);
+      EXPECT_EQ(cluster.rounds(), rounds);
+      EXPECT_EQ(cluster.comm_total(), comm);
+      EXPECT_EQ(cluster.comm_ledger().rounds(), ledger_rounds);
+      EXPECT_EQ(cluster.comm_ledger().total_words(), ledger_words);
+      EXPECT_EQ(vs.allocated_words(), words);
+      EXPECT_EQ(vs.mutation_epoch(), epoch);
+      EXPECT_EQ(sim.stats().batches, before.batches);
+      EXPECT_EQ(sim.stats().submitted, before.submitted);
+      EXPECT_EQ(sim.stats().subbatches, before.subbatches);
+      EXPECT_EQ(sim.stats().machine_steps, before.machine_steps);
+      EXPECT_EQ(sim.stats().cell_steps, before.cell_steps);
+      EXPECT_EQ(sim.stats().applied_updates, before.applied_updates);
+    }
+  }
+}
+
+TEST(SimulationBudget, RejectsForeignRoutedBatch) {
   const VertexId n = 64;
   GraphSketchConfig cfg;
   cfg.banks = 2;
@@ -354,12 +407,6 @@ TEST(SimulationBudget, RejectsForeignRoutedBatchAndBadOrder) {
   four.route_batch(batch, n, routed);
   mpc::Simulator wrong_cluster(two);
   EXPECT_THROW(wrong_cluster.execute(routed, "foreign", vs), CheckError);
-
-  mpc::Simulator sim(four);
-  const std::vector<std::uint64_t> not_permutation{0, 1, 2, 2};
-  EXPECT_THROW(sim.execute(routed, "order", vs, not_permutation), CheckError);
-  const std::vector<std::uint64_t> too_short{0, 1};
-  EXPECT_THROW(sim.execute(routed, "order", vs, too_short), CheckError);
 }
 
 }  // namespace

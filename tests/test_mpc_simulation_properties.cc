@@ -1,13 +1,12 @@
-// Property tests for the simulation executor: machine-visit order
-// permutation invariance (simulating machines in any order yields
-// identical sketches), and algorithm-level query results — connectivity
-// components/labels/forests and the approximate MSF weight — unchanged
-// under kSimulated execution, across stream shapes including the
-// component-merge adversary.
+// Property tests for the simulation executor: algorithm-level query
+// results — connectivity components/labels/forests and the approximate MSF
+// weight — unchanged under kSimulated execution, across stream shapes
+// including the component-merge adversary.  (Schedule independence of
+// the cell grid is covered by the ingest_threads {1, 2, 8} invariance
+// suites in test_mpc_grid.cc and test_mpc_scheduler.cc.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "common/random.h"
@@ -24,56 +23,6 @@
 
 namespace streammpc {
 namespace {
-
-using test::expect_identical_samples;
-using test::probe_sets;
-using test::random_deltas;
-
-TEST(SimulationProperties, MachineVisitOrderPermutationInvariance) {
-  // Sketch cells are linear and commutative, and machine steps touch
-  // disjoint sub-batches — so ANY visit order must leave byte-identical
-  // sketch state and identical accounting.
-  const VertexId n = 128;
-  const std::uint64_t machines = 16;
-  GraphSketchConfig cfg;
-  cfg.banks = 5;
-  cfg.seed = 52001;
-  const auto sets = probe_sets(n, 53);
-
-  for (const auto& deltas :
-       {random_deltas(n, 300, 54), test::star_deltas(n),
-        test::er_deltas(n, 200, 55)}) {
-    mpc::Cluster base_cluster = test::make_cluster(n, machines);
-    mpc::Simulator base_sim(base_cluster);
-    VertexSketches ascending(n, cfg);
-    mpc::RoutedBatch routed;
-    base_cluster.route_batch(deltas, n, routed);
-    base_sim.execute(routed, "ascending", ascending);
-
-    Rng rng(56);
-    std::vector<std::uint64_t> order(machines);
-    std::iota(order.begin(), order.end(), 0u);
-    for (int trial = 0; trial < 4; ++trial) {
-      if (trial == 0) {
-        std::reverse(order.begin(), order.end());
-      } else {
-        shuffle(order, rng);
-      }
-      mpc::Cluster cluster = test::make_cluster(n, machines);
-      mpc::Simulator sim(cluster);
-      VertexSketches permuted(n, cfg);
-      cluster.route_batch(deltas, n, routed);
-      sim.execute(routed, "permuted", permuted, order);
-
-      expect_identical_samples(ascending, permuted, cfg.banks, sets);
-      EXPECT_EQ(ascending.allocated_words(), permuted.allocated_words());
-      EXPECT_EQ(base_cluster.comm_ledger().words_by_machine(),
-                cluster.comm_ledger().words_by_machine());
-      EXPECT_EQ(base_sim.stats().machine_steps, sim.stats().machine_steps);
-      EXPECT_EQ(base_sim.stats().peak_step_words, sim.stats().peak_step_words);
-    }
-  }
-}
 
 TEST(SimulationProperties, DynamicConnectivityQueriesUnchangedUnderSimulation) {
   // Same seed, same stream: the structure driven in kSimulated mode must

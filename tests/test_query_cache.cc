@@ -9,11 +9,11 @@
 //   * the repair-vs-rebuild rule is observable in the stats: insert-only
 //     batches repair (no Boruvka), any deletion invalidates and the next
 //     snapshot rebuilds, repeated queries at one epoch hit;
-//   * invalidation is driven by the mutation epoch bumped at the ExecPlan
-//     choke point, so scheduler splits, fault retries, and machine grows
-//     all invalidate — and a TransientFault rollback that restores the
-//     sketch bytes exactly still leaves the cache stale (never
-//     stale-valid);
+//   * invalidation is driven by the mutation epoch bumped at the
+//     update_edges choke point, so scheduler splits, fault retries, and
+//     machine grows all invalidate — and a TransientFault rollback that
+//     restores the sketch bytes exactly still leaves the cache stale
+//     (never stale-valid);
 //   * DynamicConnectivity::components() serves the deterministic
 //     first-appearance group order from the snapshot CSR (pinned here) and
 //     its second call is a cache hit;
@@ -314,7 +314,7 @@ TEST(QueryCacheStats, AllCancellingBatchKeepsSnapshotValid) {
   EXPECT_GT(dc.query_cache().stats().hits, 0u);
 }
 
-// --- epoch bumps at the ExecPlan choke point ---------------------------------
+// --- epoch bumps at the update_edges choke point ----------------------------
 
 TEST(QueryCacheInvalidation, EveryIngestPathBumpsTheMutationEpoch) {
   const VertexId n = 32;
@@ -368,8 +368,7 @@ TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
   const std::uint64_t claim = report.needed_words;
   ASSERT_GT(claim - 1, report.min_leaf_words);
   mpc::Cluster run_cluster = test::make_cluster(n, 4);
-  mpc::Simulator sim(run_cluster, claim - 1);
-  mpc::BatchScheduler sched(run_cluster, sim, sc);
+  mpc::Simulator sim(run_cluster, claim - 1, sc);
   VertexSketches vs(n, test::with_threads(cfg, 1));
 
   QueryCache cache;
@@ -378,10 +377,10 @@ TEST(QueryCacheInvalidation, SchedulerSplitsBumpEpochPerDelivery) {
   cache.publish(vs.mutation_epoch(), singleton_labels, {});
   ASSERT_TRUE(cache.valid(vs.mutation_epoch()));
 
-  sched.execute(deltas, n, "split-epoch", vs);
-  EXPECT_GT(sched.stats().splits, 0u);
+  sim.execute(deltas, n, "split-epoch", vs);
+  EXPECT_GT(sim.stats().scheduler_splits, 0u);
   // One bump per leaf delivery: strictly more than one for a split batch.
-  EXPECT_EQ(vs.mutation_epoch(), sched.stats().subbatches);
+  EXPECT_EQ(vs.mutation_epoch(), sim.stats().subbatches);
   EXPECT_GT(vs.mutation_epoch(), 1u);
   EXPECT_FALSE(cache.valid(vs.mutation_epoch()));
 }
@@ -463,8 +462,7 @@ TEST(QueryCacheInvalidation, MachineGrowKeepsEpochMonotoneAndCacheStale) {
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kProportional;
   sc.grow = mpc::GrowPolicy::kDouble;
-  mpc::Simulator sim(cluster, budget);
-  mpc::BatchScheduler sched(cluster, sim, sc);
+  mpc::Simulator sim(cluster, budget, sc);
   VertexSketches vs(n, test::with_threads(cfg, 1));
 
   QueryCache cache;
@@ -475,12 +473,12 @@ TEST(QueryCacheInvalidation, MachineGrowKeepsEpochMonotoneAndCacheStale) {
   std::uint64_t last_epoch = vs.mutation_epoch();
   for (std::size_t start = 0; start < inserts.size(); start += 8) {
     const std::size_t len = std::min<std::size_t>(8, inserts.size() - start);
-    sched.execute(std::span<const EdgeDelta>(inserts).subspan(start, len), n,
-                  "grow-epoch", vs);
+    sim.execute(std::span<const EdgeDelta>(inserts).subspan(start, len), n,
+                "grow-epoch", vs);
     EXPECT_GT(vs.mutation_epoch(), last_epoch);  // monotone across grows
     last_epoch = vs.mutation_epoch();
   }
-  EXPECT_GT(sched.stats().grows, 0u);
+  EXPECT_GT(sim.stats().grows, 0u);
   EXPECT_FALSE(cache.valid(vs.mutation_epoch()));
 }
 
@@ -513,7 +511,7 @@ TEST(QueryCacheInvalidation, FrontEndRecoversThroughFaultsWithCorrectAnswers) {
       expect_snapshot_matches(*snap, ref, "fault-recovery");
     }
     EXPECT_EQ(injector.stats().cell_faults_fired, 2u);
-    EXPECT_GT(dc.scheduler()->stats().retries, 0u);
+    EXPECT_GT(dc.simulator()->stats().retries, 0u);
   }
 }
 
