@@ -60,7 +60,7 @@ void AgmStaticConnectivity::apply_batch(const Batch& batch) {
   ingest_.deliver(batch, "agm/sketch-update");
   for (const Update& u : batch) {
     // A deletion may split a component; only a fresh Boruvka can see the
-    // split (the repair-vs-rebuild rule, core/query_cache.h).
+    // split (the repair rule, core/query_cache.h).
     if (u.type == UpdateType::kInsert) {
       query_cache().note_link(u.e);
     } else {

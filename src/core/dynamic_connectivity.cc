@@ -57,6 +57,9 @@ DynamicConnectivity::DynamicConnectivity(VertexId n,
 }
 
 void DynamicConnectivity::apply_batch(const Batch& batch) {
+  // Reject a malformed batch (an edge whose net multiplicity leaves
+  // {-1, 0, +1}) before anything is charged, counted or poisoned.
+  auto [ins, del] = normalize_batch(batch);
   const QueryCache::PoisonOnThrow guard(query_cache());
   if (cluster() != nullptr) cluster()->begin_phase();
   ++stats_.batches;
@@ -66,7 +69,6 @@ void DynamicConnectivity::apply_batch(const Batch& batch) {
   mpc::sort(cluster(), batch.size(), "connectivity/preprocess");
   mpc::gather_to_one(cluster(), 2 * batch.size(), "connectivity/batch");
 
-  auto [ins, del] = normalize_batch(batch);
   if (!ins.empty()) apply_inserts(ins);
   if (!del.empty()) apply_deletes(del);
   publish_usage();
@@ -116,20 +118,15 @@ void DynamicConnectivity::apply_inserts(const std::vector<Update>& ins) {
     }
   }
   stats_.tree_inserts += links.size();
-  // Insert-only partition changes are exactly these accepted tree edges;
-  // remember them so the next snapshot() can repair instead of rebuild.
-  for (const Edge& e : links) query_cache().note_link(e);
   forest_.batch_link(links);
+  // Every forest change enters the cache's delta, so the next snapshot()
+  // derives its forest instead of sorting tree_edges() again.
+  for (const Edge& e : links) query_cache().note_link(e);
   relabel_trees_of(touched);
 }
 
 void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
   stats_.deletes += del.size();
-  // A deletion may split a component, which no local repair can express —
-  // the next snapshot() must rebuild from labels_/forest_ (the
-  // repair-vs-rebuild rule, core/query_cache.h).
-  query_cache().note_split();
-
   ingest_.deliver(del, "connectivity/sketch-update");
   // Replacement-edge sampling below reads the sketches: every buffered
   // delta (earlier insert batches included) must be resident first.
@@ -149,6 +146,7 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
     return;
   }
   forest_.batch_cut(cuts);
+  for (const Edge& e : cuts) query_cache().note_cut(e);
 
   // Fragments: the trees now holding the endpoints of the cut edges; every
   // fragment of an affected component contains at least one such endpoint.
@@ -264,6 +262,7 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
 
   // Re-join via the insertion machinery (§6.3's final step).
   forest_.batch_link(replacements);
+  for (const Edge& e : replacements) query_cache().note_link(e);
   relabel_trees_of(touched);
 }
 
@@ -315,8 +314,8 @@ void DynamicConnectivity::bootstrap(std::span<const Edge> edges) {
   }
   ingest_.deliver(deltas, "connectivity/bootstrap");
   stats_.tree_inserts += forest_edges.size();
-  for (const Edge& e : forest_edges) query_cache().note_link(e);
   forest_.batch_link(forest_edges);
+  for (const Edge& e : forest_edges) query_cache().note_link(e);
   relabel_trees_of(touched);
   publish_usage();
 }
@@ -335,12 +334,13 @@ std::vector<bool> DynamicConnectivity::batch_query(
 }
 
 QueryCache::SnapshotPtr DynamicConnectivity::snapshot() {
-  // Insert-only since the published snapshot: the cache merges the
-  // accepted tree edges into it locally — no forest walk, no relabel, no
-  // sketch reads.  Otherwise it rebuilds from labels_/forest_.
-  return ingest_.serve([&] {
-    return QueryCache::Rebuilt{labels_, spanning_forest()};
-  });
+  // The cache derives the next snapshot from the published one: a copy of
+  // labels_ plus the previous forest merged with the noted links and cuts
+  // — no forest walk, no sort, no sketch reads.  Only a first or poisoned
+  // build sorts tree_edges().
+  return ingest_.serve(
+      [&] { return QueryCache::Rebuilt{labels_, spanning_forest()}; },
+      &labels_);
 }
 
 std::vector<std::vector<VertexId>> DynamicConnectivity::components() {

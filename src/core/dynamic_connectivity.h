@@ -107,7 +107,9 @@ class DynamicConnectivity {
 
   // Processes one phase's batch: insertions first, then deletions (§1.2).
   // Offsetting insert/delete pairs of the same edge within one batch are
-  // cancelled out first.  With a cluster attached, sketch deltas are routed
+  // cancelled out first; a batch in which some edge's net multiplicity
+  // leaves {-1, 0, +1} throws CheckError before any round is charged or
+  // any state changes.  With a cluster attached, sketch deltas are routed
   // per machine (Cluster::route_batch) and charged on its CommLedger.
   void apply_batch(const Batch& batch);
 
@@ -137,9 +139,10 @@ class DynamicConnectivity {
   std::vector<std::vector<VertexId>> components();
 
   // The serve-heavy query path (core/query_cache.h): returns the cached
-  // immutable snapshot when the sketches' mutation epoch still matches,
-  // repairs it with the pending accepted tree edges after insert-only
-  // batches, rebuilds from labels_/forest_ otherwise.  The returned
+  // immutable snapshot when the sketches' mutation epoch still matches;
+  // otherwise derives the next one from it (labels_ plus the forest links
+  // and cuts since), rebuilding from labels_/forest_ only on the first
+  // query or after a throwing update or flush.  The returned
   // snapshot answers connected/component_of/components from any thread;
   // snapshot() itself is writer-side (same thread as apply_batch).
   QueryCache::SnapshotPtr snapshot();
@@ -147,7 +150,6 @@ class DynamicConnectivity {
   const QueryCache& query_cache() const { return ingest_.cache(); }
   const std::vector<VertexId>& labels() const { return labels_; }
   const EulerTourForest& forest() const { return forest_; }
-  EulerTourForest& mutable_forest() { return forest_; }
   const VertexSketches& sketches() const { return sketches_; }
   // Non-null iff exec_mode == kSimulated and a cluster is attached.
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
@@ -158,7 +160,7 @@ class DynamicConnectivity {
   // call it explicitly to observe delivery errors (strict budget
   // rejection, an exhausted retry) at a deterministic point.  A throwing
   // flush — like a throwing apply_batch or bootstrap — poisons the
-  // snapshot repair state: the next snapshot() rebuilds.
+  // snapshot's forest delta: the next snapshot() rebuilds.
   void flush_ingest() { ingest_.flush(); }
 
   struct Stats {

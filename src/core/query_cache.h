@@ -28,19 +28,32 @@
 //     and on transactional rollback — so flat, routed, simulated, split,
 //     and fault-retry deliveries all invalidate identically, and a
 //     rolled-back cell can never leave a stale-valid cache;
-//   * repair-vs-rebuild rule: a run of pure insertions can only MERGE
-//     components, so a still-published snapshot is repaired with a local
-//     DSU pass over the inserted (or already-accepted tree) edges — no
-//     sketch reads, no Boruvka.  Any deletion may split a component and
-//     demands a rebuild from the front end's authoritative state.  The
-//     cache owns this rule for every front end: they report edges with
-//     note_link() and deletions with note_split(), a throwing update or
-//     flush poisons the pending set (PoisonOnThrow), and serve() runs
-//     acquire -> repair -> rebuild.
+//   * derive / repair / rebuild rule: every publish after the first is
+//     built from the previously published snapshot, never from scratch.
+//     The front ends report each forest change since the last publish —
+//     note_link() for an edge that joined the forest, note_cut() for one
+//     that left it — into one pending forest delta, and the next forest is
+//     the previous sorted forest merged with the net delta in one linear
+//     pass (no sort of the whole forest).
+//       - derive: a front end that maintains its own min-vertex labels
+//         (DynamicConnectivity, StreamingConnectivity) hands them to
+//         serve(); the snapshot copies them and takes the merged forest,
+//         after inserts and deletes alike.
+//       - repair: a front end without maintained labels (AGM) notes every
+//         inserted edge; a local DSU pass over the previous labels merges
+//         components and keeps the edges that joined two of them — no
+//         sketch reads, no Boruvka.  Its deletions call note_split(),
+//         since only a fresh Boruvka can see a split.
+//       - rebuild: the first build, a split without maintained labels, an
+//         overflowed delta, or a throwing update or flush (PoisonOnThrow)
+//         publishes the front end's full rebuild() instead.
+//     serve() runs acquire -> derive or repair -> rebuild.
 //
 // Thread-safety contract: ONE writer (the thread applying update batches
-// and calling valid/acquire/publish/repair/invalidate) and any number of
-// readers calling snapshot() + the QuerySnapshot accessors.  Stats are
+// and calling valid/acquire/publish/serve/invalidate) and any number of
+// readers calling snapshot() + the QuerySnapshot accessors.  The writer
+// only reads the published snapshot it builds the next one from, so
+// readers share it freely while a derive or repair runs.  Stats are
 // writer-side only.  Readers see each published snapshot atomically, so
 // every answer is consistent with the exact prefix of batches that
 // snapshot reflects — published versions are monotone (version strictly
@@ -104,10 +117,10 @@ class QueryCache {
   // Epoch value no snapshot was ever built at.
   static constexpr std::uint64_t kNeverBuilt = ~std::uint64_t{0};
 
-  // `n` sizes the pending-edge cap at 8n + 64: past it the buffer rivals
+  // `n` sizes the pending-delta cap at 8n + 64: past it the buffer rivals
   // the sketches, so the cache stops buffering and the next serve()
-  // rebuilds.  Front ends that note only accepted tree edges (at most
-  // n - 1 between deletions) never reach it.
+  // rebuilds.  Front ends that note only forest changes reach it only
+  // when one query window holds more than 8n + 64 links and cuts.
   explicit QueryCache(VertexId n = 0)
       : pending_cap_(8 * static_cast<std::size_t>(n) + 64) {}
 
@@ -133,32 +146,26 @@ class QueryCache {
   SnapshotPtr publish(std::uint64_t epoch, std::vector<VertexId> labels,
                       std::vector<Edge> forest);
 
-  // Repair path (insert-only rule): derives the next snapshot from the
-  // currently published one by uniting the endpoints of every edge in
-  // `inserted` — merges only, exactly what a run of pure insertions can do
-  // to the partition.  Edges joining distinct components enter the forest;
-  // merged components adopt the minimum of their labels, keeping the
-  // canonical form.  Publishes valid-at-`epoch` and returns the new
-  // snapshot, or nullptr when nothing was ever published (caller falls
-  // back to a rebuild).  Cost: O(|inserted| + n), zero sketch reads.
-  SnapshotPtr repair(std::uint64_t epoch, std::span<const Edge> inserted);
-
   // Marks the cache stale without unpublishing: the next acquire misses,
   // but concurrent readers keep the last consistent snapshot.
   void invalidate();
 
-  // --- repair bookkeeping (writer side) --------------------------------------
-  // Records an edge that may merge two components since the last publish.
-  // Call it only after the edge's delta was accepted for delivery, so a
-  // rejected update never leaves a phantom repair edge.
+  // --- forest delta bookkeeping (writer side) --------------------------------
+  // An edge that joined the spanning forest since the last publish (for
+  // the AGM repair: any inserted edge, tree or not).  Call it only after
+  // the edge's delta was accepted for delivery, so a rejected update never
+  // leaves a phantom edge in the delta.
   void note_link(const Edge& e);
-  // A deletion: the partition may split, which no repair can express —
-  // drops the pending edges and invalidates; the next serve() rebuilds.
+  // An edge that left the spanning forest since the last publish.
+  void note_cut(const Edge& e);
+  // A deletion the front end cannot describe by its labels (AGM): the
+  // partition may split, which no repair can express — drops the pending
+  // delta and invalidates; the next serve() rebuilds.
   void note_split();
 
   // Scope guard for a writer-side update or flush: if the scope exits by an
   // exception, the sketches may hold any subset of the call's deltas, so
-  // the pending edges no longer describe them — handled like a split.
+  // the pending delta no longer describes them — handled like a split.
   class PoisonOnThrow {
    public:
     explicit PoisonOnThrow(QueryCache& cache)
@@ -181,17 +188,20 @@ class QueryCache {
     std::vector<Edge> forest;
   };
   // The front ends' query path at `epoch`: the published snapshot when it
-  // is still valid; else a repair with the pending edges when no deletion
-  // or failure intervened; else a publish of `rebuild()`.  Either way the
-  // pending set is consumed.
+  // is still valid; else, when a snapshot exists and no split, overflow or
+  // failure intervened, the next snapshot built from it — derived from
+  // `labels` (the front end's maintained min-vertex labels) or, when
+  // `labels` is null, repaired by the DSU pass; else a publish of
+  // `rebuild()`.  Either way the pending delta is consumed.
   SnapshotPtr serve(std::uint64_t epoch,
-                    const std::function<Rebuilt()>& rebuild);
+                    const std::function<Rebuilt()>& rebuild,
+                    const std::vector<VertexId>* labels = nullptr);
 
   struct Stats {
     std::uint64_t hits = 0;       // acquire() served the published snapshot
     std::uint64_t misses = 0;     // acquire() found it stale
     std::uint64_t rebuilds = 0;   // publish() calls (full builds)
-    std::uint64_t repairs = 0;    // repair() publishes (incremental)
+    std::uint64_t repairs = 0;    // derive and repair publishes (incremental)
     std::uint64_t invalidations = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -200,15 +210,31 @@ class QueryCache {
   // Fills comp_members/comp_offsets/comp_labels from snap.labels in
   // first-appearance (vertex-ascending) order.
   static void build_components(QuerySnapshot& snap);
-  void install(std::shared_ptr<QuerySnapshot> snap, std::uint64_t epoch);
+  // The next forest: `prev` (sorted, duplicate-free) plus the net count of
+  // each edge in `delta`, in one merge pass.  Sorts and folds `delta` in
+  // place; every edge must end with multiplicity 0 or 1.
+  static std::vector<Edge> merge_forest(std::span<const Edge> prev,
+                                        std::vector<EdgeDelta>& delta);
+  // The incremental publishes built on `prev` from pending_: derive copies
+  // the maintained `labels`; repair (links only) unites labels by DSU and
+  // keeps the edges that merged two components.  O(n + d log d) for a
+  // delta of d entries.
+  SnapshotPtr derive(std::uint64_t epoch, const QuerySnapshot& prev,
+                     const std::vector<VertexId>& labels);
+  SnapshotPtr repair(std::uint64_t epoch, const QuerySnapshot& prev);
+  // Builds the component CSR, stamps version and epoch, and publishes.
+  SnapshotPtr install(std::shared_ptr<QuerySnapshot> snap,
+                      std::uint64_t epoch);
+  void note(const Edge& e, std::int64_t delta);
 
   AtomicSharedPtr<const QuerySnapshot> snapshot_;
   std::uint64_t built_epoch_ = kNeverBuilt;
   std::uint64_t next_version_ = 1;
-  // Edges noted since the last publish; meaningful only while repairable_.
-  std::vector<Edge> pending_;
+  // Forest changes since the last publish (+1 link, -1 cut); meaningful
+  // only while incremental_.
+  std::vector<EdgeDelta> pending_;
   std::size_t pending_cap_;
-  bool repairable_ = true;
+  bool incremental_ = true;
   Stats stats_;
 };
 

@@ -64,17 +64,18 @@ void SketchFrontend::flush() {
   if (gutter_ == nullptr) return;
   // A failed delivery can leave the resident sketches partially updated
   // (a strict-mode throw mid-flush): nothing derived from the previous
-  // sketch state is trustworthy for local repair.
+  // sketch state is trustworthy for an incremental snapshot.
   const QueryCache::PoisonOnThrow guard(cache_);
   gutter_->flush();
 }
 
 QueryCache::SnapshotPtr SketchFrontend::serve(
-    const std::function<QueryCache::Rebuilt()>& rebuild) {
+    const std::function<QueryCache::Rebuilt()>& rebuild,
+    const std::vector<VertexId>* labels) {
   // Flush-on-query: pending drains bump the mutation epoch as they apply,
-  // so the epoch must be settled before acquire/repair/publish read it.
+  // so the epoch must be settled before acquire/derive/publish read it.
   flush();
-  return cache_.serve(sketches_.mutation_epoch(), rebuild);
+  return cache_.serve(sketches_.mutation_epoch(), rebuild, labels);
 }
 
 }  // namespace streammpc

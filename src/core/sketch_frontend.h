@@ -11,7 +11,7 @@
 //     once enable_async() ran;
 //   * serving: the QueryCache, flushed before every read (flush-on-query),
 //     poisoned when a flush throws, and served by serve() — acquire ->
-//     repair -> rebuild (core/query_cache.h).
+//     derive or repair -> rebuild (core/query_cache.h).
 #pragma once
 
 #include <cstdint>
@@ -53,12 +53,14 @@ class SketchFrontend {
   void enable_async(const GutterIngestConfig& config,
                     const std::string& default_label);
   // Drains the gutter (no-op without one).  A throwing flush poisons the
-  // cache's repair state and rethrows.
+  // cache's forest delta and rethrows.
   void flush();
-  // flush(), then the cache's acquire -> repair -> rebuild at the
-  // sketches' mutation epoch.
+  // flush(), then the cache's acquire -> derive or repair -> rebuild at
+  // the sketches' mutation epoch.  `labels`: the front end's maintained
+  // min-vertex labels (derive), or null when it keeps none (repair).
   QueryCache::SnapshotPtr serve(
-      const std::function<QueryCache::Rebuilt()>& rebuild);
+      const std::function<QueryCache::Rebuilt()>& rebuild,
+      const std::vector<VertexId>* labels = nullptr);
 
   mpc::Cluster* cluster() const { return cluster_; }
   mpc::Simulator* simulator() const { return simulator_.get(); }

@@ -105,7 +105,7 @@ void StreamingConnectivity::insert_forest(VertexId u, VertexId v) {
   forest_adj_[e.u].insert(e.v);
   forest_adj_[e.v].insert(e.u);
   ++forest_edges_;
-  query_cache().note_link(e);  // snapshot repair set (core/query_cache.h)
+  query_cache().note_link(e);  // the snapshot's forest delta
   const VertexId keep = std::min(labels_[u], labels_[v]);
   const VertexId losing = labels_[u] == keep ? v : u;
   relabel(collect_tree(losing), keep);
@@ -125,9 +125,6 @@ void StreamingConnectivity::erase(VertexId u, VertexId v) {
 }
 
 void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
-  // Any deletion voids snapshot repair (a split is not expressible as
-  // merges — the repair-vs-rebuild rule, core/query_cache.h).
-  query_cache().note_split();
   const Edge e = make_edge(u, v);
   const auto it = forest_adj_[e.u].find(e.v);
   if (it == forest_adj_[e.u].end()) return;  // non-tree edge: done
@@ -135,6 +132,7 @@ void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
   forest_adj_[e.u].erase(it);
   forest_adj_[e.v].erase(e.u);
   --forest_edges_;
+  query_cache().note_cut(e);
 
   // Components Z_u and Z_v of F after the split (§4.2).
   const auto zu = collect_tree(u);
@@ -154,6 +152,7 @@ void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
     forest_adj_[replacement->u].insert(replacement->v);
     forest_adj_[replacement->v].insert(replacement->u);
     ++forest_edges_;
+    query_cache().note_link(*replacement);
     // Labels are unchanged: the component stayed whole (Algorithm 3's
     // else-if branch keeps C identical).
     return;
@@ -183,9 +182,12 @@ bool StreamingConnectivity::is_tree_edge(Edge e) const {
 }
 
 QueryCache::SnapshotPtr StreamingConnectivity::snapshot() {
-  return ingest_.serve([&] {
-    return QueryCache::Rebuilt{labels_, spanning_forest()};
-  });
+  // Derived from the published snapshot: labels_ plus the noted forest
+  // links and cuts; spanning_forest() runs only on a first or poisoned
+  // build.
+  return ingest_.serve(
+      [&] { return QueryCache::Rebuilt{labels_, spanning_forest()}; },
+      &labels_);
 }
 
 std::uint64_t StreamingConnectivity::memory_words() const {

@@ -60,7 +60,7 @@ class StreamingConnectivity {
   VertexId n() const { return n_; }
 
   // Single-update stream interface (Algorithm 1's dispatch).  A throwing
-  // update call poisons the snapshot repair state: the next snapshot()
+  // update call poisons the snapshot's forest delta: the next snapshot()
   // rebuilds.
   void insert(VertexId u, VertexId v);
   void erase(VertexId u, VertexId v);
@@ -94,7 +94,8 @@ class StreamingConnectivity {
   // Non-null once async ingest is enabled; exposes buffered()/stats().
   const GutterIngest* gutter() const { return ingest_.gutter(); }
   // Drains buffered deltas (no-op when async ingest is off).  A throwing
-  // flush poisons the repair state: the next snapshot() rebuilds.
+  // flush poisons the snapshot's forest delta: the next snapshot()
+  // rebuilds.
   void flush_ingest() { ingest_.flush(); }
 
   // --- queries ---------------------------------------------------------------
@@ -108,9 +109,10 @@ class StreamingConnectivity {
   bool is_tree_edge(Edge e) const;
 
   // Serve-heavy path (core/query_cache.h): immutable snapshot of
-  // labels/forest/components for lock-free concurrent readers, repaired
-  // from the tree edges accepted since the last publish after insert-only
-  // runs, rebuilt after any deletion.  Writer-side, like the updates.
+  // labels/forest/components for lock-free concurrent readers, derived
+  // from the last published one (labels_ plus the forest links and cuts
+  // since), rebuilt only on the first query or after a throwing update or
+  // flush.  Writer-side, like the updates.
   QueryCache::SnapshotPtr snapshot();
   QueryCache& query_cache() { return ingest_.cache(); }
   const QueryCache& query_cache() const { return ingest_.cache(); }

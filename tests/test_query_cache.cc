@@ -6,9 +6,13 @@
 //     insert-only and mixed (churn) streams, on all three connectivity
 //     front ends — and the published labels/forest are byte-identical
 //     across every cell of the matrix;
-//   * the repair-vs-rebuild rule is observable in the stats: insert-only
-//     batches repair (no Boruvka), any deletion invalidates and the next
-//     snapshot rebuilds, repeated queries at one epoch hit;
+//   * the derive / repair / rebuild rule is observable in the stats: the
+//     front ends with maintained labels derive every snapshot after the
+//     first from the previous one, inserts and deletes alike, and each
+//     derived snapshot equals a rebuild byte for byte; AGM repairs
+//     insert-only batches (no Boruvka) and rebuilds after a deletion; a
+//     throwing update or flush forces a rebuild; repeated queries at one
+//     epoch hit;
 //   * invalidation is driven by the mutation epoch bumped at the
 //     update_edges choke point, so scheduler splits, fault retries, and
 //     machine grows all invalidate — and a TransientFault rollback that
@@ -164,14 +168,11 @@ TEST(QueryCacheOracle, DynamicConnectivityMatrixMatchesOracleByteIdentically) {
           EXPECT_EQ(snap->forest, ref_forests[b]) << where << " batch " << b;
         }
       }
-      if (!with_deletes) {
-        // Insert-only: after the first publish, every refresh is a repair.
-        EXPECT_GT(dc.query_cache().stats().repairs, 0u) << where;
-        EXPECT_EQ(dc.query_cache().stats().rebuilds, 1u) << where;
-      } else {
-        EXPECT_GT(dc.query_cache().stats().rebuilds, 1u) << where;
-        EXPECT_GT(dc.query_cache().stats().invalidations, 0u) << where;
-      }
+      // Inserts and deletes alike: after the first publish, every refresh
+      // is derived from the previous snapshot, and no deletion invalidates.
+      EXPECT_GT(dc.query_cache().stats().repairs, 0u) << where;
+      EXPECT_EQ(dc.query_cache().stats().rebuilds, 1u) << where;
+      EXPECT_EQ(dc.query_cache().stats().invalidations, 0u) << where;
     }
   }
 }
@@ -256,7 +257,7 @@ TEST(QueryCacheOracle, StreamingSnapshotMatchesMaintainedStateAcrossMatrix) {
   }
 }
 
-// --- repair-vs-rebuild and hit accounting ------------------------------------
+// --- derive, repair, rebuild and hit accounting -----------------------------
 
 TEST(QueryCacheStats, HitRepairRebuildLifecycle) {
   const VertexId n = 32;
@@ -285,18 +286,21 @@ TEST(QueryCacheStats, HitRepairRebuildLifecycle) {
   // The pre-update snapshot is still readable and unchanged (immutable).
   EXPECT_FALSE(s0->connected(0, 2));
 
-  // A deletion invalidates and forces a rebuild at the next query.
+  // A deletion that splits a component: the maintained labels already
+  // hold the split, so the next query derives too — no rebuild.
   dc.apply_batch({erase_of(1, 2)});
-  EXPECT_GT(dc.query_cache().stats().invalidations, 0u);
+  EXPECT_EQ(dc.query_cache().stats().invalidations, 0u);
   const auto s2 = dc.snapshot();
-  EXPECT_EQ(dc.query_cache().stats().rebuilds, 2u);
+  EXPECT_EQ(dc.query_cache().stats().rebuilds, 1u);
+  EXPECT_EQ(dc.query_cache().stats().repairs, 2u);
   EXPECT_FALSE(s2->connected(0, 2));
   EXPECT_TRUE(s2->connected(0, 1));
+  EXPECT_EQ(s2->forest, (std::vector<Edge>{{0, 1}, {4, 5}}));
 
-  // After the rebuild, insert-only batches repair again.
   dc.apply_batch({insert_of(2, 3)});
   dc.snapshot();
-  EXPECT_EQ(dc.query_cache().stats().repairs, 2u);
+  EXPECT_EQ(dc.query_cache().stats().repairs, 3u);
+  EXPECT_EQ(dc.query_cache().stats().rebuilds, 1u);
 }
 
 TEST(QueryCacheStats, AllCancellingBatchKeepsSnapshotValid) {
@@ -704,6 +708,184 @@ TEST(QueryCacheFrontEndSeams, ThrowingFlushPoisonsRepairState) {
                              mpc::ExecMode::kSimulated, sched);
     sc.enable_async_ingest(gc);
     check(sc, "streaming");
+  }
+}
+
+TEST(QueryCacheFrontEndSeams, MalformedBatchIsRejectedBeforeAnythingIsCharged) {
+  // Two inserts of one edge in a single batch (net multiplicity 2): the
+  // batch must throw before a phase begins, a round is charged, the batch
+  // is counted or the cache is poisoned.
+  const VertexId n = 32;
+  mpc::Cluster cluster = test::make_cluster(n, 4);
+  ConnectivityConfig cc;
+  cc.sketch = sketch_config(n, 9051);
+  DynamicConnectivity dc(n, cc, &cluster);
+  dc.apply_batch({insert_of(0, 1), insert_of(2, 3)});
+  const auto snap = dc.snapshot();
+  const std::uint64_t rounds = cluster.rounds();
+  const std::uint64_t batches = dc.stats().batches;
+  const std::uint64_t epoch = dc.sketches().mutation_epoch();
+  ASSERT_TRUE(dc.query_cache().valid(epoch));
+
+  EXPECT_THROW(dc.apply_batch({insert_of(4, 5), insert_of(4, 5)}),
+               CheckError);
+  EXPECT_EQ(cluster.rounds(), rounds);
+  EXPECT_EQ(dc.stats().batches, batches);
+  EXPECT_EQ(dc.sketches().mutation_epoch(), epoch);
+  EXPECT_TRUE(dc.query_cache().valid(epoch));
+  EXPECT_EQ(dc.snapshot().get(), snap.get());
+}
+
+// --- derive path: every snapshot equals a rebuild -----------------------------
+
+// What a rebuild would publish for each front end with maintained labels:
+// its labels and its sorted spanning forest.
+std::vector<Edge> sorted_tree_edges(const DynamicConnectivity& dc) {
+  std::vector<Edge> out(dc.forest().tree_edges().begin(),
+                        dc.forest().tree_edges().end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+std::vector<Edge> sorted_tree_edges(const StreamingConnectivity& sc) {
+  return sc.spanning_forest();
+}
+
+// A mixed stream over `n` vertices whose first batches toggle forest
+// edges on three extra vertices n, n+1, n+2 (so the structure's universe
+// is n + 3): windows of 3 batches hold a link-then-cut and a
+// cut-then-relink of one edge.
+std::vector<Batch> toggling_stream(VertexId n, std::uint64_t seed) {
+  const VertexId a = n, b = n + 1, c = n + 2;
+  std::vector<Batch> stream = {
+      {insert_of(a, b)},                   // link {a,b}
+      {erase_of(a, b)},                    // cut it
+      {insert_of(a, b), insert_of(b, c)},  // relink it; link {b,c}
+      {erase_of(b, c)},                    // cut {b,c}
+      {insert_of(b, c)},                   // relink it
+      {erase_of(a, b)},                    // cut {a,b}
+  };
+  for (Batch& batch : mixed_stream(n, seed)) stream.push_back(std::move(batch));
+  return stream;
+}
+
+template <typename FrontEnd>
+void expect_snapshot_is_rebuild(FrontEnd& fe, const std::string& where) {
+  const auto snap = fe.snapshot();
+  ASSERT_NE(snap, nullptr) << where;
+  EXPECT_EQ(snap->labels, fe.labels()) << where;
+  EXPECT_EQ(snap->forest, sorted_tree_edges(fe)) << where;
+  EXPECT_EQ(snap->components(), fe.num_components()) << where;
+}
+
+TEST(QueryCacheDerive, DerivedSnapshotsEqualARebuildOnMixedStreams) {
+  const VertexId n = 48;
+  const VertexId universe = n + 3;
+  const auto stream = toggling_stream(n, 7351);
+  for (const std::size_t k : {1, 3}) {
+    const std::string where = "every " + std::to_string(k) + " batches";
+    ConnectivityConfig cc;
+    cc.sketch = sketch_config(universe, 7350);
+    DynamicConnectivity dc(universe, cc);
+    StreamingConnectivity sc(universe, sketch_config(universe, 7350));
+    dc.snapshot();
+    sc.snapshot();
+    for (std::size_t b = 0; b < stream.size(); ++b) {
+      dc.apply_batch(stream[b]);
+      sc.apply_stream(stream[b]);
+      if ((b + 1) % k != 0) continue;
+      const std::string at = where + ", batch " + std::to_string(b);
+      expect_snapshot_is_rebuild(dc, "dynamic, " + at);
+      expect_snapshot_is_rebuild(sc, "streaming, " + at);
+      EXPECT_EQ(dc.query_cache().stats().rebuilds, 1u) << at;
+      EXPECT_EQ(sc.query_cache().stats().rebuilds, 1u) << at;
+    }
+    // Deletes happened (the stream splits and rejoins components), yet no
+    // snapshot after the first was rebuilt.
+    EXPECT_GT(dc.stats().tree_deletes, 0u) << where;
+    EXPECT_GT(sc.stats().tree_deletes, 0u) << where;
+    EXPECT_EQ(dc.query_cache().stats().repairs,
+              dc.query_cache().stats().misses - 1) << where;
+  }
+}
+
+TEST(QueryCacheDerive, ThrowingUpdateOrFlushRebuildsThenDerivesAgain) {
+  const VertexId n = 48;
+  const VertexId universe = n + 3;
+  const auto stream = toggling_stream(n, 7361);
+  ConnectivityConfig cc;
+  cc.sketch = sketch_config(universe, 7360);
+  DynamicConnectivity dc(universe, cc);
+  StreamingConnectivity sc(universe, sketch_config(universe, 7360));
+  dc.snapshot();
+  sc.snapshot();
+  const std::size_t half = stream.size() / 2;
+  for (std::size_t b = 0; b < half; ++b) {
+    dc.apply_batch(stream[b]);
+    sc.apply_stream(stream[b]);
+  }
+  // An out-of-universe endpoint throws from the update path: the forest
+  // delta is poisoned, so the next serve is a full rebuild.
+  const Batch bad = {insert_of(0, universe + 4)};
+  EXPECT_THROW(dc.apply_batch(bad), CheckError);
+  EXPECT_THROW(sc.apply_stream(bad), CheckError);
+  expect_snapshot_is_rebuild(dc, "dynamic after throw");
+  expect_snapshot_is_rebuild(sc, "streaming after throw");
+  EXPECT_EQ(dc.query_cache().stats().rebuilds, 2u);
+  EXPECT_EQ(sc.query_cache().stats().rebuilds, 2u);
+  for (std::size_t b = half; b < stream.size(); ++b) {
+    dc.apply_batch(stream[b]);
+    sc.apply_stream(stream[b]);
+    expect_snapshot_is_rebuild(dc, "dynamic, batch " + std::to_string(b));
+    expect_snapshot_is_rebuild(sc, "streaming, batch " + std::to_string(b));
+  }
+  EXPECT_EQ(dc.query_cache().stats().rebuilds, 2u);
+  EXPECT_EQ(sc.query_cache().stats().rebuilds, 2u);
+
+  // A throwing flush: async ingest on a strict cluster whose s is below
+  // one star drain (the ThrowingFlushPoisonsRepairState scenario).
+  mpc::MpcConfig mc = test::small_mpc_config(64);
+  mc.machines = 64;
+  mc.local_memory_words = 64;
+  mc.strict = true;
+  mpc::SchedulerConfig sched;
+  sched.policy = mpc::SplitPolicy::kNone;
+  sched.grow = mpc::GrowPolicy::kNone;
+  GutterIngestConfig gc;
+  gc.gutter_capacity = 1024;
+  const auto check_flush = [&](auto& fe, const char* where) {
+    SCOPED_TRACE(where);
+    fe.snapshot();
+    for (VertexId v = 1; v <= 40; v += 8) {
+      Batch star;
+      for (VertexId w = v; w < v + 8; ++w) star.push_back(insert_of(0, w));
+      apply_updates(fe, star);
+    }
+    EXPECT_THROW(fe.flush_ingest(), mpc::MemoryBudgetExceeded);
+    // Rebuilt from the maintained state (the star is in the forest even
+    // though its drain was refused).  No further drain fits this cluster's
+    // s once sketches are resident, so the derive after a rebuild is
+    // checked by the throwing-update half above.
+    expect_snapshot_is_rebuild(fe, "after the throwing flush");
+    EXPECT_EQ(fe.query_cache().stats().rebuilds, 2u);
+    EXPECT_EQ(fe.query_cache().stats().repairs, 0u);
+  };
+  {
+    mpc::Cluster cluster(mc);
+    ConnectivityConfig acc;
+    acc.sketch = sketch_config(64, 7362);
+    acc.exec_mode = mpc::ExecMode::kSimulated;
+    acc.scheduler = sched;
+    acc.async_ingest = true;
+    acc.gutter = gc;
+    DynamicConnectivity adc(64, acc, &cluster);
+    check_flush(adc, "dynamic");
+  }
+  {
+    mpc::Cluster cluster(mc);
+    StreamingConnectivity asc(64, sketch_config(64, 7362), &cluster,
+                              mpc::ExecMode::kSimulated, sched);
+    asc.enable_async_ingest(gc);
+    check_flush(asc, "streaming");
   }
 }
 

@@ -7,7 +7,8 @@
 //     the snapshot versions each reader observes are monotone;
 //   * a mixed insert/delete phase checks internal consistency of every
 //     observed snapshot (idempotent labels, symmetric connected(), CSR
-//     partition) while repairs, rebuilds, and invalidations interleave;
+//     partition, a sorted spanning forest within the labels) while the
+//     writer derives each snapshot from the one readers still hold;
 //   * the ApproxMsf snapshot_view() reader path gets the same hammering.
 //
 // GTest assertions are not thread-safe everywhere, so reader threads
@@ -120,9 +121,9 @@ TEST(QueryConcurrency, ReadersSeeMonotonePrefixesOfAGrowingPath) {
 }
 
 TEST(QueryConcurrency, MixedPhaseSnapshotsStayInternallyConsistent) {
-  // Writer replays a churn stream (inserts AND deletes, so repairs,
-  // invalidations, and rebuilds all interleave with the readers); readers
-  // verify every observed snapshot is a self-consistent partition.
+  // Writer replays a churn stream (inserts AND deletes, each snapshot
+  // derived from the previous one while readers hold it); readers verify
+  // every observed snapshot is a self-consistent partition and forest.
   const VertexId n = 64;
   ConnectivityConfig cc;
   cc.sketch = sketch_config(n, 9101);
@@ -153,6 +154,15 @@ TEST(QueryConcurrency, MixedPhaseSnapshotsStayInternallyConsistent) {
         bad = snap->component(g).empty();
       }
       if (!bad) bad = members != n;
+      // The forest — merged by the writer from the previous snapshot's
+      // forest while readers may hold that one — is strictly sorted, spans
+      // every component, and joins only same-label vertices.
+      if (!bad) bad = snap->forest.size() != n - snap->components();
+      for (std::size_t i = 0; i < snap->forest.size() && !bad; ++i) {
+        const Edge& e = snap->forest[i];
+        bad = !(e.u < e.v && e.v < n) || snap->labels[e.u] != snap->labels[e.v] ||
+              (i > 0 && !(snap->forest[i - 1] < e));
+      }
       if (bad) inconsistencies.fetch_add(1, std::memory_order_relaxed);
     }
   };
@@ -176,7 +186,10 @@ TEST(QueryConcurrency, MixedPhaseSnapshotsStayInternallyConsistent) {
 
   EXPECT_EQ(inconsistencies.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
-  EXPECT_GT(cache.stats().rebuilds, 1u);  // the deletes really did rebuild
+  // Every snapshot after the first was derived, deletes included.
+  EXPECT_GT(cache.stats().repairs, 0u);
+  EXPECT_EQ(cache.stats().rebuilds, 1u);
+  EXPECT_GT(dc.stats().tree_deletes, 0u);
 }
 
 TEST(QueryConcurrency, MsfSnapshotViewIsSafeUnderRepublication) {
