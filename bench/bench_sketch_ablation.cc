@@ -106,8 +106,8 @@ void sweep_geometry() {
 //
 // The arena (sketch/arena.h) packs each cell into one 32 B record
 // {w, s_lo, s_hi, fp}.  An update touches `rows` cells out of the
-// cells_per_level in each level it reaches (the level-0 hot page for
-// ~every update, a deepening overflow page per extra level), one line per
+// cells_per_level in each level it reaches (level 0 up to the item's
+// depth, one page per level), one line per
 // touched record; a merge scans whole pages.  DESIGN.md ("Cell layout: AoS
 // record") compares these counts with the pre-switch SoA layout.
 //

@@ -153,6 +153,10 @@ std::vector<Edge> EulerTourForest::identify_path(VertexId u, VertexId v) {
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() : 0,
          cluster_ ? 2 * cluster_->machines() : 0, "euler/identify-path");
   SMPC_CHECK_MSG(same_tree(u, v), "identify_path endpoints in different trees");
+  return path_impl(u, v);
+}
+
+std::vector<Edge> EulerTourForest::path_impl(VertexId u, VertexId v) {
   std::vector<Edge> path;
   if (u == v) return path;
   make_root_impl(u);
@@ -184,20 +188,7 @@ std::vector<std::vector<Edge>> EulerTourForest::batch_identify_paths(
          "euler/batch-identify-path");
   std::vector<std::vector<Edge>> paths;
   paths.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) {
-    std::vector<Edge> path;
-    if (u != v) {
-      make_root_impl(u);
-      const std::vector<VertexId>& tour = tours_[tour_of_[u]];
-      VertexId x = v;
-      while (x != u) {
-        const VertexId p = tour[f_[x] - 1];
-        path.push_back(make_edge(p, x));
-        x = p;
-      }
-    }
-    paths.push_back(std::move(path));
-  }
+  for (const auto& [u, v] : pairs) paths.push_back(path_impl(u, v));
   return paths;
 }
 

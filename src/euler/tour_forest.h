@@ -119,6 +119,10 @@ class EulerTourForest {
  private:
   // Uncharged re-rooting; each caller's own charge covers it.
   void make_root_impl(VertexId v);
+  // Uncharged, unvalidated u..v path: re-roots at u and walks v's
+  // ancestor chain.  identify_path and batch_identify_paths charge and
+  // validate around it.
+  std::vector<Edge> path_impl(VertexId u, VertexId v);
 
   TourId alloc_tour();
   void free_tour(TourId t);

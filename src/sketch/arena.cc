@@ -10,15 +10,11 @@ namespace streammpc {
 BankArena::BankArena(VertexId n, const L0Params& params)
     : n_(n),
       levels_(params.levels()),
-      hot_levels_(params.levels() < kHotLevels ? params.levels()
-                                               : kHotLevels),
       rows_(params.shape().rows),
       cells_per_level_(params.cells_per_level()),
-      hot_cells_(cells_per_level_ * hot_levels_),
-      overflow_(levels_ - hot_levels_) {}
+      stores_(levels_) {}
 
-std::uint32_t BankArena::page_for(Store& store, VertexId v,
-                                  std::size_t cells) {
+std::uint32_t BankArena::page_for(Store& store, VertexId v) {
   if (store.page_of.empty()) store.page_of.assign(n_, kNoPage);
   std::uint32_t page = store.page_of[v];
   if (page == kNoPage) {
@@ -26,8 +22,9 @@ std::uint32_t BankArena::page_for(Store& store, VertexId v,
     store.page_of[v] = page;
     store.owner.push_back(v);
     // Fresh records value-initialize to the zero cell.
-    store.cells.resize(static_cast<std::size_t>(store.pages) * cells);
-    resident_add(v, cells * 4);
+    store.cells.resize(static_cast<std::size_t>(store.pages) *
+                       cells_per_level_);
+    resident_add(v, cells_per_level_ * 4);
   }
   return page;
 }
@@ -48,18 +45,14 @@ std::uint64_t BankArena::resident_prefix(VertexId end) const {
 }
 
 std::uint64_t BankArena::resident_counters() const {
-  const auto for_each_store = [&](const auto& fn) {
-    fn(hot_, hot_cells_);
-    for (const Store& store : overflow_) fn(store, cells_per_level_);
-  };
   if (resident_tree_.empty()) {
     // Point values from the owner lists, then each node pushes its sum to
     // its Fenwick parent: O(n + pages).
     resident_tree_.assign(n_ + std::size_t{1}, 0);
-    for_each_store([&](const Store& store, std::size_t cells) {
+    for (const Store& store : stores_) {
       for (const VertexId v : store.owner)
-        resident_tree_[std::size_t{v} + 1] += cells * 4;
-    });
+        resident_tree_[std::size_t{v} + 1] += cells_per_level_ * 4;
+    }
     for (std::size_t i = 1; i < resident_tree_.size(); ++i) {
       const std::size_t parent = i + (i & (~i + 1));
       if (parent < resident_tree_.size())
@@ -67,14 +60,10 @@ std::uint64_t BankArena::resident_counters() const {
     }
   }
   std::uint64_t mapped = 0;
-  for_each_store([&](const Store& store, std::size_t) {
+  for (const Store& store : stores_) {
     if (!store.page_of.empty()) ++mapped;
-  });
+  }
   return mapped;
-}
-
-BankArena::Store& BankArena::overflow_store(unsigned level) {
-  return overflow_[level - hot_levels_];
 }
 
 void BankArena::apply(VertexId v, Coord c, std::int64_t delta,
@@ -82,29 +71,10 @@ void BankArena::apply(VertexId v, Coord c, std::int64_t delta,
   const __int128 s_delta = static_cast<__int128>(c) * delta;
   const std::uint64_t* terms =
       negated ? plan.term_neg.data() : plan.term_pos.data();
-  // Hot prefix: one page lookup covers levels 0..min(depth, hot-1).
-  // Cell pointers are taken AFTER page_for — it may grow the record
-  // vector.
-  {
-    const std::uint32_t page = page_for(hot_, v, hot_cells_);
-    ArenaCell* cells =
-        hot_.cells.data() + static_cast<std::size_t>(page) * hot_cells_;
-    const unsigned top = plan.depth < hot_levels_ ? plan.depth
-                                                  : hot_levels_ - 1;
-    for (unsigned j = 0; j <= top; ++j) {
-      const std::uint64_t term = terms[j];
-      const std::uint32_t* offsets =
-          plan.offsets.data() + static_cast<std::size_t>(j) * rows_;
-      ArenaCell* level_cells = cells + j * cells_per_level_;
-      for (unsigned r = 0; r < rows_; ++r) {
-        level_cells[offsets[r]].add_delta(delta, s_delta, term);
-      }
-    }
-  }
-  // Rare deep levels (depth >= hot happens with probability 2^-hot).
-  for (unsigned j = hot_levels_; j <= plan.depth; ++j) {
-    Store& store = overflow_store(j);
-    const std::uint32_t page = page_for(store, v, cells_per_level_);
+  for (unsigned j = 0; j <= plan.depth; ++j) {
+    Store& store = stores_[j];
+    // The cell pointer is taken AFTER page_for — it may grow the records.
+    const std::uint32_t page = page_for(store, v);
     ArenaCell* cells =
         store.cells.data() + static_cast<std::size_t>(page) * cells_per_level_;
     const std::uint64_t term = terms[j];
@@ -117,10 +87,7 @@ void BankArena::apply(VertexId v, Coord c, std::int64_t delta,
 }
 
 void BankArena::prepare_pages(VertexId v, unsigned depth) {
-  page_for(hot_, v, hot_cells_);
-  for (unsigned j = hot_levels_; j <= depth && j < levels_; ++j) {
-    page_for(overflow_store(j), v, cells_per_level_);
-  }
+  for (unsigned j = 0; j <= depth && j < levels_; ++j) page_for(stores_[j], v);
 }
 
 void BankArena::snap_begin_store(StoreSnap& snap, const Store& store) {
@@ -132,8 +99,8 @@ void BankArena::snap_begin_store(StoreSnap& snap, const Store& store) {
   snap.fresh_candidates.clear();
 }
 
-void BankArena::snap_save_page(StoreSnap& snap, const Store& store, VertexId v,
-                               std::size_t cells) {
+void BankArena::snap_save_page(StoreSnap& snap, const Store& store,
+                               VertexId v) const {
   if (store.page_of.empty() || store.page_of[v] == kNoPage) {
     // No page yet: any page this vertex acquires lies past the watermark
     // and is deallocated wholesale on rollback.  Duplicates are harmless
@@ -152,13 +119,13 @@ void BankArena::snap_save_page(StoreSnap& snap, const Store& store, VertexId v,
   if (snap.saved_mark[page]) return;  // first save wins — it IS the pre-image
   snap.saved_mark[page] = 1;
   snap.saved_pages.push_back(page);
-  const std::size_t base = static_cast<std::size_t>(page) * cells;
+  const std::size_t base = static_cast<std::size_t>(page) * cells_per_level_;
   snap.saved_cells.insert(snap.saved_cells.end(), store.cells.begin() + base,
-                          store.cells.begin() + base + cells);
+                          store.cells.begin() + base + cells_per_level_);
 }
 
-void BankArena::snap_rollback_store(StoreSnap& snap, Store& store,
-                                    std::size_t cells) {
+void BankArena::snap_rollback_store(StoreSnap& snap, Store& store) {
+  const std::size_t cells = cells_per_level_;
   for (std::size_t i = 0; i < snap.saved_pages.size(); ++i) {
     const std::size_t dst =
         static_cast<std::size_t>(snap.saved_pages[i]) * cells;
@@ -184,27 +151,20 @@ void BankArena::snap_rollback_store(StoreSnap& snap, Store& store,
 void BankArena::snapshot_begin() {
   SMPC_CHECK_MSG(!txn_active_, "nested arena transactions are not supported");
   txn_active_ = true;
-  snap_begin_store(hot_snap_, hot_);
-  if (overflow_snap_.size() != overflow_.size())
-    overflow_snap_.resize(overflow_.size());
-  for (std::size_t i = 0; i < overflow_.size(); ++i)
-    snap_begin_store(overflow_snap_[i], overflow_[i]);
+  snaps_.resize(levels_);
+  for (unsigned j = 0; j < levels_; ++j) snap_begin_store(snaps_[j], stores_[j]);
 }
 
 void BankArena::snapshot_pages(VertexId v, unsigned depth) {
   SMPC_CHECK(txn_active_);
-  snap_save_page(hot_snap_, hot_, v, hot_cells_);
-  for (unsigned j = hot_levels_; j <= depth && j < levels_; ++j) {
-    snap_save_page(overflow_snap_[j - hot_levels_], overflow_store(j), v,
-                   cells_per_level_);
-  }
+  for (unsigned j = 0; j <= depth && j < levels_; ++j)
+    snap_save_page(snaps_[j], stores_[j], v);
 }
 
 void BankArena::rollback_pages() {
   SMPC_CHECK_MSG(txn_active_, "rollback_pages without snapshot_begin");
-  snap_rollback_store(hot_snap_, hot_, hot_cells_);
-  for (std::size_t i = 0; i < overflow_.size(); ++i)
-    snap_rollback_store(overflow_snap_[i], overflow_[i], cells_per_level_);
+  for (unsigned j = 0; j < levels_; ++j)
+    snap_rollback_store(snaps_[j], stores_[j]);
   txn_active_ = false;
 }
 
@@ -222,19 +182,16 @@ std::uint64_t BankArena::resident_words(VertexId lo, VertexId hi) const {
 
 std::uint64_t BankArena::resident_words_scan(VertexId lo, VertexId hi) const {
   SMPC_CHECK(lo <= hi && hi <= n_);
-  const auto store_words = [&](const Store& store, std::size_t cells) {
-    if (store.page_of.empty()) return std::uint64_t{0};
+  std::uint64_t words = 0;
+  for (const Store& store : stores_) {
+    if (store.page_of.empty()) continue;
     std::uint64_t pages = 0;
     for (VertexId v = lo; v < hi; ++v) {
       if (store.page_of[v] != kNoPage) ++pages;
     }
     // Same accounting as allocated_words(): 4 words per cell, half a word
     // per page-map entry.
-    return pages * cells * 4 + (hi - lo) / 2;
-  };
-  std::uint64_t words = store_words(hot_, hot_cells_);
-  for (const Store& store : overflow_) {
-    words += store_words(store, cells_per_level_);
+    words += pages * cells_per_level_ * 4 + (hi - lo) / 2;
   }
   return words;
 }
@@ -254,19 +211,15 @@ void BankArena::merge_into(const L0Params& params,
 bool BankArena::add_level(unsigned level, std::span<const VertexId> vertices,
                           std::span<OneSparseCell> out) const {
   SMPC_CHECK(level < levels_ && out.size() == cells_per_level_);
-  const Store& store = store_of(level);
+  const Store& store = stores_[level];
   if (store.page_of.empty()) return false;
-  const bool hot = level < hot_levels_;
-  const std::size_t page_cells = hot ? hot_cells_ : cells_per_level_;
-  const ArenaCell* level_cells =
-      store.cells.data() + (hot ? level * cells_per_level_ : 0);
   bool touched = false;
   for (const VertexId v : vertices) {
     SMPC_CHECK(v < n_);
     const std::uint32_t page = store.page_of[v];
     if (page == kNoPage) continue;
     const ArenaCell* cells =
-        level_cells + static_cast<std::size_t>(page) * page_cells;
+        store.cells.data() + static_cast<std::size_t>(page) * cells_per_level_;
     for (std::size_t c = 0; c < cells_per_level_; ++c)
       out[c].add_raw(cells[c].w, cells[c].s(), cells[c].fp);
     touched = true;
@@ -277,39 +230,29 @@ bool BankArena::add_level(unsigned level, std::span<const VertexId> vertices,
 L0Sampler BankArena::extract(const L0Params& params, VertexId v) const {
   SMPC_CHECK(v < n_);
   L0Sampler out;
-  const auto has_page = [v](const Store& store) {
-    return !store.page_of.empty() && store.page_of[v] != kNoPage;
-  };
-  bool touched = has_page(hot_);
-  for (const Store& store : overflow_) touched = touched || has_page(store);
-  // An untouched vertex stays a zero-allocation sampler, matching the
-  // seed accessor's behavior.
-  if (touched) merge_into(params, std::span<const VertexId>(&v, 1), out);
+  // Level 0 holds a page for every vertex any update reached (apply
+  // always starts there); an untouched vertex stays a zero-allocation
+  // sampler, matching the seed accessor's behavior.
+  if (!level_records(0, v).empty()) merge_into(params, std::span<const VertexId>(&v, 1), out);
   return out;
 }
 
 std::uint64_t BankArena::allocated_words() const {
   // A cell record is 4 words (w 1, s 2, fp 1); page maps count half a
   // word per vertex entry.  Identical accounting to the SoA layout.
-  std::uint64_t words = hot_.cells.size() * 4 + hot_.page_of.size() / 2;
-  for (const Store& store : overflow_) {
-    words += store.cells.size() * 4;
-    words += store.page_of.size() / 2;
-  }
+  std::uint64_t words = 0;
+  for (const Store& store : stores_)
+    words += store.cells.size() * 4 + store.page_of.size() / 2;
   return words;
 }
 
 std::span<const ArenaCell> BankArena::level_records(unsigned level,
                                                     VertexId v) const {
   SMPC_CHECK(level < levels_ && v < n_);
-  const Store& store = store_of(level);
+  const Store& store = stores_[level];
   if (store.page_of.empty() || store.page_of[v] == kNoPage) return {};
-  const std::size_t page_cells =
-      level < hot_levels_ ? hot_cells_ : cells_per_level_;
-  const std::size_t within =
-      level < hot_levels_ ? level * cells_per_level_ : 0;
   return {store.cells.data() +
-              static_cast<std::size_t>(store.page_of[v]) * page_cells + within,
+              static_cast<std::size_t>(store.page_of[v]) * cells_per_level_,
           cells_per_level_};
 }
 

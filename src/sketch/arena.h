@@ -4,21 +4,17 @@
 // sampler owning vector<SSparseRecovery> owning vector<OneSparseCell> —
 // three levels of pointer chasing and one small heap allocation per
 // (vertex, level) on the edge-update hot path.  The arena replaces that
-// with contiguous cell storage, split by level depth to match the
-// geometric level distribution (depth >= j with probability 2^-j, so
-// almost every update ends within the first few levels):
-//
-//   * a *hot store*: one page map (vertex -> page, kNoPage when untouched)
-//     and a packed array of ArenaCell records of per-vertex pages covering
-//     levels 0..kHotLevels-1 — cell (vertex, level, row, bucket) lives at
-//     page(vertex) * hot_cells + level * rows * buckets + row * buckets +
-//     bucket, so ~94% of updates resolve with a single map lookup into one
-//     contiguous page;
-//   * *overflow stores*: one lazily created (map + records) store per deep
-//     level >= kHotLevels, allocation granularity matching the seed's lazy
-//     per-(vertex, level) grids, so rare deep levels never force a full
-//     O(log n)-level page and total memory stays ~O(n);
-//   * empty vertices cost one kNoPage map entry and nothing else.
+// with contiguous cell storage: one *store* per sketch level, each a
+// lazily sized page map (vertex -> page, kNoPage when untouched) plus a
+// packed array of ArenaCell pages of one level's cells each — cell
+// (vertex, level, row, bucket) lives in stores[level] at
+// page(vertex) * rows * buckets + row * buckets + bucket.  An update of
+// depth d touches the pages of levels 0..d (depth >= j with probability
+// 2^-j), so a vertex holds a page at a level only once some coordinate
+// reached it: allocation granularity matches the seed's lazy
+// per-(vertex, level) grids, a level nobody reaches costs nothing, and
+// total memory stays ~O(n).  An empty vertex costs one kNoPage entry in
+// each mapped level's map and nothing else.
 //
 // Cell layout is AoS (one 32-byte record per cell) rather than the
 // earlier three SoA parallel arrays: an edge update touches every field
@@ -89,12 +85,12 @@ class BankArena {
              bool negated);
 
   // Allocates (if absent) every page an apply(v, ...) of depth `depth`
-  // would touch: the hot page plus the overflow pages of levels
-  // [hot, depth].  Mirrors apply's first-touch allocation sequence exactly,
-  // so a serial preparation pass in canonical order yields the same page
-  // numbering as serial ingest — after which apply() on prepared vertices
-  // performs no allocation and concurrent apply() calls on DISJOINT
-  // vertex sets are race-free (they write disjoint, pre-sized cells).
+  // would touch: vertex v's pages at levels 0..depth.  Mirrors apply's
+  // first-touch allocation sequence exactly, so a serial preparation pass
+  // in canonical order yields the same page numbering as serial ingest —
+  // after which apply() on prepared vertices performs no allocation and
+  // concurrent apply() calls on DISJOINT vertex sets are race-free (they
+  // write disjoint, pre-sized cells).
   // This is what makes the Simulator's (machine, bank) grid cells
   // schedulable in any order while staying byte-identical to serial
   // machine-by-machine ingest.
@@ -202,7 +198,7 @@ class BankArena {
   // populated).  A level nobody reaches is all zero for every vertex set,
   // so the kernel skips it for all groups at once.
   bool level_mapped(unsigned level) const {
-    return !store_of(level).page_of.empty();
+    return !stores_[level].page_of.empty();
   }
 
   // Copy of one vertex's sampler (zero sampler if the vertex is untouched).
@@ -211,27 +207,28 @@ class BankArena {
   // Hints an upcoming edge's hot-path lines into cache; the ingest loop
   // calls this one edge ahead so the loads overlap with the current
   // edge's hash computation.  Two-stage: the page-map entries first, then
-  // — when the endpoints already own hot pages — the first cell record of
-  // each page, so the record line streams in behind the map line.  The
+  // — when the endpoints already own level-0 pages — the first cell record
+  // of each page, so the record line streams in behind the map line.  The
   // map reads here are plain loads (safe: a non-empty map is fully
   // sized), typically hitting the line the previous edge's map prefetch
   // pulled.
   void prefetch_hot(Edge e) const {
-    if (hot_.page_of.empty()) return;
-    const std::uint32_t* map = hot_.page_of.data();
+    const Store& level0 = stores_[0];
+    if (level0.page_of.empty()) return;
+    const std::uint32_t* map = level0.page_of.data();
     __builtin_prefetch(map + e.u);
     __builtin_prefetch(map + e.v);
-    const ArenaCell* cells = hot_.cells.data();
+    const ArenaCell* cells = level0.cells.data();
     const std::uint32_t pu = map[e.u];
     const std::uint32_t pv = map[e.v];
     if (pu != kNoPage)
-      __builtin_prefetch(cells + static_cast<std::size_t>(pu) * hot_cells_);
+      __builtin_prefetch(cells + std::size_t{pu} * cells_per_level_);
     if (pv != kNoPage)
-      __builtin_prefetch(cells + static_cast<std::size_t>(pv) * hot_cells_);
+      __builtin_prefetch(cells + std::size_t{pv} * cells_per_level_);
   }
 
   // Exact-cell prefetch for a PLANNED upcoming update: hints, with write
-  // intent, every record — hot and overflow — that apply(e.v)/apply(e.u)
+  // intent, every record at every level that apply(e.v)/apply(e.u)
   // with this plan will touch.  This is the strong form of the ingest hint the AoS record
   // makes worthwhile: one 32-byte record per (level, row) is one line, so
   // the plan's offsets name the exact lines — under SoA the same
@@ -240,10 +237,10 @@ class BankArena {
   // for item i+1 BEFORE hashing its plan and this AFTER, so the map
   // demand-reads here land on lines already in flight and the record
   // lines arrive while item i applies.
-  // Deepening this hint from "overflow map only" to the exact overflow
+  // Deepening this hint from "deep-level maps only" to the exact deep-level
   // records is what moved the measured layout speedup from ~1.2x to
-  // ~1.7x: about half the items carry depth >= 1, and their overflow
-  // cell misses otherwise serialize behind the hot-level applies.  The
+  // ~1.7x: about half the items carry depth >= 1, and their deep-level
+  // cell misses otherwise serialize behind the level-0 applies.  The
   // level walk goes through level_records on purpose — one page lookup
   // and one branch per (level, endpoint) ahead of a straight-line
   // prefetch burst measured faster than per-row page-presence tests.
@@ -277,14 +274,12 @@ class BankArena {
 
  private:
   static constexpr std::uint32_t kNoPage = ~0u;
-  // Levels resolved through the single hot page map; depth >= kHotLevels
-  // has probability 2^-kHotLevels.
-  static constexpr unsigned kHotLevels = 1;
 
-  // One page map plus packed cell-record pages of `cells` records each.
+  // One level's page map plus packed cell-record pages of
+  // cells_per_level_ records each.
   struct Store {
     std::vector<std::uint32_t> page_of;  // [vertex] -> page index or kNoPage
-    std::vector<ArenaCell> cells;        // [page * cells + cell]
+    std::vector<ArenaCell> cells;        // [page * cells_per_level_ + cell]
     std::vector<VertexId> owner;  // [page] -> owning vertex (reverse map)
     std::uint32_t pages = 0;
   };
@@ -297,20 +292,14 @@ class BankArena {
     bool had_map = false;         // page_of was populated at snapshot_begin
     std::vector<char> saved_mark;            // [page < watermark] image saved
     std::vector<std::uint32_t> saved_pages;  // pages with saved images
-    std::vector<ArenaCell> saved_cells;      // images, `cells` records/page
+    std::vector<ArenaCell> saved_cells;      // images, one page each
     std::vector<VertexId> fresh_candidates;  // had no page at snapshot time
   };
 
-  std::uint32_t page_for(Store& store, VertexId v, std::size_t cells);
-  Store& overflow_store(unsigned level);
-  // The store holding `level` (the hot store for level < hot_levels_).
-  const Store& store_of(unsigned level) const {
-    return level < hot_levels_ ? hot_ : overflow_[level - hot_levels_];
-  }
+  std::uint32_t page_for(Store& store, VertexId v);
   static void snap_begin_store(StoreSnap& snap, const Store& store);
-  static void snap_save_page(StoreSnap& snap, const Store& store, VertexId v,
-                             std::size_t cells);
-  void snap_rollback_store(StoreSnap& snap, Store& store, std::size_t cells);
+  void snap_save_page(StoreSnap& snap, const Store& store, VertexId v) const;
+  void snap_rollback_store(StoreSnap& snap, Store& store);
   // Resident-word counters (see resident_words): add `words` (modulo 2^64,
   // so a negated count subtracts) at vertex v — a no-op until the tree is
   // built — and the tree's sum over [0, end).  resident_counters() builds
@@ -322,19 +311,15 @@ class BankArena {
 
   VertexId n_;
   unsigned levels_;
-  unsigned hot_levels_;  // min(kHotLevels, levels_)
   unsigned rows_;
   std::size_t cells_per_level_;
-  std::size_t hot_cells_;  // hot_levels_ * cells_per_level_
-  Store hot_;              // levels 0..hot_levels_-1, map sized on demand
-  std::vector<Store> overflow_;  // [level - hot_levels_], maps lazily sized
+  std::vector<Store> stores_;  // [level], maps sized on first page
   CoordPlan plan_;
   // Fenwick tree (1-based, n_ + 1 entries once built; empty until the
   // first resident query) over each vertex's cell words.
   mutable std::vector<std::uint64_t> resident_tree_;
   bool txn_active_ = false;
-  StoreSnap hot_snap_;
-  std::vector<StoreSnap> overflow_snap_;  // lazily sized to overflow_.size()
+  std::vector<StoreSnap> snaps_;  // [level], sized by the first snapshot
 };
 
 }  // namespace streammpc

@@ -107,11 +107,10 @@ std::uint64_t VertexSketches::update_edges(const mpc::RoutedBatch& routed,
   return applied;
 }
 
-void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed) {
+void VertexSketches::walk_pages(const mpc::RoutedBatch& routed,
+                                PageCall per_endpoint, BankCall per_bank) {
   const std::size_t count = routed.items.size();
-  cells_ready_batch_ = nullptr;
-  cells_ready_items_ = kCellsNotReady;
-  // Validate and encode every item before any page is allocated, so a bad
+  // Validate and encode every item before any arena is touched, so a bad
   // edge throws with the arenas untouched (the same contract as
   // ingest_items).
   coord_scratch_.resize(count);
@@ -120,38 +119,45 @@ void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed) {
     SMPC_CHECK(e.u < e.v && e.v < n_);
     coord_scratch_[i] = codec_.encode(e);
   }
-  // Two plan buffers per (machine, bank) cell: ingest_cell's pipelined
-  // loop double-buffers the current and lookahead CoordPlans.
-  const std::size_t cells =
-      static_cast<std::size_t>(routed.machines()) * banks() * 2;
-  if (cell_plans_.size() < cells) cell_plans_.resize(cells);
-  // Page preparation, one independent pass per bank.  The CSR already
-  // stores items grouped by machine in ascending order, so a linear walk
-  // IS the canonical machine-major first-touch sequence of serial ingest;
-  // within an item the endpoints and levels are touched in exactly
-  // apply()'s order (max endpoint first, hot page, then deepening
-  // overflow).  Banks share nothing, so fanning the pass across the pool
-  // cannot change any bank's allocation sequence.
-  const auto prepare_bank = [&](std::size_t b) {
+  // One independent pass per bank.  The CSR already stores items grouped
+  // by machine in ascending order, so a linear walk IS the canonical
+  // machine-major first-touch sequence of serial ingest; within an item
+  // the endpoints and levels are visited in exactly apply()'s order (max
+  // endpoint first, level 0 up to the item's depth).  Banks share
+  // nothing, so fanning the pass across the pool cannot change any bank's
+  // page sequence.
+  const auto walk_bank = [&](std::size_t b) {
     BankArena& arena = arenas_[b];
     const L0Params& params = params_[b];
+    if (per_bank != nullptr) (arena.*per_bank)();
     for (std::size_t i = 0; i < count; ++i) {
       const mpc::RoutedBatch::Item& item = routed.items[i];
       if (item.delta.delta == 0 || item.endpoints == 0) continue;
       const unsigned depth = params.depth_of(coord_scratch_[i]);
       if (item.endpoints & mpc::RoutedBatch::kEndpointV)
-        arena.prepare_pages(item.delta.e.v, depth);
+        (arena.*per_endpoint)(item.delta.e.v, depth);
       if (item.endpoints & mpc::RoutedBatch::kEndpointU)
-        arena.prepare_pages(item.delta.e.u, depth);
+        (arena.*per_endpoint)(item.delta.e.u, depth);
     }
   };
   if (ThreadPool* p = pool(count)) {
-    p->parallel_for(banks(), prepare_bank);
+    p->parallel_for(banks(), walk_bank);
   } else {
-    for (unsigned b = 0; b < banks(); ++b) prepare_bank(b);
+    for (unsigned b = 0; b < banks(); ++b) walk_bank(b);
   }
+}
+
+void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed) {
+  cells_ready_batch_ = nullptr;
+  cells_ready_items_ = kCellsNotReady;
+  // Two plan buffers per (machine, bank) cell: ingest_cell's pipelined
+  // loop double-buffers the current and lookahead CoordPlans.
+  const std::size_t cells =
+      static_cast<std::size_t>(routed.machines()) * banks() * 2;
+  if (cell_plans_.size() < cells) cell_plans_.resize(cells);
+  walk_pages(routed, &BankArena::prepare_pages);
   cells_ready_batch_ = &routed;
-  cells_ready_items_ = count;
+  cells_ready_items_ = routed.items.size();
 }
 
 std::uint64_t VertexSketches::ingest_cell(std::uint64_t machine, unsigned bank,
@@ -201,35 +207,8 @@ std::uint64_t VertexSketches::ingest_cell(std::uint64_t machine, unsigned bank,
 }
 
 void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed) {
-  const std::size_t count = routed.items.size();
-  // Same validate-and-encode pass as begin_routed_cells (which re-runs it
-  // identically afterwards) — a bad edge must throw before any page is
-  // saved, and the snapshot needs each item's depth.
-  coord_scratch_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Edge e = routed.items[i].delta.e;
-    SMPC_CHECK(e.u < e.v && e.v < n_);
-    coord_scratch_[i] = codec_.encode(e);
-  }
-  const auto snapshot_bank = [&](std::size_t b) {
-    BankArena& arena = arenas_[b];
-    const L0Params& params = params_[b];
-    arena.snapshot_begin();
-    for (std::size_t i = 0; i < count; ++i) {
-      const mpc::RoutedBatch::Item& item = routed.items[i];
-      if (item.delta.delta == 0 || item.endpoints == 0) continue;
-      const unsigned depth = params.depth_of(coord_scratch_[i]);
-      if (item.endpoints & mpc::RoutedBatch::kEndpointV)
-        arena.snapshot_pages(item.delta.e.v, depth);
-      if (item.endpoints & mpc::RoutedBatch::kEndpointU)
-        arena.snapshot_pages(item.delta.e.u, depth);
-    }
-  };
-  if (ThreadPool* p = pool(count)) {
-    p->parallel_for(banks(), snapshot_bank);
-  } else {
-    for (unsigned b = 0; b < banks(); ++b) snapshot_bank(b);
-  }
+  // begin_routed_cells re-runs the same walk (and encoding) afterwards.
+  walk_pages(routed, &BankArena::snapshot_pages, &BankArena::snapshot_begin);
 }
 
 void VertexSketches::rollback_transaction() {

@@ -126,8 +126,8 @@ class VertexSketches {
   //
   // begin_routed_cells() validates and encodes every routed item once and
   // pre-allocates — in the canonical order serial ingest would use
-  // (machine-ascending, batch order, max endpoint first, hot page then
-  // deepening overflow levels) — every arena page any cell will touch.
+  // (machine-ascending, batch order, max endpoint first, level 0 up to
+  // the item's depth) — every arena page any cell will touch.
   // The pass is independent per bank and may fan out across the ingest
   // pool; page numbering never depends on the thread count.  After it
   // returns, the arenas are fully sized and ingest_cell() performs no
@@ -280,6 +280,17 @@ class VertexSketches {
   std::uint64_t nominal_words_per_vertex() const;
 
  private:
+  // The canonical page walk shared by begin_routed_cells (prepare_pages)
+  // and begin_transaction (snapshot_pages): validates and encodes every
+  // item into coord_scratch_ (a bad edge throws before any arena is
+  // touched), then, per bank and fanned across the pool, calls
+  // `per_bank` (when given) once and `per_endpoint(v, depth)` for every
+  // owned endpoint of every live item in first-touch order.
+  using PageCall = void (BankArena::*)(VertexId, unsigned);
+  using BankCall = void (BankArena::*)();
+  void walk_pages(const mpc::RoutedBatch& routed, PageCall per_endpoint,
+                  BankCall per_bank = nullptr);
+
   // The fused kernel behind sample_boundary / sample_boundaries, writing
   // one sample per group into `out` (out.size() == groups).
   void sample_groups(unsigned bank, std::span<const VertexId> members,

@@ -567,8 +567,8 @@ void expect_counters_match_scan(const VertexSketches& vs,
 }
 
 // Levels (over all banks) holding at least one page.  On an arena that was
-// never reset or rolled back, an overflow store's map is populated exactly
-// when its level holds a page.
+// never reset or rolled back, a level's page map is populated exactly
+// when the level holds a page.
 std::size_t populated_levels(const VertexSketches& vs) {
   std::size_t populated = 0;
   for (unsigned b = 0; b < vs.banks(); ++b) {
@@ -608,7 +608,7 @@ TEST(ResidentAccounting, CountersMatchScan) {
     expect_counters_match_scan(run.sketches, "simulated");
   }
 
-  // Fault rollback of a batch that first populates overflow maps: the
+  // Fault rollback of a batch that first populates deep-level maps: the
   // rollback frees the batch's pages and clears those maps (the !had_map
   // path), and the counters must drop back with them.
   {

@@ -804,5 +804,83 @@ TEST(CellLayout, RollbackRestoresRecordsByteExactly) {
   test::expect_identical_records(arena, twin, n);
 }
 
+// Independent count of one arena's memory from its records alone: per
+// level, the vertices holding a page there times cells_per_level records
+// of 4 words each, plus half a word per page-map entry (n / 2) for every
+// level at which any vertex holds a page.
+std::uint64_t counted_words(const BankArena& arena, VertexId n,
+                            std::size_t cells_per_level) {
+  std::uint64_t words = 0;
+  for (unsigned level = 0; level < arena.levels(); ++level) {
+    std::uint64_t pages = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!arena.level_records(level, v).empty()) ++pages;
+    }
+    if (pages > 0) words += pages * cells_per_level * 4 + n / 2;
+  }
+  return words;
+}
+
+TEST(MemoryAccounting, AllocatedWordsMatchesPerLevelPageCount) {
+  // allocated_words() feeds memory_over_nlog3n; pin it (and the resident
+  // scan) to a count that depends on no layout detail beyond which
+  // (vertex, level) pairs hold a page.
+  const VertexId n = 200;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 9091;
+  const std::size_t cells_per_level =
+      std::size_t{cfg.shape.rows} * cfg.shape.buckets;
+  const auto deltas = random_deltas(n, 1500, 31);
+  const std::span<const EdgeDelta> all(deltas);
+  const auto expect_counted = [&](const VertexSketches& sketches,
+                                  const char* what) {
+    std::uint64_t total = 0;
+    unsigned deep_levels = 0;
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+      const BankArena& arena = sketches.arena(b);
+      const std::uint64_t counted = counted_words(arena, n, cells_per_level);
+      EXPECT_EQ(arena.allocated_words(), counted) << what << " bank " << b;
+      EXPECT_EQ(arena.resident_words_scan(0, n), counted)
+          << what << " bank " << b;
+      for (unsigned level = 1; level < arena.levels(); ++level)
+        deep_levels += arena.level_mapped(level);
+      total += counted;
+    }
+    EXPECT_EQ(sketches.allocated_words(), total) << what;
+    EXPECT_GT(deep_levels, 0u) << what << ": no page beyond level 0";
+  };
+
+  VertexSketches flat(n, cfg);
+  flat.update_edges(all);
+  expect_counted(flat, "flat");
+
+  mpc::Cluster cluster = make_cluster(n, 8);
+  mpc::RoutedBatch routed;
+  VertexSketches via_router(n, cfg);
+  for (std::size_t start = 0; start < deltas.size(); start += 100) {
+    cluster.route_batch(all.subspan(start, std::min<std::size_t>(
+                                               100, deltas.size() - start)),
+                        n, routed);
+    via_router.update_edges(routed);
+  }
+  expect_counted(via_router, "routed");
+
+  // Half the stream committed, the other half applied and rolled back:
+  // the count must see exactly the committed half's pages.
+  VertexSketches rolled(n, cfg);
+  VertexSketches committed(n, cfg);
+  const std::size_t half = deltas.size() / 2;
+  rolled.update_edges(all.first(half));
+  committed.update_edges(all.first(half));
+  cluster.route_batch(all.subspan(half), n, routed);
+  rolled.begin_transaction(routed);
+  rolled.update_edges(routed);
+  rolled.rollback_transaction();
+  expect_counted(rolled, "rolled back");
+  EXPECT_EQ(rolled.allocated_words(), committed.allocated_words());
+  EXPECT_LT(rolled.allocated_words(), flat.allocated_words());
+}
+
 }  // namespace
 }  // namespace streammpc
