@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/check.h"
 #include "euler/tour_forest.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -15,10 +16,26 @@
 namespace streammpc {
 namespace {
 
-void join_ablation() {
+// The same partition and tree edges; the tours may differ.
+bool same_partition(const EulerTourForest& a, const EulerTourForest& b) {
+  if (a.tree_edges() != b.tree_edges()) return false;
+  for (VertexId v = 0; v < a.n(); ++v) {
+    if (a.tree_size(v) != b.tree_size(v) ||
+        !b.same_tree(v, a.tree_members(v).front())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Returns false when a batch join leaves an invalid forest, or one whose
+// partition or tree edges differ from the same joins done one at a time.
+bool join_ablation() {
   bench::section("E9a: batch join vs k sequential joins (n = 2048)",
                  "batch = O(1) rounds; sequential = Theta(k) rounds");
-  Table t({"k", "batch rounds", "sequential rounds", "speedup"});
+  Table t({"k", "batch rounds", "sequential rounds", "speedup",
+           "same partition"});
+  bool agree = true;
   for (const std::size_t k : {4u, 16u, 64u, 256u, 1024u}) {
     Rng rng(9800 + k);
     const VertexId n = 2048;
@@ -44,6 +61,13 @@ void join_ablation() {
     mpc::Cluster seq_cluster(mc);
     EulerTourForest sequential(n, &seq_cluster);
     sequential.sequential_link(links);
+    bool same = same_partition(batched, sequential);
+    try {
+      batched.validate();
+    } catch (const CheckError&) {
+      same = false;
+    }
+    agree = agree && same;
 
     t.add_row()
         .cell(static_cast<std::uint64_t>(k))
@@ -52,9 +76,11 @@ void join_ablation() {
         .cell(static_cast<double>(seq_cluster.rounds()) /
                   static_cast<double>(std::max<std::uint64_t>(
                       1, batched_cluster.rounds())),
-              1);
+              1)
+        .cell(same ? "yes" : "NO");
   }
   t.print(std::cout);
+  return agree;
 }
 
 // The same forest state, TourIds included.
@@ -122,10 +148,14 @@ bool split_ablation() {
 
 int main() {
   std::cout << "E9 — Euler-tour batch operations ablation (§6.2)\n";
-  streammpc::join_ablation();
-  if (!streammpc::split_ablation()) {
-    std::cerr << "E9b: batch split and sequential splits disagree\n";
-    return 1;
+  const bool joins_ok = streammpc::join_ablation();
+  const bool splits_ok = streammpc::split_ablation();
+  if (!joins_ok) {
+    std::cerr << "E9a: batch join is invalid or its partition differs "
+                 "from sequential joins\n";
   }
-  return 0;
+  if (!splits_ok) {
+    std::cerr << "E9b: batch split and sequential splits disagree\n";
+  }
+  return joins_ok && splits_ok ? 0 : 1;
 }

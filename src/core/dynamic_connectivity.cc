@@ -357,13 +357,6 @@ std::vector<std::vector<VertexId>> DynamicConnectivity::components() {
   return out;
 }
 
-std::vector<Edge> DynamicConnectivity::spanning_forest() const {
-  std::vector<Edge> out(forest_.tree_edges().begin(),
-                        forest_.tree_edges().end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::uint64_t DynamicConnectivity::memory_words() const {
   return sketches_.allocated_words() + forest_.words() + n_;
 }

@@ -125,7 +125,9 @@ class DynamicConnectivity {
     return labels_[u] == labels_[v];
   }
   std::size_t num_components() const { return forest_.num_trees(); }
-  std::vector<Edge> spanning_forest() const;  // sorted
+  std::vector<Edge> spanning_forest() const {  // sorted
+    return forest_.sorted_tree_edges();
+  }
 
   // Batch of connectivity queries (à la [DDK+20]): up to ~O(n^phi) pairs
   // answered in O(1) rounds (route pairs to label holders, sort back).

@@ -1,7 +1,6 @@
 #include "core/streaming_connectivity.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/check.h"
 
@@ -14,9 +13,8 @@ StreamingConnectivity::StreamingConnectivity(
     : n_(n),
       sketches_(n, sketch),
       ingest_(n, sketches_, cluster, mode, scheduler, 0, fault_injector),
-      forest_adj_(n),
-      labels_(n),
-      components_(n) {
+      forest_(n),
+      labels_(n) {
   for (VertexId v = 0; v < n; ++v) labels_[v] = v;
 }
 
@@ -26,31 +24,6 @@ void StreamingConnectivity::apply(const Update& update) {
   } else {
     erase(update.e.u, update.e.v);
   }
-}
-
-std::vector<VertexId> StreamingConnectivity::collect_tree(VertexId u) const {
-  std::vector<VertexId> out{u};
-  std::vector<char> seen(n_, 0);
-  seen[u] = 1;
-  std::queue<VertexId> q;
-  q.push(u);
-  while (!q.empty()) {
-    const VertexId x = q.front();
-    q.pop();
-    for (const VertexId y : forest_adj_[x]) {
-      if (!seen[y]) {
-        seen[y] = 1;
-        out.push_back(y);
-        q.push(y);
-      }
-    }
-  }
-  return out;
-}
-
-void StreamingConnectivity::relabel(const std::vector<VertexId>& vertices,
-                                    VertexId label) {
-  for (const VertexId v : vertices) labels_[v] = label;
 }
 
 void StreamingConnectivity::apply_stream(std::span<const Update> updates) {
@@ -75,11 +48,13 @@ void StreamingConnectivity::apply_stream(std::span<const Update> updates) {
       pending.push_back(EdgeDelta{e, +1});
       insert_forest(e.u, e.v);
     } else {
+      // A rejected deletion keeps the prefix applied, sketches included.
+      if (labels_[e.u] != labels_[e.v]) flush();
       SMPC_CHECK_MSG(labels_[e.u] == labels_[e.v],
                      "deleting an edge whose endpoints are disconnected");
       ++stats_.deletes;
       pending.push_back(EdgeDelta{e, -1});
-      if (forest_adj_[e.u].count(e.v) > 0) flush();  // cut query ahead
+      if (forest_.is_tree_edge(e)) flush();  // cut query ahead
       erase_forest(e.u, e.v);
     }
   }
@@ -102,14 +77,11 @@ void StreamingConnectivity::insert_forest(VertexId u, VertexId v) {
   if (labels_[u] == labels_[v]) return;  // non-tree edge
   // Merge: the side with the larger label adopts the smaller one (the
   // component id stays the minimum vertex id of the component).
-  forest_adj_[e.u].insert(e.v);
-  forest_adj_[e.v].insert(e.u);
-  ++forest_edges_;
-  query_cache().note_link(e);  // the snapshot's forest delta
   const VertexId keep = std::min(labels_[u], labels_[v]);
-  const VertexId losing = labels_[u] == keep ? v : u;
-  relabel(collect_tree(losing), keep);
-  --components_;
+  for (const VertexId x : forest_.tree_members(labels_[u] == keep ? v : u))
+    labels_[x] = keep;
+  forest_.link(u, v);
+  query_cache().note_link(e);  // the snapshot's forest delta
 }
 
 void StreamingConnectivity::erase(VertexId u, VertexId v) {
@@ -126,17 +98,10 @@ void StreamingConnectivity::erase(VertexId u, VertexId v) {
 
 void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
   const Edge e = make_edge(u, v);
-  const auto it = forest_adj_[e.u].find(e.v);
-  if (it == forest_adj_[e.u].end()) return;  // non-tree edge: done
+  if (!forest_.is_tree_edge(e)) return;  // non-tree edge: done
   ++stats_.tree_deletes;
-  forest_adj_[e.u].erase(it);
-  forest_adj_[e.v].erase(e.u);
-  --forest_edges_;
+  forest_.cut(u, v);  // leaves Z_u and Z_v of §4.2 as two trees
   query_cache().note_cut(e);
-
-  // Components Z_u and Z_v of F after the split (§4.2).
-  const auto zu = collect_tree(u);
-  const auto zv = collect_tree(v);
 
   // The cut query below reads the sketches: every buffered delta (this
   // deletion's own -1 included) must be resident first.
@@ -145,14 +110,20 @@ void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
   // (Observation 4.3); rotate banks so consecutive deletions use fresh
   // randomness.
   const unsigned bank = next_bank_++ % sketches_.banks();
-  const auto replacement = sketches_.sample_boundary(
-      bank, std::span<const VertexId>(zu.data(), zu.size()));
+  const auto replacement =
+      sketches_.sample_boundary(bank, forest_.tree_members(u));
   if (replacement.has_value()) {
+    // Z_u and Z_v made up one component, so a true boundary edge of Z_u
+    // leads into Z_v; anything else is a sampler false positive.
+    const Edge r = *replacement;
+    const bool joins =
+        forest_.same_tree(r.u, u)
+            ? forest_.same_tree(r.v, v)
+            : forest_.same_tree(r.u, v) && forest_.same_tree(r.v, u);
+    SMPC_CHECK_MSG(joins, "sampled replacement edge does not join Z_u to Z_v");
     ++stats_.replacements_found;
-    forest_adj_[replacement->u].insert(replacement->v);
-    forest_adj_[replacement->v].insert(replacement->u);
-    ++forest_edges_;
-    query_cache().note_link(*replacement);
+    forest_.link(r.u, r.v);
+    query_cache().note_link(r);
     // Labels are unchanged: the component stayed whole (Algorithm 3's
     // else-if branch keeps C identical).
     return;
@@ -160,25 +131,11 @@ void StreamingConnectivity::erase_forest(VertexId u, VertexId v) {
   // No replacement: the component splits; both sides take their minimum
   // vertex id as the new label (Algorithm 3 lines 9-13).
   ++stats_.splits;
-  ++components_;
-  relabel(zu, *std::min_element(zu.begin(), zu.end()));
-  relabel(zv, *std::min_element(zv.begin(), zv.end()));
-}
-
-std::vector<Edge> StreamingConnectivity::spanning_forest() const {
-  std::vector<Edge> out;
-  out.reserve(forest_edges_);
-  for (VertexId u = 0; u < n_; ++u) {
-    for (const VertexId v : forest_adj_[u]) {
-      if (u < v) out.push_back(Edge{u, v});
-    }
+  for (const VertexId side : {u, v}) {
+    const std::vector<VertexId>& z = forest_.tree_members(side);
+    const VertexId label = *std::min_element(z.begin(), z.end());
+    for (const VertexId x : z) labels_[x] = label;
   }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool StreamingConnectivity::is_tree_edge(Edge e) const {
-  return forest_adj_[e.u].count(e.v) > 0;
 }
 
 QueryCache::SnapshotPtr StreamingConnectivity::snapshot() {
@@ -191,7 +148,7 @@ QueryCache::SnapshotPtr StreamingConnectivity::snapshot() {
 }
 
 std::uint64_t StreamingConnectivity::memory_words() const {
-  return sketches_.allocated_words() + 2 * forest_edges_ + n_;
+  return sketches_.allocated_words() + forest_.words() + n_;
 }
 
 }  // namespace streammpc

@@ -3,7 +3,9 @@
 // and the algorithm Section 5 then implements in MPC.
 //
 // State (§4.2): component ids C[v] (minimum vertex id of the component),
-// an explicit spanning forest F, and a linear AGM sketch per vertex.
+// an explicit spanning forest F, and a linear AGM sketch per vertex.  F is
+// an uncharged EulerTourForest (the structure §5 distributes), so a tree's
+// vertex set — the Z_u of a deletion — is read off its tour, not searched.
 //
 //   Insert {u,v} (Algorithm 2): update the endpoint sketches; if the
 //   components differ, add {u,v} to F and relabel the losing side.
@@ -27,11 +29,11 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
 #include "core/sketch_frontend.h"
+#include "euler/tour_forest.h"
 #include "graph/types.h"
 #include "sketch/graphsketch.h"
 
@@ -74,10 +76,12 @@ class StreamingConnectivity {
   //
   // Preconditions: endpoints < n() (checked for the whole segment before
   // any update applies); deletions only of edges whose endpoints are
-  // currently connected (a valid stream).  Not thread-safe against
-  // concurrent mutation or queries.  Deterministic: for a fixed sketch
-  // seed, the resulting forest/labels are identical to per-update apply()
-  // processing, with or without an attached cluster.
+  // currently connected (a valid stream).  A deletion that breaks this
+  // throws CheckError and leaves the segment's prefix before it applied,
+  // sketch deltas included, as a per-update apply() loop would.  Not
+  // thread-safe against concurrent mutation or queries.  Deterministic:
+  // for a fixed sketch seed, the resulting forest/labels are identical to
+  // per-update apply() processing, with or without an attached cluster.
   void apply_stream(std::span<const Update> updates);
 
   // Async ingest front door (ingest/gutter_ingest.h): after this, sketch
@@ -103,10 +107,15 @@ class StreamingConnectivity {
   bool same_component(VertexId u, VertexId v) const {
     return labels_[u] == labels_[v];
   }
-  std::size_t num_components() const { return components_; }
+  std::size_t num_components() const { return forest_.num_trees(); }
   const std::vector<VertexId>& labels() const { return labels_; }
-  std::vector<Edge> spanning_forest() const;  // sorted
-  bool is_tree_edge(Edge e) const;
+  std::vector<Edge> spanning_forest() const {  // sorted
+    return forest_.sorted_tree_edges();
+  }
+  bool is_tree_edge(Edge e) const {
+    return forest_.is_tree_edge(make_edge(e.u, e.v));
+  }
+  const EulerTourForest& forest() const { return forest_; }
 
   // Serve-heavy path (core/query_cache.h): immutable snapshot of
   // labels/forest/components for lock-free concurrent readers, derived
@@ -133,9 +142,6 @@ class StreamingConnectivity {
   const mpc::Simulator* simulator() const { return ingest_.simulator(); }
 
  private:
-  // Collects the vertices of u's tree in F via BFS (the Z_u of §4.2).
-  std::vector<VertexId> collect_tree(VertexId u) const;
-  void relabel(const std::vector<VertexId>& vertices, VertexId label);
   // Forest-only halves of insert/erase, shared by the single-update and
   // buffered-stream paths (the sketch delta is applied separately).
   void insert_forest(VertexId u, VertexId v);
@@ -150,10 +156,8 @@ class StreamingConnectivity {
   VertexSketches sketches_;
   // After sketches_: its destructor's implicit flush writes them.
   SketchFrontend ingest_;
-  std::vector<std::set<VertexId>> forest_adj_;
+  EulerTourForest forest_;
   std::vector<VertexId> labels_;
-  std::size_t components_;
-  std::size_t forest_edges_ = 0;
   unsigned next_bank_ = 0;
   Stats stats_;
 };

@@ -5,10 +5,12 @@
 // every non-root tree is rooted at its parent-facing terminal, and each
 // child tour (wrapped in the descent/ascent entries of its connecting
 // edge) is spliced into its parent tour right after the first occurrence
-// of the parent-side terminal.  This is the sequence-level effect of the
-// paper's four shift-index/update-index message cases; the whole batch
-// costs O(1) MPC rounds (Lemma 6.4) versus Theta(k) for k sequential
-// joins — quantified in bench_euler_ablation.
+// of the parent-side terminal (appended when that terminal is the root).
+// One forward pass with a stack of open trees emits the whole composed
+// tour.  This is the sequence-level effect of the paper's four
+// shift-index/update-index message cases; the whole batch costs O(1) MPC
+// rounds (Lemma 6.4) versus Theta(k) for k sequential joins — quantified
+// in bench_euler_ablation.
 //
 // batch_cut is the inverse: it splits each affected tour in one sweep,
 // dropping every cut edge's descent and ascent pairs and routing the
@@ -19,149 +21,147 @@
 
 #include "common/check.h"
 #include "euler/tour_forest.h"
-#include "graph/reference.h"
 
 namespace streammpc {
 
 void EulerTourForest::batch_link(std::span<const Edge> links) {
   if (links.empty()) return;
 
-  // Auxiliary graph H over tree ids; must be a forest (Claim 6.1's F_H).
-  // Built and checked in full before the charge and the first mutation, so
-  // a rejected batch leaves the forest and the ledger untouched.
+  // Auxiliary graph H over the touched trees (Claim 6.1's F_H): dense
+  // nodes in first-appearance order, each with its half-edges in link
+  // order.  Built and checked in full before the charge and the first
+  // mutation, so a rejected batch leaves the forest and the ledger
+  // untouched.
   struct HalfEdge {
-    TourId child_tree;
-    VertexId parent_terminal;  // endpoint inside this tree
-    VertexId child_terminal;   // endpoint inside child_tree
+    std::uint32_t to;
+    VertexId x, y;  // endpoints in this node's tree and in `to`'s
   };
-  std::unordered_map<TourId, std::vector<HalfEdge>> h_adj;
-  std::unordered_map<TourId, std::uint32_t> id_index;
-  std::vector<TourId> id_list;
-  auto intern = [&](TourId t) {
-    auto [it, fresh] = id_index.try_emplace(t, id_list.size());
+  std::unordered_map<TourId, std::uint32_t> node_of;
+  std::vector<TourId> trees;
+  std::vector<std::vector<HalfEdge>> adj;
+  const auto intern = [&](VertexId x) {
+    const auto [it, fresh] = node_of.try_emplace(tour_of_[x], trees.size());
     if (fresh) {
-      id_list.push_back(t);
-      h_adj.try_emplace(t);
+      trees.push_back(tour_of_[x]);
+      adj.emplace_back();
     }
     return it->second;
   };
   for (const Edge& e : links) {
     SMPC_CHECK(e.u < n_ && e.v < n_);
-    const TourId tu = tour_of_[e.u];
-    const TourId tv = tour_of_[e.v];
-    SMPC_CHECK_MSG(tu != tv, "batch_link edge closes a cycle within a tree");
-    intern(tu);
-    intern(tv);
-    h_adj[tu].push_back(HalfEdge{tv, e.u, e.v});
-    h_adj[tv].push_back(HalfEdge{tu, e.v, e.u});
+    SMPC_CHECK_MSG(tour_of_[e.u] != tour_of_[e.v],
+                   "batch_link edge closes a cycle within a tree");
+    const std::uint32_t a = intern(e.u), b = intern(e.v);
+    adj[a].push_back(HalfEdge{b, e.u, e.v});
+    adj[b].push_back(HalfEdge{a, e.v, e.u});
   }
-  // Forest check over H.
-  {
-    Dsu dsu(id_list.size());
-    for (const Edge& e : links) {
-      const bool merged = dsu.unite(id_index[tour_of_[e.u]],
-                                    id_index[tour_of_[e.v]]);
-      SMPC_CHECK_MSG(merged, "batch_link edges do not form a forest over trees");
+  const std::size_t nodes = trees.size();
+
+  // Orient H by BFS from each component's first node.  `order` lists the
+  // nodes parents first; a node's children are discovered together, so
+  // they are the range order[first_child, end_child).  Child c hangs off
+  // its parent through the edge {x, y}: x in the parent's tree, y (the
+  // paper's t_i, c's new root) in c's.  H is a forest iff
+  // links + components == nodes.
+  struct Node {
+    std::uint32_t first_child = 0, end_child = 0;
+    VertexId x = kNoVertex, y = kNoVertex;
+    std::uint32_t pos = 0;  // splice point in the parent's tour
+  };
+  std::vector<Node> node(nodes);
+  std::vector<std::uint32_t> order;
+  order.reserve(nodes);
+  std::vector<char> seen(nodes, 0);
+  std::size_t components = 0;
+  for (std::uint32_t r = 0; r < nodes; ++r) {
+    if (seen[r]) continue;
+    ++components;
+    seen[r] = 1;
+    order.push_back(r);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      const std::uint32_t a = order[head];
+      node[a].first_child = static_cast<std::uint32_t>(order.size());
+      for (const HalfEdge& h : adj[a]) {
+        if (seen[h.to]) continue;
+        seen[h.to] = 1;
+        node[h.to].x = h.x;
+        node[h.to].y = h.y;
+        order.push_back(h.to);
+      }
+      node[a].end_child = static_cast<std::uint32_t>(order.size());
     }
   }
+  SMPC_CHECK_MSG(links.size() + components == nodes,
+                 "batch_link edges do not form a forest over trees");
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
          cluster_ ? links.size() * (cluster_->machines() + 1) : 0,
          "euler/batch-join");
 
-  std::vector<char> visited(id_list.size(), 0);
-  for (TourId root_tree : id_list) {
-    if (visited[id_index[root_tree]]) continue;
+  // Root every child tree at its terminal y.  Parents come first in
+  // `order`, so a child's splice point is read from its parent's final
+  // tour: right after the first occurrence of a non-root terminal x
+  // (inside x's visit), or the end when x is the root.  Splicing a root
+  // terminal at f(x) + 1 would break the descent/ascent pair alignment
+  // that Split relies on.
+  for (const std::uint32_t c : order) {
+    Node& child = node[c];
+    if (child.x == kNoVertex) continue;  // a component's root tree
+    const std::vector<VertexId>& seq = tours_[tour_of_[child.x]];
+    child.pos = seq.empty() || seq.front() == child.x
+                    ? static_cast<std::uint32_t>(seq.size())
+                    : f_[child.x] + 1;
+    make_root_impl(child.y);
+  }
+  // Splices in ascending position; children sharing one go in reverse
+  // discovery order (each new one lands in front of the earlier ones).
+  std::vector<std::uint32_t> spliced = order;
+  for (const std::uint32_t a : order) {
+    const auto first = spliced.begin() + node[a].first_child;
+    const auto last = spliced.begin() + node[a].end_child;
+    std::reverse(first, last);
+    std::stable_sort(first, last, [&](std::uint32_t c, std::uint32_t d) {
+      return node[c].pos < node[d].pos;
+    });
+  }
 
-    // Pass 1: BFS to orient H and root every non-root tree at its
-    // parent-facing terminal (the paper's t_i).  All rootings happen
-    // before any composition so the f_ positions stay valid throughout.
-    struct NodeInfo {
-      TourId tree;
-      std::vector<std::pair<VertexId, TourId>> children;  // (terminal in
-                                                          // this tree, child)
-      std::unordered_map<TourId, VertexId> child_terminal;
-    };
-    std::unordered_map<TourId, NodeInfo> nodes;
-    std::vector<TourId> order;  // BFS order (parents before children)
-    {
-      std::vector<TourId> queue{root_tree};
-      visited[id_index[root_tree]] = 1;
-      nodes[root_tree].tree = root_tree;
-      std::size_t head = 0;
-      while (head < queue.size()) {
-        const TourId a = queue[head++];
-        order.push_back(a);
-        for (const HalfEdge& he : h_adj[a]) {
-          if (visited[id_index[he.child_tree]]) continue;
-          visited[id_index[he.child_tree]] = 1;
-          nodes[a].children.emplace_back(he.parent_terminal, he.child_tree);
-          nodes[a].child_terminal[he.child_tree] = he.child_terminal;
-          nodes[he.child_tree].tree = he.child_tree;
-          make_root_impl(he.child_terminal);
-          queue.push_back(he.child_tree);
-        }
+  // Emit each component's tour Pi(T_0) in one forward pass: copy a tree's
+  // entries up to its next splice point, descend into the child wrapped as
+  // [x, y, ..., y, x], and resume after it.
+  struct Frame {
+    std::uint32_t node, next, cursor;
+  };
+  std::vector<Frame> stack;
+  for (std::size_t begin = 0; begin < nodes;) {
+    const std::uint32_t root = order[begin];
+    std::size_t end = begin + 1;
+    std::size_t size = tours_[trees[root]].size();
+    for (; end < nodes && node[order[end]].x != kNoVertex; ++end)
+      size += tours_[trees[order[end]]].size() + 4;
+    std::vector<VertexId> tour;
+    tour.reserve(size);
+    stack.push_back(Frame{root, node[root].first_child, 0});
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      const std::vector<VertexId>& seq = tours_[trees[top.node]];
+      if (top.next < node[top.node].end_child) {
+        const std::uint32_t c = spliced[top.next++];
+        tour.insert(tour.end(), seq.begin() + top.cursor,
+                    seq.begin() + node[c].pos);
+        top.cursor = node[c].pos;
+        tour.insert(tour.end(), {node[c].x, node[c].y});
+        stack.push_back(Frame{c, node[c].first_child, 0});
+        continue;
       }
+      tour.insert(tour.end(), seq.begin() + top.cursor, seq.end());
+      const Node& done = node[top.node];
+      stack.pop_back();
+      if (!stack.empty()) tour.insert(tour.end(), {done.y, done.x});
     }
-
-    // Pass 2: post-order composition (children before parents).
-    std::unordered_map<TourId, std::vector<VertexId>> composed;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const TourId a = *it;
-      const NodeInfo& info = nodes[a];
-      std::vector<VertexId> seq = tours_[a];
-
-      // Splice children at descending positions so earlier splices do not
-      // shift later ones (positions refer to the pre-splice sequence).
-      struct Splice {
-        std::uint32_t pos;
-        TourId child;
-        VertexId x, y;
-      };
-      std::vector<Splice> splices;
-      splices.reserve(info.children.size());
-      for (const auto& [x, child] : info.children) {
-        const VertexId y = info.child_terminal.at(child);
-        // Canonical-form invariant: a child group attached to a non-root
-        // terminal x goes right after x's first occurrence (inside x's
-        // visit); a group attached to the tour's root is appended at the
-        // end (a new last child).  Splicing a root terminal at f(x)+1
-        // would break the descent/ascent pair structure that Split relies
-        // on (it is still a valid cyclic walk, but not canonical).
-        std::uint32_t pos;
-        if (seq.empty()) {
-          pos = 0;
-        } else if (seq.front() == x) {
-          pos = static_cast<std::uint32_t>(seq.size());
-        } else {
-          pos = static_cast<std::uint32_t>(f_[x] + 1);
-        }
-        splices.push_back(Splice{pos, child, x, y});
-      }
-      std::stable_sort(splices.begin(), splices.end(),
-                       [](const Splice& a1, const Splice& b1) {
-                         return a1.pos > b1.pos;
-                       });
-      for (const Splice& sp : splices) {
-        std::vector<VertexId>& child_seq = composed[sp.child];
-        std::vector<VertexId> wrapped;
-        wrapped.reserve(child_seq.size() + 4);
-        wrapped.push_back(sp.x);
-        wrapped.push_back(sp.y);
-        wrapped.insert(wrapped.end(), child_seq.begin(), child_seq.end());
-        wrapped.push_back(sp.y);
-        wrapped.push_back(sp.x);
-        seq.insert(seq.begin() + sp.pos, wrapped.begin(), wrapped.end());
-        composed.erase(sp.child);
-      }
-      composed[a] = std::move(seq);
-    }
-
-    // Install the composed tour on the root tree id; retire the others.
-    tours_[root_tree] = std::move(composed[root_tree]);
-    for (TourId a : order) {
-      if (a != root_tree) free_tour(a);
-    }
-    reindex(root_tree);
+    // Install on the root tree's id; retire the others in BFS order.
+    tours_[trees[root]] = std::move(tour);
+    for (std::size_t i = begin + 1; i < end; ++i) free_tour(trees[order[i]]);
+    reindex(trees[root]);
+    begin = end;
   }
 
   for (const Edge& e : links) tree_edges_.insert(e);

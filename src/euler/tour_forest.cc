@@ -259,6 +259,12 @@ void EulerTourForest::validate() const {
   SMPC_CHECK(tree_edges_.size() == n_ - live_tours_);
 }
 
+std::vector<Edge> EulerTourForest::sorted_tree_edges() const {
+  std::vector<Edge> out(tree_edges_.begin(), tree_edges_.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::uint64_t EulerTourForest::words() const {
   std::uint64_t total = 3 * n_;  // tour_of_, f_, l_
   for (const auto& tour : tours_) total += tour.size();

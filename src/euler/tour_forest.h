@@ -62,6 +62,7 @@ class EulerTourForest {
   const std::unordered_set<Edge, EdgeHash>& tree_edges() const {
     return tree_edges_;
   }
+  std::vector<Edge> sorted_tree_edges() const;
   // First/last occurrence positions (meaningful for non-singleton trees).
   std::uint32_t first_pos(VertexId v) const { return f_[v]; }
   std::uint32_t last_pos(VertexId v) const { return l_[v]; }
@@ -85,7 +86,12 @@ class EulerTourForest {
   // Adds a batch of tree edges at once.  The edges must form a forest over
   // the current trees (no two edges may close a cycle) — the connectivity
   // layer guarantees this by construction of F_H (Claim 6.1).  O(1) rounds
-  // for the whole batch.
+  // for the whole batch.  Each component of trees keeps the id of its
+  // first-appearing tree and its root; the others' ids are freed in BFS
+  // order.  A child tree goes right after its terminal's first occurrence,
+  // or at the end when the terminal is the root; children sharing a
+  // terminal go in reverse discovery order.  The partition equals
+  // sequential_link's, the tours in general do not.
   void batch_link(std::span<const Edge> links);
 
   // Removes a batch of existing tree edges at once.  O(1) rounds.  Each

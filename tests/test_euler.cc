@@ -249,6 +249,55 @@ TEST(EulerTour, BatchLinkMultipleComponents) {
   EXPECT_FALSE(f.same_tree(2, 3));
 }
 
+// The composed tour of one batch_link, pinned by hand: each child tree is
+// rooted at its terminal y and spliced as [x, y, ..., y, x] right after
+// the first occurrence of its parent-side terminal x, or appended when x
+// is the root; children sharing x go in reverse discovery order.  The
+// component keeps its first-appearing tree's id.
+void expect_tour(const EulerTourForest& f, TourId id,
+                 const std::vector<VertexId>& tour) {
+  EXPECT_EQ(f.tour_of(tour.front()), id);
+  EXPECT_EQ(f.tour_sequence(tour.front()), tour);
+  for (std::uint32_t i = 0; i < tour.size(); ++i) {
+    const auto at = tour.begin() + i;
+    if (std::find(tour.begin(), at, *at) == at)
+      EXPECT_EQ(f.first_pos(*at), i) << *at;
+    if (std::find(at + 1, tour.end(), *at) == tour.end())
+      EXPECT_EQ(f.last_pos(*at), i) << *at;
+  }
+  f.validate();
+}
+
+TEST(EulerTour, BatchLinkComposedOrderIsPinned) {
+  {  // Two children at one non-root terminal.
+    EulerTourForest f(5);
+    f.link(0, 1);  // [0, 1, 1, 0]
+    f.batch_link(std::vector<Edge>{{1, 2}, {1, 3}});
+    expect_tour(f, 0, {0, 1, 1, 3, 3, 1, 1, 2, 2, 1, 1, 0});
+    // Ids 2 then 3 were freed in BFS order, so the next cut reuses 3.
+    f.batch_cut(std::vector<Edge>{{1, 2}});
+    EXPECT_EQ(f.tour_of(2), 3u);
+  }
+  {  // Children at the root terminal are appended.
+    EulerTourForest f(5);
+    f.link(0, 1);
+    f.batch_link(std::vector<Edge>{{0, 2}, {0, 3}});
+    expect_tour(f, 0, {0, 1, 1, 0, 0, 3, 3, 0, 0, 2, 2, 0});
+  }
+  {  // A grandchild: tree {2, 3} is re-rooted at 3, and 4 hangs off 2.
+    EulerTourForest f(6);
+    f.link(0, 1);
+    f.link(2, 3);  // [2, 3, 3, 2]
+    f.batch_link(std::vector<Edge>{{1, 3}, {2, 4}});
+    expect_tour(f, 0, {0, 1, 1, 3, 3, 2, 2, 4, 4, 2, 2, 3, 3, 1, 1, 0});
+  }
+  {  // A singleton parent with two children.
+    EulerTourForest f(5);
+    f.batch_link(std::vector<Edge>{{0, 1}, {0, 2}});
+    expect_tour(f, 0, {0, 2, 2, 0, 0, 1, 1, 0});
+  }
+}
+
 TEST(EulerTour, BatchCutShattersTree) {
   EulerTourForest f(8);
   for (VertexId i = 0; i + 1 < 8; ++i) f.link(i, i + 1);

@@ -33,6 +33,7 @@ void expect_matches(const StreamingConnectivity& sc, const AdjGraph& ref,
     EXPECT_TRUE(dsu.unite(e.u, e.v)) << where << ": cycle in forest";
   }
   EXPECT_EQ(dsu.num_sets(), num_components(ref)) << where;
+  sc.forest().validate();
 }
 
 TEST(StreamingConnectivity, InsertMergesAndLabels) {
@@ -171,6 +172,30 @@ TEST(StreamingConnectivity, RejectsInvalidDeletes) {
   // Deleting an edge between disconnected vertices violates the stream
   // contract and is rejected loudly.
   EXPECT_THROW(sc.erase(2, 3), CheckError);
+}
+
+TEST(StreamingConnectivity, RejectedDeleteKeepsAppliedPrefix) {
+  // A segment whose deletion is rejected leaves the updates before it
+  // applied, sketch deltas included, exactly as per-update insert() does.
+  StreamingConnectivity sc(4, sketch_config(22));
+  const std::vector<Update> segment{insert_of(0, 1), insert_of(2, 3),
+                                    erase_of(0, 2)};
+  EXPECT_THROW(sc.apply_stream(segment), CheckError);
+  EXPECT_TRUE(sc.is_tree_edge(make_edge(0, 1)));
+  EXPECT_TRUE(sc.is_tree_edge(make_edge(2, 3)));
+  EXPECT_NE(sc.sketches().mutation_epoch(), 0u);
+
+  StreamingConnectivity single(4, sketch_config(22));
+  single.insert(0, 1);
+  single.insert(2, 3);
+  const VertexId zero[] = {0};
+  bool sampled = false;
+  for (unsigned bank = 0; bank < sc.sketches().banks(); ++bank) {
+    const auto edge = sc.sketches().sample_boundary(bank, zero);
+    EXPECT_EQ(edge, single.sketches().sample_boundary(bank, zero)) << bank;
+    sampled = sampled || edge == make_edge(0, 1);
+  }
+  EXPECT_TRUE(sampled);
 }
 
 }  // namespace
